@@ -1,8 +1,6 @@
-//! The shared CLI-argument helper and the driver logic behind the
-//! `qla-bench` binary and the legacy per-artefact shims.
+//! The CLI-argument helper and the driver logic behind the `qla-bench`
+//! binary.
 //!
-//! Before the redesign every binary in `src/bin/` hand-rolled its own
-//! `std::env::args().nth(1)…` parsing; this module is the single replacement.
 //! It understands the unified flag set (`--trials`, `--seed`, `--format`,
 //! `--out-dir`, `--jobs`, and the repeatable `--trace FILE` that swaps
 //! `trace-replay`'s built-in programs for user trace files), a bare
@@ -553,23 +551,6 @@ pub fn emit(report: &Report, args: &CliArgs) -> Result<(), String> {
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     Ok(())
-}
-
-/// Entry point for the legacy per-artefact shim binaries: parse the
-/// process's own arguments with the shared helper, run the named experiment,
-/// and print its report — exiting with status 2 on a usage error.
-pub fn legacy_shim(name: &str) {
-    let args = match CliArgs::parse(std::env::args().skip(1)) {
-        Ok(args) => args,
-        Err(message) => {
-            eprintln!("{message}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(message) = run_experiment(name, &args) {
-        eprintln!("{message}");
-        std::process::exit(2);
-    }
 }
 
 #[cfg(test)]

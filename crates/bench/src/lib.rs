@@ -39,10 +39,10 @@
 //! | `serve-load` | qla-serve — cached evaluation service under a scripted request mix |
 //! | `sensitivity` | §6 — scenario matrix across the built-in profiles |
 //!
-//! The historical per-artefact binaries in `src/bin/` still exist as thin
-//! shims over the same registry (`cargo run -p qla-bench --bin
-//! fig7_threshold` keeps working), and the Criterion benches in `benches/`
-//! measure the performance of the simulator substrate itself.
+//! Every artefact runs through the one `qla-bench` binary
+//! (`cargo run --release -p qla-bench -- run fig7-threshold`), and the
+//! Criterion benches in `benches/` measure the performance of the
+//! simulator substrate itself.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

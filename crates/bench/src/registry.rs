@@ -1,9 +1,8 @@
 //! The experiment registry: every paper artefact, discoverable by name.
 //!
-//! The `qla-bench` CLI (and the legacy shim binaries) resolve experiments
-//! exclusively through this registry, so registering an experiment here is
-//! the one step that makes a new analysis runnable, listable, describable,
-//! and part of `run-all`.
+//! The `qla-bench` CLI resolves experiments exclusively through this
+//! registry, so registering an experiment here is the one step that makes
+//! a new analysis runnable, listable, describable, and part of `run-all`.
 
 use crate::experiments::{
     ChannelBandwidth, EccLatency, Factor128Walkthrough, FaultSweep, Fig7Threshold, Fig9Connection,

@@ -22,6 +22,8 @@
 //!   profiles (`expected`, `current`, the Section 6 relaxations) and the
 //!   deterministic `key = value` text format behind `--profile`/`--spec`;
 //!   the active spec rides on every [`ExperimentContext`].
+//! * [`kv`] — the one `key = value` scanner behind the spec text format
+//!   and the `qla-faults` fault-plan format, with line-anchored errors.
 //! * [`hash`] / [`cache`] — stable content hashing (FNV-1a 64 +
 //!   SplitMix64) and a deterministic [`LruCache`], the substrate of the
 //!   `qla-serve` result cache: byte-determinism makes content-addressed
@@ -38,6 +40,7 @@ pub mod cache;
 pub mod executor;
 pub mod experiment;
 pub mod hash;
+pub mod kv;
 pub mod machine;
 pub mod montecarlo;
 pub mod spec;

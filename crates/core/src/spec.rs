@@ -14,16 +14,20 @@
 //!   [`MachineSpec::current`], and the Section 6 variants
 //!   [`MachineSpec::relaxed_failures`] / [`MachineSpec::relaxed_speed`],
 //!   resolvable by name with [`MachineSpec::builtin`];
-//! * **a deterministic text format** — a hand-rolled `key = value` file
-//!   (the vendored serde is structural-only, so serialization follows the
-//!   `qla-report` pattern: hand-rolled and byte-stable) with
-//!   [`MachineSpec::render`] / [`MachineSpec::parse`] round-tripping
-//!   exactly and loud [`SpecError`]s for unknown, duplicate, missing, or
-//!   malformed keys;
-//! * **validation** — [`MachineSpec::validate`] routes the design point
-//!   through the [`MachineBuilder`](crate::MachineBuilder) invariants and
-//!   checks the sweep grids, so an invalid spec fails at load time, not
-//!   three experiments into a `run-all`.
+//! * **a deterministic text format** — the shared [`kv`](crate::kv)
+//!   `key = value` grammar (the vendored serde is structural-only, so
+//!   serialization follows the `qla-report` pattern: hand-rolled and
+//!   byte-stable) with [`MachineSpec::render`] / [`MachineSpec::parse`]
+//!   round-tripping exactly and loud, line-anchored [`SpecError`]s for
+//!   unknown, duplicate, missing, or malformed keys;
+//! * **validation** — [`MachineSpec::validate`] checks every field against
+//!   its range rule, the few rules that tie fields together, and the
+//!   [`MachineBuilder`](crate::MachineBuilder) invariants, so an invalid
+//!   spec fails at load time, not three experiments into a `run-all`.
+//!
+//! Render, parse, and the per-field checks all walk one table, `FIELDS`:
+//! each entry names a key, the field it reads and writes, and its range
+//! rule. Adding a field to the format is adding one table line.
 //!
 //! The active spec travels on the
 //! [`ExperimentContext`](crate::ExperimentContext); experiments build their
@@ -33,6 +37,7 @@
 //! or `--spec <file>`.
 
 use crate::builder::MachineBuilder;
+use crate::kv::{finite, Fields, KvError};
 use crate::machine::QlaMachine;
 use crate::MachineBuildError;
 use qla_network::InterconnectParams;
@@ -41,7 +46,6 @@ use qla_physical::{TechnologyParams, Time};
 use qla_qec::EccLatencies;
 use qla_report::Scenario;
 use serde::Serialize;
-use std::collections::BTreeMap;
 
 /// Average ballistic-movement distance (cells) accompanying one transversal
 /// two-qubit gate — the paper's block-communication distance `r ≈ 12`, used
@@ -571,131 +575,26 @@ impl MachineSpec {
         }
     }
 
-    /// Check the whole spec: the machine invariants (through
-    /// [`MachineBuilder`]) plus the text-format and sweep-grid constraints.
+    /// Check the whole spec: every field against the range rule of its
+    /// `FIELDS` entry, the rules that tie fields together, and the
+    /// machine invariants (through [`MachineBuilder`]).
     ///
     /// # Errors
     /// Returns the first violation as a [`SpecError`] with a message naming
     /// the offending field.
     pub fn validate(&self) -> Result<(), SpecError> {
-        let line_safe = |label: &str, value: &str| -> Result<(), SpecError> {
-            if value.is_empty() && label == "name" {
-                return Err(SpecError::Invalid(format!("{label} must not be empty")));
-            }
-            if value.contains('\n') || value.contains('#') {
-                return Err(SpecError::Invalid(format!(
-                    "{label} must be a single line without '#' (got {value:?})"
-                )));
-            }
-            // The parser trims values, so padding would not survive a
-            // render→parse round trip; reject it here instead of silently
-            // mutating the spec.
-            if value.trim() != value {
-                return Err(SpecError::Invalid(format!(
-                    "{label} must not have leading/trailing whitespace (got {value:?})"
-                )));
-            }
-            Ok(())
-        };
-        line_safe("name", &self.name)?;
-        line_safe("description", &self.description)?;
-
-        let prob = |key: &str, v: f64| -> Result<(), SpecError> {
-            if !v.is_finite() || !(0.0..=1.0).contains(&v) {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a probability in [0, 1], got {v}"
-                )));
-            }
-            Ok(())
-        };
-        let positive = |key: &str, v: f64| -> Result<(), SpecError> {
-            if !v.is_finite() || v <= 0.0 {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a finite positive number, got {v}"
-                )));
-            }
-            Ok(())
-        };
-
-        positive("tech.cell_size_um", self.tech.cell_size_um)?;
-        let t = &self.tech.times;
-        for (key, time) in [
-            ("tech.time.single_gate_us", t.single_gate),
-            ("tech.time.double_gate_us", t.double_gate),
-            ("tech.time.measure_us", t.measure),
-            ("tech.time.move_per_um_us", t.move_per_um),
-            ("tech.time.move_per_cell_us", t.move_per_cell),
-            ("tech.time.split_us", t.split),
-            ("tech.time.corner_turn_us", t.corner_turn),
-            ("tech.time.cool_us", t.cool),
-            ("tech.time.memory_lifetime_us", t.memory_lifetime),
-        ] {
-            positive(key, time.as_micros())?;
+        for field in FIELDS {
+            field.check(self)?;
         }
-        let p = &self.tech.failures;
-        for (key, rate) in [
-            ("tech.fail.single_gate", p.single_gate),
-            ("tech.fail.double_gate", p.double_gate),
-            ("tech.fail.measure", p.measure),
-            ("tech.fail.move_per_um", p.move_per_um),
-            ("tech.fail.move_per_cell", p.move_per_cell),
-        ] {
-            prob(key, rate)?;
+        if self.name.is_empty() {
+            return Err(SpecError::Invalid("name must not be empty".to_string()));
         }
-        positive("tech.fail.memory_per_sec", p.memory_per_sec)?;
-
-        let ic = &self.interconnect;
-        prob("interconnect.creation_fidelity", ic.creation_fidelity)?;
-        prob("interconnect.per_cell_error", ic.per_cell_error)?;
-        prob("interconnect.local_op_error", ic.local_op_error)?;
-        prob("interconnect.swap_op_error", ic.swap_op_error)?;
-        prob("interconnect.max_final_infidelity", ic.max_final_infidelity)?;
-        positive(
-            "interconnect.purification_round_time_us",
-            ic.purification_round_time.as_micros(),
-        )?;
-        positive(
-            "interconnect.swap_stage_time_us",
-            ic.swap_stage_time.as_micros(),
-        )?;
-
         let s = &self.sweep;
-        if s.component_rates.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.component_rates must list at least one rate".to_string(),
-            ));
-        }
-        for &rate in &s.component_rates {
-            if !rate.is_finite() || rate <= 0.0 || rate >= 1.0 {
-                return Err(SpecError::Invalid(format!(
-                    "sweep.component_rates entries must lie in (0, 1), got {rate}"
-                )));
-            }
-        }
-        positive("sweep.threshold_scan_lo", s.threshold_scan_lo)?;
-        positive("sweep.threshold_scan_hi", s.threshold_scan_hi)?;
         if s.threshold_scan_lo >= s.threshold_scan_hi {
             return Err(SpecError::Invalid(format!(
                 "sweep.threshold_scan_lo ({}) must be below sweep.threshold_scan_hi ({})",
                 s.threshold_scan_lo, s.threshold_scan_hi
             )));
-        }
-        if s.threshold_scan_points < 2 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.threshold_scan_points must be at least 2, got {}",
-                s.threshold_scan_points
-            )));
-        }
-        if !(1..=8).contains(&s.max_recursion_level) {
-            return Err(SpecError::Invalid(format!(
-                "sweep.max_recursion_level must lie in 1..=8, got {}",
-                s.max_recursion_level
-            )));
-        }
-        if s.distance_step_cells == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.distance_step_cells must be at least 1".to_string(),
-            ));
         }
         if s.distance_max_cells < s.distance_step_cells {
             return Err(SpecError::Invalid(format!(
@@ -703,615 +602,368 @@ impl MachineSpec {
                 s.distance_max_cells, s.distance_step_cells
             )));
         }
-        if s.bandwidths.is_empty() || s.bandwidths.contains(&0) {
-            return Err(SpecError::Invalid(
-                "sweep.bandwidths must list at least one non-zero bandwidth".to_string(),
-            ));
-        }
-        if s.toffoli_counts.is_empty() || s.toffoli_counts.contains(&0) {
-            return Err(SpecError::Invalid(
-                "sweep.toffoli_counts must list at least one non-zero batch size".to_string(),
-            ));
-        }
-
-        let sim = &s.sim;
-        if sim.offered_loads.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.sim.offered_loads must list at least one load".to_string(),
-            ));
-        }
-        // Loads are bounded above as well as below: an astronomical load
-        // would offer millions of gates per window and turn a "sweep point"
-        // into an out-of-memory run before the engine's own clamps engage.
-        let load_in_range = |key: &str, load: f64| -> Result<(), SpecError> {
-            if !load.is_finite() || load <= 0.0 || load > MAX_OFFERED_LOAD {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a positive load of at most {MAX_OFFERED_LOAD} \
-                     Toffolis per window, got {load}"
-                )));
-            }
-            Ok(())
-        };
-        for &load in &sim.offered_loads {
-            load_in_range("sweep.sim.offered_loads entries", load)?;
-        }
-        load_in_range("sweep.sim.tail_offered_load", sim.tail_offered_load)?;
-        if !sim.burst_factor.is_finite() || sim.burst_factor < 1.0 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.sim.burst_factor must be at least 1, got {}",
-                sim.burst_factor
-            )));
-        }
-        if sim.max_in_flight == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.sim.max_in_flight must be at least 1".to_string(),
-            ));
-        }
-        if sim.ancilla_capacity == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.sim.ancilla_capacity must be at least 1".to_string(),
-            ));
-        }
-        if sim.measure_windows == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.sim.measure_windows must be at least 1".to_string(),
-            ));
-        }
-        if sim.contended_requests < 2 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.sim.contended_requests must be at least 2 (one request is the \
-                 uncontended regime), got {}",
-                sim.contended_requests
-            )));
-        }
-
-        let trace = &s.trace;
-        let bits_in_range = |key: &str, bits: usize, floor: usize| -> Result<(), SpecError> {
-            if bits < floor || bits > MAX_TRACE_BITS {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be between {floor} and {MAX_TRACE_BITS} bits, got {bits}"
-                )));
-            }
-            Ok(())
-        };
-        bits_in_range("sweep.trace.adder_bits", trace.adder_bits, 1)?;
-        // modexp_costs models moduli of at least 4 bits.
-        bits_in_range("sweep.trace.modexp_bits", trace.modexp_bits, 4)?;
-        if trace.modexp_multiplier_calls == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.trace.modexp_multiplier_calls must be at least 1".to_string(),
-            ));
-        }
-        if trace.random_qubits < 3 || trace.random_qubits > MAX_TRACE_BITS * 4 {
-            return Err(SpecError::Invalid(format!(
-                "sweep.trace.random_qubits must be between 3 (Toffoli operands) and {}, got {}",
-                MAX_TRACE_BITS * 4,
-                trace.random_qubits
-            )));
-        }
-        if trace.random_ops == 0 || trace.random_ops > MAX_TRACE_OPS {
-            return Err(SpecError::Invalid(format!(
-                "sweep.trace.random_ops must be between 1 and {MAX_TRACE_OPS}, got {}",
-                trace.random_ops
-            )));
-        }
-        if trace.scaling_adder_bits.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.trace.scaling_adder_bits must list at least one width".to_string(),
-            ));
-        }
-        for &bits in &trace.scaling_adder_bits {
-            bits_in_range("sweep.trace.scaling_adder_bits entries", bits, 1)?;
-        }
-        if trace.scaling_modexp_bits.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.trace.scaling_modexp_bits must list at least one width".to_string(),
-            ));
-        }
-        for &bits in &trace.scaling_modexp_bits {
-            bits_in_range("sweep.trace.scaling_modexp_bits entries", bits, 4)?;
-        }
-
-        let fault = &s.fault;
-        if fault.severities.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.fault.severities must list at least one severity".to_string(),
-            ));
-        }
-        for &severity in &fault.severities {
-            prob("sweep.fault.severities entries", severity)?;
-        }
-        let fraction = |key: &str, v: f64| -> Result<(), SpecError> {
-            if !v.is_finite() || v <= 0.0 || v > 1.0 {
-                return Err(SpecError::Invalid(format!(
-                    "{key} must be a fraction in (0, 1], got {v}"
-                )));
-            }
-            Ok(())
-        };
-        fraction(
-            "sweep.fault.degraded_edge_fraction",
-            fault.degraded_edge_fraction,
-        )?;
-        if fault.duration_windows == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.fault.duration_windows must be at least 1".to_string(),
-            ));
-        }
-        prob("sweep.fault.factory_loss", fault.factory_loss)?;
-        load_in_range(
-            "sweep.fault.traffic_offered_load",
-            fault.traffic_offered_load,
-        )?;
-        load_in_range("sweep.fault.matrix_offered_load", fault.matrix_offered_load)?;
-        fraction("sweep.fault.hotspot_fraction", fault.hotspot_fraction)?;
-        if fault.tenants == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.fault.tenants must be at least 1".to_string(),
-            ));
-        }
-        if fault.tenant_quota == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.fault.tenant_quota must be at least 1".to_string(),
-            ));
-        }
-        if fault.quota_skews.is_empty() {
-            return Err(SpecError::Invalid(
-                "sweep.fault.quota_skews must list at least one skew".to_string(),
-            ));
-        }
-        for &skew in &fault.quota_skews {
-            if !skew.is_finite() || skew < 1.0 {
-                return Err(SpecError::Invalid(format!(
-                    "sweep.fault.quota_skews entries must be at least 1, got {skew}"
-                )));
-            }
-        }
-
-        let obs = &s.obs;
-        if obs.sample_every == 0 {
-            return Err(SpecError::Invalid(
-                "sweep.obs.sample_every must be at least 1".to_string(),
-            ));
-        }
-
-        // Finally the machine invariants themselves.
         self.machine().map_err(SpecError::Machine)?;
         Ok(())
     }
 
-    /// Render the spec in the deterministic text format.
+    /// Render the spec in the deterministic text format: the version line,
+    /// then one line per `FIELDS` entry in table order.
     ///
     /// The output is byte-stable for a given spec (floats use Rust's
     /// shortest round-trip formatting) and [`MachineSpec::parse`]s back to
     /// an equal value — the property the round-trip and golden tests pin.
     #[must_use]
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut line = |key: &str, value: String| {
-            out.push_str(key);
+        let mut out = String::with_capacity(2048);
+        out.push_str(VERSION_KEY);
+        out.push_str(" = ");
+        out.push_str(VERSION);
+        out.push('\n');
+        for field in FIELDS {
+            out.push_str(field.key);
             out.push_str(" = ");
-            out.push_str(&value);
+            (field.get)(self).render(&mut out);
             out.push('\n');
-        };
-        line("format_version", "1".to_string());
-        line("name", self.name.clone());
-        line("description", self.description.clone());
-        line("logical_qubits", self.logical_qubits.to_string());
-        line("recursion_level", self.recursion_level.to_string());
-        line("bandwidth", self.bandwidth.to_string());
-        line("ecc", self.ecc.to_string());
-
-        line("tech.cell_size_um", num(self.tech.cell_size_um));
-        let t = &self.tech.times;
-        line("tech.time.single_gate_us", num(t.single_gate.as_micros()));
-        line("tech.time.double_gate_us", num(t.double_gate.as_micros()));
-        line("tech.time.measure_us", num(t.measure.as_micros()));
-        line("tech.time.move_per_um_us", num(t.move_per_um.as_micros()));
-        line(
-            "tech.time.move_per_cell_us",
-            num(t.move_per_cell.as_micros()),
-        );
-        line("tech.time.split_us", num(t.split.as_micros()));
-        line("tech.time.corner_turn_us", num(t.corner_turn.as_micros()));
-        line("tech.time.cool_us", num(t.cool.as_micros()));
-        line(
-            "tech.time.memory_lifetime_us",
-            num(t.memory_lifetime.as_micros()),
-        );
-        let p = &self.tech.failures;
-        line("tech.fail.single_gate", num(p.single_gate));
-        line("tech.fail.double_gate", num(p.double_gate));
-        line("tech.fail.measure", num(p.measure));
-        line("tech.fail.move_per_um", num(p.move_per_um));
-        line("tech.fail.move_per_cell", num(p.move_per_cell));
-        line("tech.fail.memory_per_sec", num(p.memory_per_sec));
-
-        let ic = &self.interconnect;
-        line("interconnect.creation_fidelity", num(ic.creation_fidelity));
-        line("interconnect.per_cell_error", num(ic.per_cell_error));
-        line("interconnect.local_op_error", num(ic.local_op_error));
-        line("interconnect.swap_op_error", num(ic.swap_op_error));
-        line(
-            "interconnect.max_final_infidelity",
-            num(ic.max_final_infidelity),
-        );
-        line(
-            "interconnect.purification_round_time_us",
-            num(ic.purification_round_time.as_micros()),
-        );
-        line(
-            "interconnect.swap_stage_time_us",
-            num(ic.swap_stage_time.as_micros()),
-        );
-
-        let s = &self.sweep;
-        line("sweep.component_rates", num_list(&s.component_rates));
-        line("sweep.threshold_scan_lo", num(s.threshold_scan_lo));
-        line("sweep.threshold_scan_hi", num(s.threshold_scan_hi));
-        line(
-            "sweep.threshold_scan_points",
-            s.threshold_scan_points.to_string(),
-        );
-        line(
-            "sweep.max_recursion_level",
-            s.max_recursion_level.to_string(),
-        );
-        line(
-            "sweep.distance_step_cells",
-            s.distance_step_cells.to_string(),
-        );
-        line("sweep.distance_max_cells", s.distance_max_cells.to_string());
-        line("sweep.bandwidths", int_list(&s.bandwidths));
-        line("sweep.toffoli_counts", int_list(&s.toffoli_counts));
-        let sim = &s.sim;
-        line("sweep.sim.offered_loads", num_list(&sim.offered_loads));
-        line("sweep.sim.burst_factor", num(sim.burst_factor));
-        line("sweep.sim.max_in_flight", sim.max_in_flight.to_string());
-        line(
-            "sweep.sim.ancilla_capacity",
-            sim.ancilla_capacity.to_string(),
-        );
-        line("sweep.sim.warmup_windows", sim.warmup_windows.to_string());
-        line("sweep.sim.measure_windows", sim.measure_windows.to_string());
-        line("sweep.sim.tail_offered_load", num(sim.tail_offered_load));
-        line(
-            "sweep.sim.contended_requests",
-            sim.contended_requests.to_string(),
-        );
-        let trace = &s.trace;
-        line("sweep.trace.adder_bits", trace.adder_bits.to_string());
-        line("sweep.trace.modexp_bits", trace.modexp_bits.to_string());
-        line(
-            "sweep.trace.modexp_multiplier_calls",
-            trace.modexp_multiplier_calls.to_string(),
-        );
-        line("sweep.trace.random_qubits", trace.random_qubits.to_string());
-        line("sweep.trace.random_ops", trace.random_ops.to_string());
-        line(
-            "sweep.trace.scaling_adder_bits",
-            int_list(&trace.scaling_adder_bits),
-        );
-        line(
-            "sweep.trace.scaling_modexp_bits",
-            int_list(&trace.scaling_modexp_bits),
-        );
-        let fault = &s.fault;
-        line("sweep.fault.severities", num_list(&fault.severities));
-        line(
-            "sweep.fault.degraded_edge_fraction",
-            num(fault.degraded_edge_fraction),
-        );
-        line("sweep.fault.onset_windows", fault.onset_windows.to_string());
-        line(
-            "sweep.fault.duration_windows",
-            fault.duration_windows.to_string(),
-        );
-        line("sweep.fault.factory_loss", num(fault.factory_loss));
-        line(
-            "sweep.fault.traffic_offered_load",
-            num(fault.traffic_offered_load),
-        );
-        line(
-            "sweep.fault.matrix_offered_load",
-            num(fault.matrix_offered_load),
-        );
-        line("sweep.fault.hotspot_fraction", num(fault.hotspot_fraction));
-        line("sweep.fault.tenants", fault.tenants.to_string());
-        line("sweep.fault.tenant_quota", fault.tenant_quota.to_string());
-        line("sweep.fault.quota_skews", num_list(&fault.quota_skews));
-        let obs = &s.obs;
-        line("sweep.obs.detail", obs.detail.token().to_string());
-        line("sweep.obs.sample_every", obs.sample_every.to_string());
+        }
         out
     }
 
-    /// Parse a spec from the text format.
+    /// Parse a spec from the text format (the shared [`kv`](crate::kv) grammar).
     ///
-    /// Accepts `key = value` lines, blank lines, and `#` comments (to end
-    /// of line). Every key is required exactly once; unknown keys,
-    /// duplicates, omissions, and malformed values are all loud errors —
-    /// a typo in a scenario file must never silently fall back to a
-    /// default.
+    /// Every key is required exactly once; unknown keys, duplicates,
+    /// omissions, and malformed values are all loud errors — a typo in a
+    /// scenario file must never silently fall back to a default.
     ///
     /// # Errors
     /// Returns the first problem found as a [`SpecError`].
     pub fn parse(text: &str) -> Result<MachineSpec, SpecError> {
         let mut fields = Fields::scan(text)?;
-
-        let version = fields.take("format_version")?;
-        if version.value != "1" {
+        let version = fields.take(VERSION_KEY)?;
+        if version.value != VERSION {
             return Err(SpecError::UnsupportedVersion {
-                found: version.value,
+                found: version.value.to_string(),
             });
         }
-
-        let spec = MachineSpec {
-            name: fields.take("name")?.value,
-            description: fields.take("description")?.value,
-            logical_qubits: fields.usize("logical_qubits")?,
-            recursion_level: fields.u32("recursion_level")?,
-            bandwidth: fields.usize("bandwidth")?,
-            ecc: fields.ecc("ecc")?,
-            tech: TechnologyParams {
-                cell_size_um: fields.f64("tech.cell_size_um")?,
-                times: qla_physical::OperationTimes {
-                    single_gate: fields.time_us("tech.time.single_gate_us")?,
-                    double_gate: fields.time_us("tech.time.double_gate_us")?,
-                    measure: fields.time_us("tech.time.measure_us")?,
-                    move_per_um: fields.time_us("tech.time.move_per_um_us")?,
-                    move_per_cell: fields.time_us("tech.time.move_per_cell_us")?,
-                    split: fields.time_us("tech.time.split_us")?,
-                    corner_turn: fields.time_us("tech.time.corner_turn_us")?,
-                    cool: fields.time_us("tech.time.cool_us")?,
-                    memory_lifetime: fields.time_us("tech.time.memory_lifetime_us")?,
-                },
-                failures: qla_physical::FailureRates {
-                    single_gate: fields.f64("tech.fail.single_gate")?,
-                    double_gate: fields.f64("tech.fail.double_gate")?,
-                    measure: fields.f64("tech.fail.measure")?,
-                    move_per_um: fields.f64("tech.fail.move_per_um")?,
-                    move_per_cell: fields.f64("tech.fail.move_per_cell")?,
-                    memory_per_sec: fields.f64("tech.fail.memory_per_sec")?,
-                },
-            },
-            interconnect: InterconnectSpec {
-                creation_fidelity: fields.f64("interconnect.creation_fidelity")?,
-                per_cell_error: fields.f64("interconnect.per_cell_error")?,
-                local_op_error: fields.f64("interconnect.local_op_error")?,
-                swap_op_error: fields.f64("interconnect.swap_op_error")?,
-                max_final_infidelity: fields.f64("interconnect.max_final_infidelity")?,
-                purification_round_time: fields
-                    .time_us("interconnect.purification_round_time_us")?,
-                swap_stage_time: fields.time_us("interconnect.swap_stage_time_us")?,
-            },
-            sweep: SweepSpec {
-                component_rates: fields.f64_list("sweep.component_rates")?,
-                threshold_scan_lo: fields.f64("sweep.threshold_scan_lo")?,
-                threshold_scan_hi: fields.f64("sweep.threshold_scan_hi")?,
-                threshold_scan_points: fields.usize("sweep.threshold_scan_points")?,
-                max_recursion_level: fields.u32("sweep.max_recursion_level")?,
-                distance_step_cells: fields.usize("sweep.distance_step_cells")?,
-                distance_max_cells: fields.usize("sweep.distance_max_cells")?,
-                bandwidths: fields.usize_list("sweep.bandwidths")?,
-                toffoli_counts: fields.usize_list("sweep.toffoli_counts")?,
-                sim: SimSpec {
-                    offered_loads: fields.f64_list("sweep.sim.offered_loads")?,
-                    burst_factor: fields.f64("sweep.sim.burst_factor")?,
-                    max_in_flight: fields.usize("sweep.sim.max_in_flight")?,
-                    ancilla_capacity: fields.usize("sweep.sim.ancilla_capacity")?,
-                    warmup_windows: fields.usize("sweep.sim.warmup_windows")?,
-                    measure_windows: fields.usize("sweep.sim.measure_windows")?,
-                    tail_offered_load: fields.f64("sweep.sim.tail_offered_load")?,
-                    contended_requests: fields.usize("sweep.sim.contended_requests")?,
-                },
-                trace: TraceSpec {
-                    adder_bits: fields.usize("sweep.trace.adder_bits")?,
-                    modexp_bits: fields.usize("sweep.trace.modexp_bits")?,
-                    modexp_multiplier_calls: fields.usize("sweep.trace.modexp_multiplier_calls")?,
-                    random_qubits: fields.usize("sweep.trace.random_qubits")?,
-                    random_ops: fields.usize("sweep.trace.random_ops")?,
-                    scaling_adder_bits: fields.usize_list("sweep.trace.scaling_adder_bits")?,
-                    scaling_modexp_bits: fields.usize_list("sweep.trace.scaling_modexp_bits")?,
-                },
-                fault: FaultSpec {
-                    severities: fields.f64_list("sweep.fault.severities")?,
-                    degraded_edge_fraction: fields.f64("sweep.fault.degraded_edge_fraction")?,
-                    onset_windows: fields.usize("sweep.fault.onset_windows")?,
-                    duration_windows: fields.usize("sweep.fault.duration_windows")?,
-                    factory_loss: fields.f64("sweep.fault.factory_loss")?,
-                    traffic_offered_load: fields.f64("sweep.fault.traffic_offered_load")?,
-                    matrix_offered_load: fields.f64("sweep.fault.matrix_offered_load")?,
-                    hotspot_fraction: fields.f64("sweep.fault.hotspot_fraction")?,
-                    tenants: fields.usize("sweep.fault.tenants")?,
-                    tenant_quota: fields.usize("sweep.fault.tenant_quota")?,
-                    quota_skews: fields.f64_list("sweep.fault.quota_skews")?,
-                },
-                obs: ObsSpec {
-                    detail: fields.obs_detail("sweep.obs.detail")?,
-                    sample_every: fields.u32("sweep.obs.sample_every")?,
-                },
-            },
-        };
-
+        // Every field is overwritten below; the profile only supplies the
+        // storage.
+        let mut spec = MachineSpec::expected();
+        for field in FIELDS {
+            (field.slot)(&mut spec).read(&mut fields, field.key)?;
+        }
         fields.finish()?;
         Ok(spec)
     }
 }
 
-/// Shortest round-trip rendering of a number (Rust's `Display` for `f64`
-/// never uses exponent notation and always parses back to the same bits).
-fn num(v: f64) -> String {
-    format!("{v}")
+/// The key of the text format's version line.
+const VERSION_KEY: &str = "format_version";
+
+/// The text format version this build renders and reads.
+const VERSION: &str = "1";
+
+/// Expected-value text of integer keys.
+const INTEGER: &str = "a non-negative integer";
+
+/// Expected-value text of float keys and float-list items.
+const NUMBER: &str = "a finite number";
+
+/// A shared view of one spec field, typed by its kind.
+enum Value<'a> {
+    Text(&'a str),
+    F64(&'a f64),
+    /// A [`Time`] written in microseconds.
+    Micros(&'a Time),
+    Usize(&'a usize),
+    U32(&'a u32),
+    F64s(&'a [f64]),
+    Usizes(&'a [usize]),
+    Ecc(&'a EccMode),
+    Detail(&'a ObsDetail),
 }
 
-fn num_list(values: &[f64]) -> String {
-    values
-        .iter()
-        .map(|v| num(*v))
-        .collect::<Vec<_>>()
-        .join(", ")
+/// A mutable view of one spec field, of the same kinds as [`Value`].
+enum Slot<'a> {
+    Text(&'a mut String),
+    F64(&'a mut f64),
+    Micros(&'a mut Time),
+    Usize(&'a mut usize),
+    U32(&'a mut u32),
+    F64s(&'a mut Vec<f64>),
+    Usizes(&'a mut Vec<usize>),
+    Ecc(&'a mut EccMode),
+    Detail(&'a mut ObsDetail),
 }
 
-fn int_list(values: &[usize]) -> String {
-    values
-        .iter()
-        .map(ToString::to_string)
-        .collect::<Vec<_>>()
-        .join(", ")
-}
-
-/// One `key = value` occurrence with its line number (for error messages).
-struct Field {
-    line: usize,
-    value: String,
-}
-
-/// The scanned key/value table with loud-take semantics.
-struct Fields {
-    map: BTreeMap<String, Field>,
-}
-
-impl Fields {
-    fn scan(text: &str) -> Result<Fields, SpecError> {
-        let mut map: BTreeMap<String, Field> = BTreeMap::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = content.split_once('=') else {
-                return Err(SpecError::Syntax {
-                    line,
-                    message: format!("expected `key = value`, got {content:?}"),
-                });
-            };
-            let key = key.trim().to_string();
-            let value = value.trim().to_string();
-            if key.is_empty() {
-                return Err(SpecError::Syntax {
-                    line,
-                    message: "missing key before '='".to_string(),
-                });
-            }
-            if let Some(previous) = map.get(&key) {
-                return Err(SpecError::DuplicateKey {
-                    line,
-                    key,
-                    first_line: previous.line,
-                });
-            }
-            map.insert(key, Field { line, value });
+impl Value<'_> {
+    /// Append the value's text form. Floats use `Display`, which never
+    /// uses exponent notation and always parses back to the same bits.
+    fn render(self, out: &mut String) {
+        fn push(out: &mut String, item: impl core::fmt::Display) {
+            use std::fmt::Write;
+            let _ = write!(out, "{item}");
         }
-        Ok(Fields { map })
-    }
-
-    fn take(&mut self, key: &'static str) -> Result<Field, SpecError> {
-        self.map.remove(key).ok_or(SpecError::MissingKey { key })
-    }
-
-    fn f64(&mut self, key: &'static str) -> Result<f64, SpecError> {
-        let field = self.take(key)?;
-        parse_f64(key, &field.value)
-    }
-
-    fn time_us(&mut self, key: &'static str) -> Result<Time, SpecError> {
-        Ok(Time::from_micros(self.f64(key)?))
-    }
-
-    fn usize(&mut self, key: &'static str) -> Result<usize, SpecError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .parse::<usize>()
-            .map_err(|_| SpecError::BadValue {
-                key: key.to_string(),
-                value: field.value,
-                expected: "a non-negative integer",
-            })
-    }
-
-    fn u32(&mut self, key: &'static str) -> Result<u32, SpecError> {
-        let field = self.take(key)?;
-        field.value.parse::<u32>().map_err(|_| SpecError::BadValue {
-            key: key.to_string(),
-            value: field.value,
-            expected: "a non-negative integer",
-        })
-    }
-
-    fn obs_detail(&mut self, key: &'static str) -> Result<ObsDetail, SpecError> {
-        let field = self.take(key)?;
-        ObsDetail::from_token(&field.value).ok_or_else(|| SpecError::BadValue {
-            key: key.to_string(),
-            value: field.value,
-            expected: "`full` or `light`",
-        })
-    }
-
-    fn ecc(&mut self, key: &'static str) -> Result<EccMode, SpecError> {
-        let field = self.take(key)?;
-        match field.value.as_str() {
-            "paper" => Ok(EccMode::Paper),
-            "structural" => Ok(EccMode::Structural),
-            _ => Err(SpecError::BadValue {
-                key: key.to_string(),
-                value: field.value,
-                expected: "`paper` or `structural`",
-            }),
+        fn join<T: core::fmt::Display>(out: &mut String, items: &[T]) {
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                push(out, item);
+            }
+        }
+        match self {
+            Value::Text(text) => out.push_str(text),
+            Value::F64(v) => push(out, v),
+            Value::Micros(t) => push(out, t.as_micros()),
+            Value::Usize(v) => push(out, v),
+            Value::U32(v) => push(out, v),
+            Value::F64s(items) => join(out, items),
+            Value::Usizes(items) => join(out, items),
+            Value::Ecc(ecc) => push(out, ecc),
+            Value::Detail(detail) => out.push_str(detail.token()),
         }
     }
+}
 
-    fn f64_list(&mut self, key: &'static str) -> Result<Vec<f64>, SpecError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .split(',')
-            .map(|item| parse_f64(key, item.trim()))
-            .collect()
+impl Slot<'_> {
+    /// Overwrite the field with the value of `key`.
+    fn read(self, fields: &mut Fields<'_>, key: &str) -> Result<(), KvError> {
+        match self {
+            Slot::Text(text) => *text = fields.take(key)?.value.to_string(),
+            Slot::F64(v) => *v = fields.value(key, NUMBER, finite)?,
+            Slot::Micros(t) => *t = Time::from_micros(fields.value(key, NUMBER, finite)?),
+            Slot::Usize(v) => *v = fields.value(key, INTEGER, |v| v.parse().ok())?,
+            Slot::U32(v) => *v = fields.value(key, INTEGER, |v| v.parse().ok())?,
+            Slot::F64s(items) => *items = fields.list(key, NUMBER, finite)?,
+            Slot::Usizes(items) => {
+                let expected = "a comma-separated list of non-negative integers";
+                *items = fields.list(key, expected, |v| v.parse().ok())?;
+            }
+            Slot::Ecc(ecc) => {
+                *ecc = fields.value(key, "`paper` or `structural`", |v| match v {
+                    "paper" => Some(EccMode::Paper),
+                    "structural" => Some(EccMode::Structural),
+                    _ => None,
+                })?;
+            }
+            Slot::Detail(detail) => {
+                *detail = fields.value(key, "`full` or `light`", ObsDetail::from_token)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The single-field range rule of a spec key. Every rule also demands a
+/// finite value; a list key must be non-empty and every entry must pass.
+#[derive(Clone, Copy)]
+enum Rule {
+    /// No constraint of its own (text keys must still be single trimmed
+    /// lines without `#`).
+    Any,
+    /// In `[0, 1]`.
+    Probability,
+    /// In `(0, ∞)`.
+    Positive,
+    /// In `(0, hi)`.
+    Below(f64),
+    /// In `(0, hi]`.
+    UpTo(f64),
+    /// In `[lo, ∞)`.
+    AtLeast(f64),
+    /// In `[lo, hi]`.
+    Within(f64, f64),
+}
+
+impl Rule {
+    fn admits(self, v: f64) -> bool {
+        v.is_finite()
+            && match self {
+                Rule::Any => true,
+                Rule::Probability => (0.0..=1.0).contains(&v),
+                Rule::Positive => v > 0.0,
+                Rule::Below(hi) => v > 0.0 && v < hi,
+                Rule::UpTo(hi) => v > 0.0 && v <= hi,
+                Rule::AtLeast(lo) => v >= lo,
+                Rule::Within(lo, hi) => (lo..=hi).contains(&v),
+            }
     }
 
-    fn usize_list(&mut self, key: &'static str) -> Result<Vec<usize>, SpecError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .split(',')
-            .map(|item| {
-                item.trim()
-                    .parse::<usize>()
-                    .map_err(|_| SpecError::BadValue {
-                        key: key.to_string(),
-                        value: item.trim().to_string(),
-                        expected: "a comma-separated list of non-negative integers",
-                    })
-            })
-            .collect()
+    /// `Err` naming `key`, the rule, and `shown` when `v` breaks the rule.
+    fn check(self, key: &str, v: f64, shown: impl core::fmt::Display) -> Result<(), SpecError> {
+        if self.admits(v) {
+            Ok(())
+        } else {
+            Err(self.violation(key, &shown))
+        }
     }
 
-    /// Error on anything left over: an unknown key must never be silently
-    /// ignored (it is almost always a typo of a real one).
-    fn finish(self) -> Result<(), SpecError> {
-        match self.map.into_iter().next() {
+    #[cold]
+    fn violation(self, key: &str, shown: &dyn core::fmt::Display) -> SpecError {
+        let demand = match self {
+            Rule::Any => "a finite number".to_string(),
+            Rule::Probability => "a probability in [0, 1]".to_string(),
+            Rule::Positive => "a finite positive number".to_string(),
+            Rule::Below(hi) => format!("in (0, {hi})"),
+            Rule::UpTo(hi) => format!("positive and at most {hi}"),
+            Rule::AtLeast(lo) => format!("at least {lo}"),
+            Rule::Within(lo, hi) => format!("between {lo} and {hi}"),
+        };
+        SpecError::Invalid(format!("{key} must be {demand}, got {shown}"))
+    }
+
+    /// [`Rule::check`] on every entry of a list, which must not be empty.
+    fn check_list<T: Copy + core::fmt::Display>(
+        self,
+        key: &str,
+        items: &[T],
+        as_f64: impl Fn(T) -> f64,
+    ) -> Result<(), SpecError> {
+        if items.is_empty() {
+            return Err(SpecError::Invalid(format!(
+                "{key} must list at least one value"
+            )));
+        }
+        match items.iter().find(|&&item| !self.admits(as_f64(item))) {
+            Some(bad) => Err(self.violation(&format!("{key} entries"), bad)),
             None => Ok(()),
-            Some((key, field)) => Err(SpecError::UnknownKey {
-                line: field.line,
-                key,
-            }),
         }
     }
 }
 
-fn parse_f64(key: &str, value: &str) -> Result<f64, SpecError> {
-    match value.parse::<f64>() {
-        Ok(v) if v.is_finite() => Ok(v),
-        _ => Err(SpecError::BadValue {
-            key: key.to_string(),
-            value: value.to_string(),
-            expected: "a finite number",
-        }),
+/// One entry of the spec's field table: its key, its accessors, and its
+/// range rule.
+struct FieldDef {
+    key: &'static str,
+    get: for<'a> fn(&'a MachineSpec) -> Value<'a>,
+    slot: for<'a> fn(&'a mut MachineSpec) -> Slot<'a>,
+    rule: Rule,
+}
+
+impl FieldDef {
+    fn check(&self, spec: &MachineSpec) -> Result<(), SpecError> {
+        let (key, rule) = (self.key, self.rule);
+        match (self.get)(spec) {
+            Value::Text(text) => line_safe(key, text),
+            Value::F64(&v) => rule.check(key, v, v),
+            Value::Micros(t) => rule.check(key, t.as_micros(), t.as_micros()),
+            Value::Usize(&v) => rule.check(key, v as f64, v),
+            Value::U32(&v) => rule.check(key, f64::from(v), v),
+            Value::F64s(items) => rule.check_list(key, items, |v| v),
+            Value::Usizes(items) => rule.check_list(key, items, |v| v as f64),
+            Value::Ecc(_) | Value::Detail(_) => Ok(()),
+        }
     }
 }
+
+/// A text value must survive a render→parse round trip: one line, no `#`
+/// (which would start a comment), no padding (which parse trims away).
+fn line_safe(key: &str, value: &str) -> Result<(), SpecError> {
+    if value.contains('\n') || value.contains('#') {
+        return Err(SpecError::Invalid(format!(
+            "{key} must be a single line without '#' (got {value:?})"
+        )));
+    }
+    if value.trim() != value {
+        return Err(SpecError::Invalid(format!(
+            "{key} must not have leading/trailing whitespace (got {value:?})"
+        )));
+    }
+    Ok(())
+}
+
+/// Build the field table: `Kind(key, path.to.field, rule)` per entry,
+/// where `Kind` names the [`Value`]/[`Slot`] variant both accessors use.
+macro_rules! field_table {
+    ($($kind:ident($key:literal, $($field:ident).+, $rule:expr)),* $(,)?) => {
+        [$(FieldDef {
+            key: $key,
+            get: |spec| Value::$kind(&spec.$($field).+),
+            slot: |spec| Slot::$kind(&mut spec.$($field).+),
+            rule: $rule,
+        }),*]
+    };
+}
+
+/// Every key of the text format after `format_version`, in render order.
+/// [`MachineSpec::render`], [`MachineSpec::parse`] and the per-field part
+/// of [`MachineSpec::validate`] all walk this one table.
+#[rustfmt::skip]
+static FIELDS: &[FieldDef] = {
+    use Rule::{Any, AtLeast, Below, Positive, Probability, UpTo, Within};
+    const BITS: f64 = MAX_TRACE_BITS as f64;
+    const LOAD: Rule = UpTo(MAX_OFFERED_LOAD);
+    &field_table![
+        Text("name", name, Any),
+        Text("description", description, Any),
+        Usize("logical_qubits", logical_qubits, Any),
+        U32("recursion_level", recursion_level, Any),
+        Usize("bandwidth", bandwidth, Any),
+        Ecc("ecc", ecc, Any),
+        F64("tech.cell_size_um", tech.cell_size_um, Positive),
+        Micros("tech.time.single_gate_us", tech.times.single_gate, Positive),
+        Micros("tech.time.double_gate_us", tech.times.double_gate, Positive),
+        Micros("tech.time.measure_us", tech.times.measure, Positive),
+        Micros("tech.time.move_per_um_us", tech.times.move_per_um, Positive),
+        Micros("tech.time.move_per_cell_us", tech.times.move_per_cell, Positive),
+        Micros("tech.time.split_us", tech.times.split, Positive),
+        Micros("tech.time.corner_turn_us", tech.times.corner_turn, Positive),
+        Micros("tech.time.cool_us", tech.times.cool, Positive),
+        Micros("tech.time.memory_lifetime_us", tech.times.memory_lifetime, Positive),
+        F64("tech.fail.single_gate", tech.failures.single_gate, Probability),
+        F64("tech.fail.double_gate", tech.failures.double_gate, Probability),
+        F64("tech.fail.measure", tech.failures.measure, Probability),
+        F64("tech.fail.move_per_um", tech.failures.move_per_um, Probability),
+        F64("tech.fail.move_per_cell", tech.failures.move_per_cell, Probability),
+        F64("tech.fail.memory_per_sec", tech.failures.memory_per_sec, Positive),
+        F64("interconnect.creation_fidelity", interconnect.creation_fidelity, Probability),
+        F64("interconnect.per_cell_error", interconnect.per_cell_error, Probability),
+        F64("interconnect.local_op_error", interconnect.local_op_error, Probability),
+        F64("interconnect.swap_op_error", interconnect.swap_op_error, Probability),
+        F64("interconnect.max_final_infidelity", interconnect.max_final_infidelity, Probability),
+        Micros("interconnect.purification_round_time_us", interconnect.purification_round_time, Positive),
+        Micros("interconnect.swap_stage_time_us", interconnect.swap_stage_time, Positive),
+        F64s("sweep.component_rates", sweep.component_rates, Below(1.0)),
+        F64("sweep.threshold_scan_lo", sweep.threshold_scan_lo, Positive),
+        F64("sweep.threshold_scan_hi", sweep.threshold_scan_hi, Positive),
+        Usize("sweep.threshold_scan_points", sweep.threshold_scan_points, AtLeast(2.0)),
+        U32("sweep.max_recursion_level", sweep.max_recursion_level, Within(1.0, 8.0)),
+        Usize("sweep.distance_step_cells", sweep.distance_step_cells, AtLeast(1.0)),
+        Usize("sweep.distance_max_cells", sweep.distance_max_cells, Any),
+        Usizes("sweep.bandwidths", sweep.bandwidths, AtLeast(1.0)),
+        Usizes("sweep.toffoli_counts", sweep.toffoli_counts, AtLeast(1.0)),
+        F64s("sweep.sim.offered_loads", sweep.sim.offered_loads, LOAD),
+        F64("sweep.sim.burst_factor", sweep.sim.burst_factor, AtLeast(1.0)),
+        Usize("sweep.sim.max_in_flight", sweep.sim.max_in_flight, AtLeast(1.0)),
+        Usize("sweep.sim.ancilla_capacity", sweep.sim.ancilla_capacity, AtLeast(1.0)),
+        Usize("sweep.sim.warmup_windows", sweep.sim.warmup_windows, Any),
+        Usize("sweep.sim.measure_windows", sweep.sim.measure_windows, AtLeast(1.0)),
+        F64("sweep.sim.tail_offered_load", sweep.sim.tail_offered_load, LOAD),
+        // One request is the uncontended regime.
+        Usize("sweep.sim.contended_requests", sweep.sim.contended_requests, AtLeast(2.0)),
+        Usize("sweep.trace.adder_bits", sweep.trace.adder_bits, Within(1.0, BITS)),
+        // modexp_costs models moduli of at least 4 bits.
+        Usize("sweep.trace.modexp_bits", sweep.trace.modexp_bits, Within(4.0, BITS)),
+        Usize("sweep.trace.modexp_multiplier_calls", sweep.trace.modexp_multiplier_calls, AtLeast(1.0)),
+        // A Toffoli needs three operands.
+        Usize("sweep.trace.random_qubits", sweep.trace.random_qubits, Within(3.0, 4.0 * BITS)),
+        Usize("sweep.trace.random_ops", sweep.trace.random_ops, Within(1.0, MAX_TRACE_OPS as f64)),
+        Usizes("sweep.trace.scaling_adder_bits", sweep.trace.scaling_adder_bits, Within(1.0, BITS)),
+        Usizes("sweep.trace.scaling_modexp_bits", sweep.trace.scaling_modexp_bits, Within(4.0, BITS)),
+        F64s("sweep.fault.severities", sweep.fault.severities, Probability),
+        F64("sweep.fault.degraded_edge_fraction", sweep.fault.degraded_edge_fraction, UpTo(1.0)),
+        Usize("sweep.fault.onset_windows", sweep.fault.onset_windows, Any),
+        Usize("sweep.fault.duration_windows", sweep.fault.duration_windows, AtLeast(1.0)),
+        F64("sweep.fault.factory_loss", sweep.fault.factory_loss, Probability),
+        F64("sweep.fault.traffic_offered_load", sweep.fault.traffic_offered_load, LOAD),
+        F64("sweep.fault.matrix_offered_load", sweep.fault.matrix_offered_load, LOAD),
+        F64("sweep.fault.hotspot_fraction", sweep.fault.hotspot_fraction, UpTo(1.0)),
+        Usize("sweep.fault.tenants", sweep.fault.tenants, AtLeast(1.0)),
+        Usize("sweep.fault.tenant_quota", sweep.fault.tenant_quota, AtLeast(1.0)),
+        F64s("sweep.fault.quota_skews", sweep.fault.quota_skews, AtLeast(1.0)),
+        Detail("sweep.obs.detail", sweep.obs.detail, Any),
+        U32("sweep.obs.sample_every", sweep.obs.sample_every, AtLeast(1.0)),
+    ]
+};
 
 /// Why a spec failed to parse or validate.
 #[derive(Debug, Clone, PartialEq)]
@@ -1342,10 +994,12 @@ pub enum SpecError {
     /// A required key was absent.
     MissingKey {
         /// The missing key.
-        key: &'static str,
+        key: String,
     },
     /// A value failed to parse as its field's type.
     BadValue {
+        /// 1-based line number.
+        line: usize,
         /// The key whose value was malformed.
         key: String,
         /// The offending value text.
@@ -1385,12 +1039,13 @@ impl core::fmt::Display for SpecError {
                 write!(f, "spec is missing required key '{key}'")
             }
             SpecError::BadValue {
+                line,
                 key,
                 value,
                 expected,
             } => write!(
                 f,
-                "spec key '{key}': bad value '{value}' (expected {expected})"
+                "spec line {line}: key '{key}' has bad value '{value}' (expected {expected})"
             ),
             SpecError::UnsupportedVersion { found } => write!(
                 f,
@@ -1403,6 +1058,36 @@ impl core::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+impl From<KvError> for SpecError {
+    fn from(e: KvError) -> Self {
+        match e {
+            KvError::Syntax { line, message } => SpecError::Syntax { line, message },
+            KvError::DuplicateKey {
+                line,
+                key,
+                first_line,
+            } => SpecError::DuplicateKey {
+                line,
+                key,
+                first_line,
+            },
+            KvError::MissingKey { key } => SpecError::MissingKey { key },
+            KvError::UnknownKey { line, key } => SpecError::UnknownKey { line, key },
+            KvError::BadValue {
+                line,
+                key,
+                value,
+                expected,
+            } => SpecError::BadValue {
+                line,
+                key,
+                value,
+                expected,
+            },
+        }
+    }
+}
 
 impl From<MachineBuildError> for SpecError {
     fn from(e: MachineBuildError) -> Self {
@@ -1472,6 +1157,22 @@ mod tests {
         let malformed = base.replace("bandwidth = 2", "bandwidth = two");
         let err = MachineSpec::parse(&malformed).unwrap_err();
         assert!(err.to_string().contains("bad value 'two'"), "{err}");
+        assert!(
+            matches!(&err, SpecError::BadValue { line: 6, key, .. } if key == "bandwidth"),
+            "{err:?}"
+        );
+        assert!(err.to_string().starts_with("spec line 6:"), "{err}");
+
+        // Of several unknown keys, the one on the earliest line is named.
+        let lines = base.lines().count();
+        let unknowns = format!("{base}zzz = 1\naaa = 2\n");
+        assert_eq!(
+            MachineSpec::parse(&unknowns).unwrap_err(),
+            SpecError::UnknownKey {
+                line: lines + 1,
+                key: "zzz".to_string()
+            }
+        );
 
         let not_kv = format!("{base}this is not a key value line\n");
         let err = MachineSpec::parse(&not_kv).unwrap_err();

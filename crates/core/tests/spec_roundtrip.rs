@@ -11,7 +11,8 @@
 //! UPDATE_GOLDEN=1 cargo test -p qla-core  --test spec_roundtrip
 //! ```
 
-use qla_core::{EccMode, MachineSpec, BUILTIN_PROFILES};
+use proptest::prelude::*;
+use qla_core::{EccMode, MachineSpec, SpecError, BUILTIN_PROFILES};
 use qla_obs::ObsDetail;
 use rand::Rng;
 use rand::SeedableRng;
@@ -120,5 +121,76 @@ fn randomized_specs_round_trip_exactly() {
         let parsed = MachineSpec::parse(&rendered)
             .unwrap_or_else(|e| panic!("case {case} failed to parse: {e}\n{rendered}"));
         assert_eq!(parsed, spec, "case {case} did not round-trip");
+    }
+}
+
+/// Values that sit on or past the edge of what some key accepts.
+const HOSTILE: [&str; 10] = [
+    "0",
+    "-1",
+    "18446744073709551615",
+    "4294967296",
+    "1e308",
+    "1e-320",
+    "nan",
+    "",
+    "paper, full",
+    "=",
+];
+
+/// Parse, and validate what parses: either step may refuse the text, but
+/// only with a typed error that renders.
+fn parse_and_validate(text: &str) -> Result<MachineSpec, SpecError> {
+    let spec = MachineSpec::parse(text)?;
+    spec.validate()?;
+    Ok(spec)
+}
+
+proptest! {
+    // Arbitrary bytes (lossily decoded, as a file read would be) never
+    // panic the parser.
+    #[test]
+    fn arbitrary_bytes_parse_or_fail_typed(bytes in prop::collection::vec(0u8..=255, 0..600)) {
+        if let Err(err) = parse_and_validate(&String::from_utf8_lossy(&bytes)) {
+            prop_assert!(!err.to_string().is_empty());
+        }
+    }
+
+    // Line-level splices of rendered built-ins: lines swapped in from
+    // another profile, values replaced by hostile ones, lines dropped,
+    // duplicated, or replaced by a raw byte. Few edits keep most cases a
+    // complete spec, so validation runs on hostile values too.
+    #[test]
+    fn line_splices_of_rendered_specs_parse_or_fail_typed(
+        profile in 0usize..4,
+        edits in prop::collection::vec((0u8..5, 0usize..80, 0usize..4, 0u8..=255), 0..4),
+    ) {
+        let render = |p: usize| MachineSpec::builtin(BUILTIN_PROFILES[p]).unwrap().render();
+        let mut lines: Vec<String> = render(profile).lines().map(str::to_owned).collect();
+        for (op, at, other, byte) in edits {
+            let at = at % lines.len();
+            match op {
+                0 => lines[at] = render(other).lines().nth(at).unwrap_or("").to_owned(),
+                1 => {
+                    let key = lines[at].split(" = ").next().unwrap_or("").to_owned();
+                    lines[at] = format!("{key} = {}", HOSTILE[usize::from(byte) % HOSTILE.len()]);
+                }
+                2 => {
+                    lines.remove(at);
+                }
+                3 => {
+                    let copy = lines[at].clone();
+                    lines.insert(other % lines.len(), copy);
+                }
+                _ => lines[at] = String::from_utf8_lossy(&[byte; 3]).into_owned(),
+            }
+            if lines.is_empty() {
+                break;
+            }
+        }
+        let text = lines.join("\n");
+        if let Err(err) = parse_and_validate(&text) {
+            prop_assert!(!err.to_string().is_empty());
+        }
     }
 }

@@ -8,17 +8,17 @@
 //! [`SimConfig`], checking every edge and capacity against the hardware
 //! it is supposed to degrade.
 //!
-//! The text format follows the spec idiom of `qla-core` and `qla-trace`:
-//! `key = value` lines, `#` comments, [`FaultPlan::render`] is the
+//! The text format is the `key = value` grammar of machine specs, read by
+//! the same scanner (`qla_core::kv`): [`FaultPlan::render`] is the
 //! canonical byte-stable form, and [`FaultPlan::parse`] maps every
 //! malformed input to a typed, line-anchored [`FaultError`] — a typo in a
 //! scenario file must never silently weaken the fault it describes.
 
+use qla_core::kv::{Fields, KvError};
 use qla_core::FaultSpec;
 use qla_sched::{Edge, Mesh};
 use qla_sim::{ChannelFault, FactoryFault, FaultTimeline, SimConfig, SimTime};
 use serde::Serialize;
-use std::collections::HashMap;
 
 /// The version this build renders and reads.
 pub const FORMAT_VERSION: u32 = 1;
@@ -382,54 +382,51 @@ impl FaultPlan {
         out
     }
 
-    /// Parse a plan from the text format.
-    ///
-    /// Accepts `key = value` lines, blank lines, and `#` comments (to end
-    /// of line). Every key is required exactly once; unknown keys,
+    /// Parse a plan from the text format (the shared `qla_core::kv`
+    /// grammar). Every key is required exactly once; unknown keys,
     /// duplicates, omissions, and malformed values are all loud, typed,
     /// line-anchored errors.
     ///
     /// # Errors
     /// Returns the first problem found as a [`FaultError`].
     pub fn parse(text: &str) -> Result<FaultPlan, FaultError> {
-        let mut fields = PlanFields::scan(text)?;
+        let mut fields = Fields::scan(text)?;
         let version = fields.take("format_version")?;
         if version.value != FORMAT_VERSION.to_string() {
             return Err(FaultError::UnsupportedVersion {
-                found: version.value,
+                found: version.value.to_owned(),
             });
         }
-        let name = fields.take("name")?.value;
-        let channel_count = fields.count("channel_faults")?;
-        let mut channel_faults = Vec::with_capacity(channel_count);
-        for i in 0..channel_count {
-            let key = format!("channel_fault.{i}");
-            let parts = fields.ints(
-                &key,
-                5,
+        let name = fields.take("name")?.value.to_owned();
+        // The declared counts come from untrusted text, so nothing is
+        // sized by them: a count past the fault lines actually present
+        // ends on the first missing `channel_fault.K`.
+        let mut channel_faults = Vec::new();
+        for i in 0..count(&mut fields, "channel_faults")? {
+            let [a, b, channels, onset_windows, duration_windows] = fields.value(
+                &format!("channel_fault.{i}"),
                 "five space-separated integers: a b channels onset_windows duration_windows",
+                ints,
             )?;
             channel_faults.push(ChannelFaultSpec {
-                a: parts[0],
-                b: parts[1],
-                channels: parts[2],
-                onset_windows: parts[3],
-                duration_windows: parts[4],
+                a,
+                b,
+                channels,
+                onset_windows,
+                duration_windows,
             });
         }
-        let factory_count = fields.count("factory_faults")?;
-        let mut factory_faults = Vec::with_capacity(factory_count);
-        for i in 0..factory_count {
-            let key = format!("factory_fault.{i}");
-            let parts = fields.ints(
-                &key,
-                3,
+        let mut factory_faults = Vec::new();
+        for i in 0..count(&mut fields, "factory_faults")? {
+            let [capacity, onset_windows, duration_windows] = fields.value(
+                &format!("factory_fault.{i}"),
                 "three space-separated integers: capacity onset_windows duration_windows",
+                ints,
             )?;
             factory_faults.push(FactoryFaultSpec {
-                capacity: parts[0],
-                onset_windows: parts[1],
-                duration_windows: parts[2],
+                capacity,
+                onset_windows,
+                duration_windows,
             });
         }
         fields.finish()?;
@@ -443,106 +440,47 @@ impl FaultPlan {
     }
 }
 
-/// One `key = value` occurrence with its line number.
-struct PlanField {
-    line: usize,
-    value: String,
+fn count(fields: &mut Fields<'_>, key: &str) -> Result<usize, KvError> {
+    fields.value(key, "a non-negative integer count", |v| v.parse().ok())
 }
 
-/// The scanned key/value table with loud-take semantics (the fault-plan
-/// twin of `qla-core`'s spec scanner; keys here are dynamic —
-/// `channel_fault.3` — so they are owned strings).
-struct PlanFields {
-    fields: HashMap<String, PlanField>,
+/// Exactly `N` space-separated non-negative integers, or `None`.
+fn ints<const N: usize>(value: &str) -> Option<[usize; N]> {
+    let mut parts = value.split_whitespace();
+    let mut out = [0; N];
+    for slot in &mut out {
+        *slot = parts.next()?.parse().ok()?;
+    }
+    parts.next().is_none().then_some(out)
 }
 
-impl PlanFields {
-    fn scan(text: &str) -> Result<Self, FaultError> {
-        let mut fields: HashMap<String, PlanField> = HashMap::new();
-        for (index, raw) in text.lines().enumerate() {
-            let line = index + 1;
-            let content = raw.split('#').next().unwrap_or("").trim();
-            if content.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = content.split_once('=') else {
-                return Err(FaultError::Syntax {
-                    line,
-                    message: format!("expected 'key = value', got '{content}'"),
-                });
-            };
-            let key = key.trim().to_owned();
-            let value = value.trim().to_owned();
-            if key.is_empty() {
-                return Err(FaultError::Syntax {
-                    line,
-                    message: "empty key before '='".to_owned(),
-                });
-            }
-            if let Some(first) = fields.get(&key) {
-                return Err(FaultError::DuplicateKey {
-                    line,
-                    key,
-                    first_line: first.line,
-                });
-            }
-            fields.insert(key, PlanField { line, value });
-        }
-        Ok(PlanFields { fields })
-    }
-
-    fn take(&mut self, key: &str) -> Result<PlanField, FaultError> {
-        self.fields
-            .remove(key)
-            .ok_or_else(|| FaultError::MissingKey {
-                key: key.to_owned(),
-            })
-    }
-
-    fn count(&mut self, key: &str) -> Result<usize, FaultError> {
-        let field = self.take(key)?;
-        field
-            .value
-            .parse::<usize>()
-            .map_err(|_| FaultError::BadValue {
-                line: field.line,
-                key: key.to_owned(),
-                value: field.value,
-                expected: "a non-negative integer count",
-            })
-    }
-
-    fn ints(
-        &mut self,
-        key: &str,
-        arity: usize,
-        expected: &'static str,
-    ) -> Result<Vec<usize>, FaultError> {
-        let field = self.take(key)?;
-        let parts: Result<Vec<usize>, _> = field
-            .value
-            .split_whitespace()
-            .map(str::parse::<usize>)
-            .collect();
-        match parts {
-            Ok(parts) if parts.len() == arity => Ok(parts),
-            _ => Err(FaultError::BadValue {
-                line: field.line,
-                key: key.to_owned(),
-                value: field.value,
-                expected,
-            }),
-        }
-    }
-
-    fn finish(self) -> Result<(), FaultError> {
-        if let Some((key, field)) = self.fields.into_iter().min_by_key(|(_, field)| field.line) {
-            return Err(FaultError::UnknownKey {
-                line: field.line,
+impl From<KvError> for FaultError {
+    fn from(e: KvError) -> Self {
+        match e {
+            KvError::Syntax { line, message } => FaultError::Syntax { line, message },
+            KvError::DuplicateKey {
+                line,
                 key,
-            });
+                first_line,
+            } => FaultError::DuplicateKey {
+                line,
+                key,
+                first_line,
+            },
+            KvError::MissingKey { key } => FaultError::MissingKey { key },
+            KvError::UnknownKey { line, key } => FaultError::UnknownKey { line, key },
+            KvError::BadValue {
+                line,
+                key,
+                value,
+                expected,
+            } => FaultError::BadValue {
+                line,
+                key,
+                value,
+                expected,
+            },
         }
-        Ok(())
     }
 }
 
@@ -693,5 +631,38 @@ mod tests {
         ));
         let err = FaultPlan::parse("no equals sign").unwrap_err();
         assert!(matches!(err, FaultError::Syntax { line: 1, .. }), "{err}");
+
+        // A malformed value names its line.
+        let bad = text.replace("factory_faults = 1", "factory_faults = two");
+        let line = 1 + text
+            .lines()
+            .position(|l| l == "factory_faults = 1")
+            .unwrap();
+        assert!(matches!(
+            FaultPlan::parse(&bad).unwrap_err(),
+            FaultError::BadValue { line: l, key, .. } if l == line && key == "factory_faults"
+        ));
+
+        // Of several unknown keys, the one on the earliest line is named.
+        let bad = format!("{text}zzz = 1\naaa = 2\n");
+        assert_eq!(
+            FaultPlan::parse(&bad).unwrap_err(),
+            FaultError::UnknownKey {
+                line: text.lines().count() + 1,
+                key: "zzz".to_owned()
+            }
+        );
+
+        // Declared counts far beyond the lines present (or beyond any
+        // allocation) end on the first missing fault line.
+        for huge in ["100000000000", "18446744073709551615"] {
+            let bad = text.replace("channel_faults = 2", &format!("channel_faults = {huge}"));
+            assert_eq!(
+                FaultPlan::parse(&bad).unwrap_err(),
+                FaultError::MissingKey {
+                    key: "channel_fault.2".to_owned()
+                }
+            );
+        }
     }
 }

@@ -198,4 +198,61 @@ proptest! {
             }
         }
     }
+
+    // Arbitrary bytes (lossily decoded, as a file read would be) never
+    // panic the parser.
+    #[test]
+    fn arbitrary_bytes_parse_or_fail_typed(bytes in prop::collection::vec(0u8..=255, 0..600)) {
+        if let Err(err) = FaultPlan::parse(&String::from_utf8_lossy(&bytes)) {
+            prop_assert!(!err.to_string().is_empty());
+        }
+    }
+
+    // Line-level splices of rendered plans: lines swapped in from another
+    // plan, values replaced by hostile ones (huge counts included), lines
+    // dropped, duplicated, or replaced by a raw byte.
+    #[test]
+    fn line_splices_of_rendered_plans_parse_or_fail_typed(
+        seed in 0u64..1_000_000,
+        edits in prop::collection::vec((0u8..5, 0usize..16, 0u64..1_000_000, 0u8..=255), 0..4),
+    ) {
+        const HOSTILE: [&str; 8] = [
+            "0",
+            "18446744073709551615",
+            "100000000000",
+            "-1",
+            "1 2 3 4 5 6",
+            "0 0 0 0 0",
+            "",
+            "=",
+        ];
+        let mut lines: Vec<String> = random_plan(seed).render().lines().map(str::to_owned).collect();
+        for (op, at, other, byte) in edits {
+            let at = at % lines.len();
+            match op {
+                0 => {
+                    let donor = random_plan(other).render();
+                    lines[at] = donor.lines().nth(at).unwrap_or("").to_owned();
+                }
+                1 => {
+                    let key = lines[at].split(" = ").next().unwrap_or("").to_owned();
+                    lines[at] = format!("{key} = {}", HOSTILE[usize::from(byte) % HOSTILE.len()]);
+                }
+                2 => {
+                    lines.remove(at);
+                }
+                3 => {
+                    let copy = lines[at].clone();
+                    lines.insert(other as usize % lines.len(), copy);
+                }
+                _ => lines[at] = String::from_utf8_lossy(&[byte; 3]).into_owned(),
+            }
+            if lines.is_empty() {
+                break;
+            }
+        }
+        if let Err(err) = FaultPlan::parse(&lines.join("\n")) {
+            prop_assert!(!err.to_string().is_empty());
+        }
+    }
 }

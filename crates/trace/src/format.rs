@@ -270,8 +270,8 @@ fn check_program_name(name: &str) -> Result<(), &'static str> {
     Ok(())
 }
 
-/// Why a trace file failed to parse. Mirrors `qla_core::SpecError`:
-/// every variant carries the 1-based line number and enough context to
+/// Why a trace file failed to parse. Every variant that a single line is
+/// to blame for carries its 1-based line number, with enough context to
 /// fix the file without re-reading the parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
