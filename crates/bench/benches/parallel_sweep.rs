@@ -4,7 +4,7 @@
 //! `fig7-threshold` is the Monte-Carlo threshold sweep (12 rates × two
 //! recursion levels of Pauli-frame trials) and `recursion-analysis` is the
 //! Equation 2 scan — the workloads `--jobs N` exists for. The same
-//! experiment runs under `Executor::Sequential` and under thread pools of
+//! experiment runs under `Executor::SEQUENTIAL` and under thread pools of
 //! 2 and 4 workers; the outputs are asserted identical (the determinism
 //! contract) while only the wall-clock differs. CI uploads this harness's
 //! output next to the JSON report artefacts, so the sequential-vs-parallel

@@ -23,7 +23,7 @@
 //! so every experiment — and every report's scenario header — sees the
 //! same machine.
 
-use crate::experiments::trace_replay;
+use crate::experiments::trace_replay::TraceFileReplay;
 use crate::registry;
 use qla_core::{DynExperiment, Executor, ExperimentContext, MachineSpec};
 use qla_obs::export::{chrome_trace, text_timeline};
@@ -172,11 +172,13 @@ impl CliArgs {
     }
 
     /// The execution context for an experiment with the given default trial
-    /// budget (sequential, at the default `expected` scenario; see
-    /// [`Self::parallel_context`] for the fully resolved form).
+    /// budget, recording when [`Self::observing`] (sequential, at the
+    /// default `expected` scenario; see [`Self::parallel_context`] for the
+    /// fully resolved form).
     #[must_use]
     pub fn context(&self, default_trials: usize) -> ExperimentContext {
         ExperimentContext::new(self.trials.unwrap_or(default_trials), self.seed)
+            .with_recording(self.observing())
     }
 
     /// [`Self::context`] carrying the executor selected by `--jobs` /
@@ -229,7 +231,7 @@ impl CliArgs {
     /// Whether this invocation records observability data: `--emit-trace`
     /// and/or `--metrics` turn the recorder on (detail and sampling come
     /// from the active spec's `sweep.obs.*` section); with neither flag
-    /// every experiment runs its plain, provably-unrecorded path.
+    /// every recorder stays disabled.
     #[must_use]
     pub fn observing(&self) -> bool {
         self.emit_trace.is_some() || self.metrics
@@ -315,59 +317,49 @@ fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
 /// report (stdout, plus a file when `--out-dir` is set).
 ///
 /// With `--trace FILE` (repeatable, `trace-replay` only) the built-in
-/// program registry is replaced by the named trace files: each is loaded
-/// and parsed up front, and any problem — an unreadable file, or a
-/// malformed trace — aborts the run with the file (and, for parse errors,
-/// the 1-based line) named in the message before any simulation starts.
+/// programs are replaced by the named trace files ([`TraceFileReplay`]):
+/// each is loaded and parsed up front, and any problem — an unreadable
+/// file, or a malformed trace — aborts the run with the file (and, for
+/// parse errors, the 1-based line) named in the message before any
+/// simulation starts.
 ///
 /// # Errors
 /// Returns a message when the experiment is unknown, a `--trace` file is
 /// unreadable or malformed (or given to an experiment other than
-/// `trace-replay`), or the output file cannot be written.
+/// `trace-replay`), or an output file cannot be written.
 pub fn run_experiment(name: &str, args: &CliArgs) -> Result<Report, String> {
-    let experiment = registry::find(name).ok_or_else(|| {
+    let registered = registry::find(name).ok_or_else(|| {
         format!(
             "unknown experiment '{name}'; available: {}",
             registry::names().join(", ")
         )
     })?;
-    if !args.traces.is_empty() {
-        if name != "trace-replay" {
-            return Err(format!(
-                "--trace only applies to the trace-replay experiment, not '{name}'"
-            ));
-        }
-        if args.observing() {
-            return Err(
-                "--emit-trace/--metrics do not apply to --trace file replay; \
-                 run trace-replay without --trace to record the built-in programs"
-                    .to_string(),
-            );
-        }
-        let traces = load_traces(&args.traces)?;
-        let ctx = args.parallel_context(experiment.default_trials())?;
-        let report = trace_replay::file_replay_report(&ctx, &traces);
-        emit(&report, args)?;
-        return Ok(report);
-    }
+    let traces;
+    let files;
+    let experiment: &dyn DynExperiment = if args.traces.is_empty() {
+        registered.as_ref()
+    } else if name == "trace-replay" {
+        traces = load_traces(&args.traces)?;
+        files = TraceFileReplay { traces: &traces };
+        &files
+    } else {
+        return Err(format!(
+            "--trace only applies to the trace-replay experiment, not '{name}'"
+        ));
+    };
     let ctx = args.parallel_context(experiment.default_trials())?;
-    run_one(experiment.as_ref(), &ctx, args)
+    run_one(experiment, &ctx, args)
 }
 
 /// Run one resolved experiment and emit its outputs: the report always;
-/// with `--emit-trace`/`--metrics` the run records (the spec's
-/// `sweep.obs.*` section sets detail and sampling) and additionally writes
-/// the trace/timeline files and/or emits the metrics table.
+/// when the context records (`--emit-trace`/`--metrics`, with the spec's
+/// `sweep.obs.*` section setting detail and sampling) also the
+/// trace/timeline files and/or the metrics table.
 fn run_one(
     experiment: &dyn DynExperiment,
     ctx: &ExperimentContext,
     args: &CliArgs,
 ) -> Result<Report, String> {
-    if !args.observing() {
-        let report = experiment.run_report(ctx);
-        emit(&report, args)?;
-        return Ok(report);
-    }
     let (report, logs) = experiment.run_report_observed(ctx);
     emit(&report, args)?;
     if let Some(dir) = &args.emit_trace {
@@ -766,8 +758,10 @@ mod tests {
         assert_eq!(args.emit_trace, Some(PathBuf::from("traces")));
         assert!(args.metrics);
         assert!(args.observing());
+        assert!(args.context(1).record);
         assert!(parse(&["--metrics"]).unwrap().observing());
         assert!(!parse(&[]).unwrap().observing());
+        assert!(!parse(&[]).unwrap().context(1).record);
 
         // The directory value gets the same validation as --out-dir.
         let err = parse(&["--emit-trace", ""]).unwrap_err();
@@ -776,10 +770,14 @@ mod tests {
             .unwrap_err()
             .contains("--emit-trace"));
 
-        // Recording file-replay runs is rejected, not silently skipped.
-        let args = parse(&["--trace", "x.trace", "--metrics"]).unwrap();
-        let err = run_experiment("trace-replay", &args).unwrap_err();
-        assert!(err.contains("do not apply to --trace"), "{err}");
+        // File replays record like every other run.
+        let trace = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/data/ghz-toffoli-demo.trace"
+        );
+        let args = parse(&["--trace", trace, "--metrics"]).unwrap();
+        let report = run_experiment("trace-replay", &args).unwrap();
+        assert_eq!(report.name, "trace-replay");
     }
 
     #[test]
@@ -815,7 +813,7 @@ mod tests {
         // sequential.
         if std::env::var(JOBS_ENV).is_err() {
             let ctx = parse(&[]).unwrap().parallel_context(99).unwrap();
-            assert_eq!(ctx.executor, Executor::Sequential);
+            assert_eq!(ctx.executor, Executor::SEQUENTIAL);
         }
     }
 
@@ -838,7 +836,7 @@ mod tests {
         fn spec_fields(&self) -> &'static [&'static str] {
             &[]
         }
-        fn run_report(&self, _ctx: &ExperimentContext) -> Report {
+        fn run_report_observed(&self, _ctx: &ExperimentContext) -> (Report, Vec<EventLog>) {
             panic!("detonated as designed");
         }
     }
@@ -862,11 +860,11 @@ mod tests {
         fn spec_fields(&self) -> &'static [&'static str] {
             &[]
         }
-        fn run_report(&self, _ctx: &ExperimentContext) -> Report {
+        fn run_report_observed(&self, _ctx: &ExperimentContext) -> (Report, Vec<EventLog>) {
             let mut r =
                 Report::new("fine", "Always succeeds").with_column(qla_report::Column::new("x"));
             r.push_row(qla_report::row![1u32]);
-            r
+            (r, Vec::new())
         }
     }
 

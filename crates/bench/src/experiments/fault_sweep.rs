@@ -14,9 +14,9 @@
 
 use crate::experiments::round2;
 use crate::experiments::sim_support::{machine_mesh, sim_config};
-use qla_core::{Experiment, ExperimentContext, MachineSpec, Runner, BUILTIN_PROFILES};
+use qla_core::{Experiment, ExperimentContext, MachineSpec, BUILTIN_PROFILES};
 use qla_faults::FaultPlan;
-use qla_obs::{EventLog, ObsConfig};
+use qla_obs::EventLog;
 use qla_report::{row, Column, Report};
 use qla_sim::{
     simulate_observed, toffoli_arrivals, toffoli_work_items, LatencySummary, TrafficParams,
@@ -77,14 +77,10 @@ impl Experiment for FaultSweep {
     }
 
     fn run(&self, ctx: &ExperimentContext) -> FaultSweepOutput {
-        self.run_observed(ctx, &ObsConfig::off()).0
+        self.run_observed(ctx).0
     }
 
-    fn run_observed(
-        &self,
-        ctx: &ExperimentContext,
-        obs: &ObsConfig,
-    ) -> (FaultSweepOutput, Vec<EventLog>) {
+    fn run_observed(&self, ctx: &ExperimentContext) -> (FaultSweepOutput, Vec<EventLog>) {
         let sim = ctx.spec.sweep.sim.clone();
         let fault = ctx.spec.sweep.fault.clone();
         let horizon = sim.warmup_windows + sim.measure_windows;
@@ -104,11 +100,10 @@ impl Experiment for FaultSweep {
             })
             .collect();
 
-        let runner = Runner::new(ctx.clone());
-        let (rows, logs) = runner.sweep_parallel_observed(
-            &points,
-            obs,
-            |_, (profile_idx, spec, severity), log| {
+        let (rows, logs) = ctx
+            .executor
+            .map_indices_observed(points.len(), &ctx.obs(), |i, log| {
+                let (profile_idx, spec, severity) = &points[i];
                 log.set_label(format!("{}-severity-{severity}", spec.name));
                 let machine = spec.machine().expect("built-in profiles are valid");
                 let mesh = machine_mesh(&machine);
@@ -157,8 +152,7 @@ impl Experiment for FaultSweep {
                     p99_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
                     makespan_windows: out.windows_used(cfg.window),
                 }
-            },
-        );
+            });
         (FaultSweepOutput { rows }, logs)
     }
 

@@ -65,8 +65,8 @@ impl Experiment for Fig7Threshold {
         // seeded from its own rate, so the output is byte-identical at any
         // thread count (pinned by the parallel-determinism tests).
         Fig7Output {
-            points: experiment.sweep_with(&spec.sweep.component_rates, &ctx.executor),
-            empirical_threshold: experiment.estimate_threshold_with(
+            points: experiment.sweep(&spec.sweep.component_rates, &ctx.executor),
+            empirical_threshold: experiment.estimate_threshold(
                 spec.sweep.threshold_scan_lo,
                 spec.sweep.threshold_scan_hi,
                 spec.sweep.threshold_scan_points,

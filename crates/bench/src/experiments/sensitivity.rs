@@ -11,9 +11,7 @@
 //! derived seeds, so the matrix parallelises like any other sweep and is
 //! byte-identical at every job count.
 
-use qla_core::{
-    Experiment, ExperimentContext, MachineSpec, Runner, ThresholdExperiment, BUILTIN_PROFILES,
-};
+use qla_core::{Experiment, ExperimentContext, MachineSpec, ThresholdExperiment, BUILTIN_PROFILES};
 use qla_report::{row, Column, Report};
 use serde::Serialize;
 
@@ -74,15 +72,14 @@ impl Experiment for Sensitivity {
 
     fn run(&self, ctx: &ExperimentContext) -> SensitivityOutput {
         let specs = MachineSpec::builtins();
-        let runner = Runner::new(ctx.clone());
         // One derived seed per profile: rows parallelise through the
         // executor and still land in BUILTIN_PROFILES order.
-        let rows = runner.sweep_parallel(&specs, |point_ctx, spec| {
+        let rows = ctx.executor.map(&specs, |i, spec| {
             let machine = spec.machine().expect("built-in profiles are valid");
             let p0 = spec.tech.failures.mean_component_rate();
             let mc = ThresholdExperiment {
-                trials: point_ctx.trials,
-                seed: point_ctx.seed,
+                trials: ctx.trials,
+                seed: ctx.derived_seed(i as u64),
                 movement_error: spec.movement_error(),
             };
             SensitivityRow {

@@ -21,7 +21,7 @@
 
 use qla_core::stats::percentile_f64;
 use qla_core::{Experiment, ExperimentContext, MachineSpec};
-use qla_obs::{EventLog, ObsConfig, Recorder};
+use qla_obs::{EventLog, Recorder};
 use qla_report::{json_escape, row, Column, Report};
 use qla_serve::{Outcome, ServeConfig, ServedRequest, Service, ServiceClock};
 use serde::Serialize;
@@ -118,14 +118,10 @@ impl Experiment for ServeLoad {
     }
 
     fn run(&self, ctx: &ExperimentContext) -> ServeLoadOutput {
-        self.run_observed(ctx, &ObsConfig::off()).0
+        self.run_observed(ctx).0
     }
 
-    fn run_observed(
-        &self,
-        ctx: &ExperimentContext,
-        obs: &ObsConfig,
-    ) -> (ServeLoadOutput, Vec<EventLog>) {
+    fn run_observed(&self, ctx: &ExperimentContext) -> (ServeLoadOutput, Vec<EventLog>) {
         let clock = ServiceClock::from_env().unwrap_or_else(|e| panic!("{e}"));
         let service = Service::new(
             Box::new(crate::registry::find),
@@ -138,10 +134,10 @@ impl Experiment for ServeLoad {
         );
 
         let lines = request_mix(ctx);
-        let mut log1 = EventLog::for_point(obs.clone(), "pass-1-cold");
+        let mut log1 = EventLog::for_point(ctx.obs(), "pass-1-cold");
         let pass1 = run_pass(&service, &lines, ctx, &mut log1);
         log1.seal_task_span();
-        let mut log2 = EventLog::for_point(obs.clone(), "pass-2-warm");
+        let mut log2 = EventLog::for_point(ctx.obs(), "pass-2-warm");
         let pass2 = run_pass(&service, &lines, ctx, &mut log2);
         log2.seal_task_span();
 
@@ -277,7 +273,7 @@ fn run_pass(
 ) -> Vec<ServedRequest> {
     let mut served = Vec::with_capacity(lines.len());
     for burst in lines.chunks(BURST) {
-        served.extend(service.handle_burst_recorded(burst, &ctx.executor, rec));
+        served.extend(service.handle_burst(burst, &ctx.executor, rec));
     }
     served
 }

@@ -15,7 +15,7 @@
 use crate::experiments::round2;
 use crate::experiments::sim_support::{machine_mesh, sim_config};
 use qla_core::{Experiment, ExperimentContext};
-use qla_obs::{EventLog, ObsConfig};
+use qla_obs::EventLog;
 use qla_report::{row, Column, Report};
 use qla_sim::{
     simulate_observed, toffoli_arrivals, toffoli_work_items, FaultTimeline, LatencySummary,
@@ -86,14 +86,10 @@ impl Experiment for SimOfferedLoad {
     }
 
     fn run(&self, ctx: &ExperimentContext) -> OfferedLoadOutput {
-        self.run_observed(ctx, &ObsConfig::off()).0
+        self.run_observed(ctx).0
     }
 
-    fn run_observed(
-        &self,
-        ctx: &ExperimentContext,
-        obs: &ObsConfig,
-    ) -> (OfferedLoadOutput, Vec<EventLog>) {
+    fn run_observed(&self, ctx: &ExperimentContext) -> (OfferedLoadOutput, Vec<EventLog>) {
         let machine = ctx.machine();
         let sim = ctx.spec.sweep.sim.clone();
         let mesh = machine_mesh(&machine);
@@ -105,7 +101,7 @@ impl Experiment for SimOfferedLoad {
         // changing a byte; index order keeps the row order of the spec.
         let (rows, logs) = ctx
             .executor
-            .map_indices_observed(loads.len(), obs, |i, log| {
+            .map_indices_observed(loads.len(), &ctx.obs(), |i, log| {
                 let offered_load = loads[i];
                 log.set_label(format!("offered-load-{offered_load}"));
                 let cfg = sim_config(&machine, &sim, None);

@@ -12,6 +12,7 @@
 use crate::experiments::round2;
 use crate::experiments::trace_support::{replay_trace, ReplayedProgram};
 use qla_core::{Experiment, ExperimentContext};
+use qla_obs::Noop;
 use qla_report::{row, Column, Report};
 use qla_trace::generators::{modexp_program, qcla_adder};
 use serde::Serialize;
@@ -89,7 +90,7 @@ impl Experiment for TraceScaling {
             ScalingPoint {
                 family,
                 bits,
-                replay: replay_trace(&trace, &machine, sim),
+                replay: replay_trace(&trace, &machine, sim, &mut Noop),
             }
         });
         TraceScalingOutput { points }

@@ -5,7 +5,7 @@
 
 use crate::experiments::sim_support::{machine_mesh, sim_config};
 use qla_core::{QlaMachine, SimSpec};
-use qla_obs::{Noop, Recorder};
+use qla_obs::Recorder;
 use qla_sim::{simulate_observed, FaultTimeline, LatencySummary};
 use qla_trace::{schedule_trace, trace_work_items, Placement, Trace, TraceTraffic};
 use serde::Serialize;
@@ -54,17 +54,11 @@ pub struct ReplayedProgram {
 /// Lower `trace` onto the machine's mesh (loudly refusing a program
 /// wider than the fabric), plan it with the greedy scheduler, then
 /// replay the identical per-layer demand through the simulator paced by
-/// the plan's layer starts.
+/// the plan's layer starts, mirroring the simulator's event stream into
+/// `rec` (pass [`qla_obs::Noop`] to record nothing — the outcome is
+/// byte-identical either way).
 #[must_use]
-pub fn replay_trace(trace: &Trace, machine: &QlaMachine, sim: &SimSpec) -> ReplayedProgram {
-    replay_trace_observed(trace, machine, sim, &mut Noop)
-}
-
-/// [`replay_trace`] with the simulator's event stream mirrored into `rec`.
-/// With a [`Noop`] recorder this *is* `replay_trace` — same code path,
-/// byte-identical outcome.
-#[must_use]
-pub fn replay_trace_observed(
+pub fn replay_trace(
     trace: &Trace,
     machine: &QlaMachine,
     sim: &SimSpec,
@@ -112,7 +106,7 @@ mod tests {
         let spec = MachineSpec::expected();
         let machine = spec.machine().unwrap();
         let trace = qcla_adder(4);
-        let r = replay_trace(&trace, &machine, &spec.sweep.sim);
+        let r = replay_trace(&trace, &machine, &spec.sweep.sim, &mut qla_obs::Noop);
         assert_eq!(r.program, "qcla-adder-4");
         assert_eq!(r.ops, trace.len());
         assert_eq!(r.toffolis, 16);

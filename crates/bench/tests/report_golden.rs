@@ -20,7 +20,7 @@
 
 use qla_bench::experiments::Fig7Threshold;
 use qla_bench::registry;
-use qla_core::{Executor, ExperimentContext, Runner};
+use qla_core::{DynExperiment, Executor, ExperimentContext};
 use qla_report::Format;
 use std::path::Path;
 
@@ -342,10 +342,10 @@ fn fig7_parallel_reports_are_identical_to_sequential_at_1_2_and_8_threads() {
     // `Report` (not just its rendering) must be equal whatever the thread
     // count, because every sweep point derives its own seed and the
     // executor reassembles rows in index order.
-    let runner = Runner::new(ExperimentContext::new(300, GOLDEN_SEED));
-    let sequential = runner.report(&Fig7Threshold);
+    let ctx = ExperimentContext::new(300, GOLDEN_SEED);
+    let sequential = Fig7Threshold.run_report(&ctx);
     for jobs in [1usize, 2, 8] {
-        let parallel = runner.report_parallel(&Fig7Threshold, Executor::from_jobs(jobs));
+        let parallel = Fig7Threshold.run_report(&ctx.clone().with_jobs(jobs));
         assert_eq!(parallel, sequential, "--jobs {jobs} changed the report");
     }
 }
@@ -406,7 +406,7 @@ fn scheduler_utilization_is_seed_deterministic() {
 fn run_all_succeeds_for_every_registry_entry_at_tiny_trials() {
     // Smoke both execution modes: the sequential path and the scoped
     // thread pool must both drive every experiment end-to-end.
-    for executor in [Executor::Sequential, Executor::from_jobs(4)] {
+    for executor in [Executor::SEQUENTIAL, Executor::from_jobs(4)] {
         run_all_smoke(executor);
     }
 }

@@ -34,51 +34,40 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Execution strategy for index-parallel maps.
+/// Execution strategy for index-parallel maps: a worker count.
 ///
 /// `Executor` is deliberately tiny and `Copy` so an
 /// [`ExperimentContext`](crate::ExperimentContext) can carry one by value:
 /// experiments receive their threading story with their seed and trial
-/// budget, and nothing about their output is allowed to depend on it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Executor {
-    /// Evaluate in a plain sequential loop on the calling thread.
-    #[default]
-    Sequential,
-    /// Evaluate on `n` scoped worker threads pulling chunks from a shared
-    /// queue. `Threads(1)` still spawns one worker; prefer
-    /// [`Executor::from_jobs`], which normalises `1` to `Sequential`.
-    Threads(NonZeroUsize),
-}
+/// budget, and nothing about their output is allowed to depend on it. One
+/// worker ([`Executor::SEQUENTIAL`]) evaluates in a plain loop on the
+/// calling thread; more spawn that many scoped workers pulling chunks from
+/// a shared queue.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Executor(NonZeroUsize);
 
 impl Executor {
+    /// One worker: every map runs inline on the calling thread.
+    pub const SEQUENTIAL: Executor = Executor(NonZeroUsize::MIN);
+
     /// The executor for a `--jobs N` request: `0` or `1` mean sequential,
     /// anything larger is that many worker threads.
     #[must_use]
     pub fn from_jobs(jobs: usize) -> Self {
-        match NonZeroUsize::new(jobs) {
-            Some(n) if n.get() > 1 => Executor::Threads(n),
-            _ => Executor::Sequential,
-        }
+        Executor(NonZeroUsize::new(jobs).unwrap_or(NonZeroUsize::MIN))
     }
 
     /// An executor sized to the machine (`std::thread::available_parallelism`),
     /// falling back to sequential when the parallelism cannot be queried.
     #[must_use]
     pub fn available_parallelism() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) => Executor::from_jobs(n.get()),
-            Err(_) => Executor::Sequential,
-        }
+        Executor(std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN))
     }
 
     /// The worker count this executor evaluates with (`1` for sequential).
     #[must_use]
     pub fn jobs(&self) -> usize {
-        match self {
-            Executor::Sequential => 1,
-            Executor::Threads(n) => n.get(),
-        }
+        self.0.get()
     }
 
     /// Map `f` over `items`, returning results **in item order** regardless
@@ -216,15 +205,14 @@ mod tests {
     use std::time::{Duration, Instant};
 
     fn threads(n: usize) -> Executor {
-        Executor::Threads(NonZeroUsize::new(n).unwrap())
+        Executor::from_jobs(n)
     }
 
     #[test]
     fn from_jobs_normalises_degenerate_counts() {
-        assert_eq!(Executor::from_jobs(0), Executor::Sequential);
-        assert_eq!(Executor::from_jobs(1), Executor::Sequential);
-        assert_eq!(Executor::from_jobs(4), threads(4));
-        assert_eq!(Executor::Sequential.jobs(), 1);
+        assert_eq!(Executor::from_jobs(0), Executor::SEQUENTIAL);
+        assert_eq!(Executor::from_jobs(1), Executor::SEQUENTIAL);
+        assert_eq!(Executor::SEQUENTIAL.jobs(), 1);
         assert_eq!(threads(4).jobs(), 4);
         assert!(Executor::available_parallelism().jobs() >= 1);
     }
@@ -234,8 +222,7 @@ mod tests {
         let items: Vec<u64> = (0..97).collect();
         let expected: Vec<u64> = items.iter().map(|&x| x * x).collect();
         for executor in [
-            Executor::Sequential,
-            threads(1),
+            Executor::SEQUENTIAL,
             threads(2),
             threads(3),
             threads(8),
@@ -256,7 +243,7 @@ mod tests {
                 acc.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(k)
             })
         };
-        let sequential = Executor::Sequential.map_indices(37, cost);
+        let sequential = Executor::SEQUENTIAL.map_indices(37, cost);
         let parallel = threads(5).map_indices(37, cost);
         assert_eq!(sequential, parallel);
     }
@@ -267,7 +254,7 @@ mod tests {
         assert_eq!(threads(4).map(&empty, |_, &x| x), Vec::<u32>::new());
         assert_eq!(threads(4).map(&[5u32], |i, &x| (i, x)), vec![(0, 5)]);
         assert_eq!(
-            Executor::Sequential.map_indices(0, |i| i),
+            Executor::SEQUENTIAL.map_indices(0, |i| i),
             Vec::<usize>::new()
         );
     }

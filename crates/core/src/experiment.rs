@@ -1,16 +1,17 @@
-//! The unified experiment API: one trait, one context, one runner for every
-//! paper artefact.
+//! The unified experiment API: one trait and one context for every paper
+//! artefact.
 //!
 //! Every evaluation in the reproduction — Figure 7's Monte-Carlo threshold
-//! sweep, Figure 9's connection-time table, Table 2's Shor numbers — is an
-//! [`Experiment`]: a typed computation from an [`ExperimentContext`] (trial
-//! budget and seed) to a serializable `Output`, plus a projection of that
-//! output into a [`Report`] for rendering. The [`Runner`] executes
-//! experiments and sweeps deterministically: every sweep point gets an
-//! independent seed derived from the context seed with a SplitMix64 mix, so
-//! points can later be evaluated in parallel (or re-evaluated singly) and
-//! still produce bit-identical results — without any shared RNG state and
-//! without a rayon dependency.
+//! sweep, Figure 9's connection-time table, Table 2's Shor numbers, the
+//! trace replays of the mesh — is an [`Experiment`]: a typed computation
+//! from an [`ExperimentContext`] (trial budget, seed, executor, machine
+//! spec, recording switch) to a serializable `Output`, plus a projection of
+//! that output into a [`Report`] for rendering. Sweeps map their points
+//! through the context's [`Executor`]; every point that samples draws from
+//! its own seed, derived from the context seed with a SplitMix64 mix
+//! ([`ExperimentContext::derived_seed`]), so points can be evaluated in
+//! parallel (or re-evaluated singly) and still produce bit-identical
+//! results — without any shared RNG state and without a rayon dependency.
 
 use crate::executor::Executor;
 use crate::machine::QlaMachine;
@@ -40,6 +41,10 @@ pub struct ExperimentContext {
     /// [`MachineSpec::sweep`] — never from private constants — so a
     /// `--profile`/`--spec` change reaches every registered experiment.
     pub spec: MachineSpec,
+    /// Whether instrumented experiments record per-point event logs (see
+    /// [`Self::obs`]). Off by default. Like the executor, it **must not
+    /// affect any output**: reports are byte-identical either way.
+    pub record: bool,
 }
 
 impl ExperimentContext {
@@ -52,8 +57,9 @@ impl ExperimentContext {
         ExperimentContext {
             trials,
             seed,
-            executor: Executor::Sequential,
+            executor: Executor::SEQUENTIAL,
             spec: MachineSpec::expected(),
+            record: false,
         }
     }
 
@@ -102,6 +108,25 @@ impl ExperimentContext {
     #[must_use]
     pub fn with_spec(self, spec: MachineSpec) -> Self {
         ExperimentContext { spec, ..self }
+    }
+
+    /// This context with recording switched on or off.
+    #[must_use]
+    pub fn with_recording(self, record: bool) -> Self {
+        ExperimentContext { record, ..self }
+    }
+
+    /// The recorder configuration sweeps hand to
+    /// [`Executor::map_indices_observed`]: enabled exactly when
+    /// [`Self::record`] is set, with detail and sampling from the spec's
+    /// `sweep.obs.*` section.
+    #[must_use]
+    pub fn obs(&self) -> ObsConfig {
+        ObsConfig {
+            enabled: self.record,
+            detail: self.spec.sweep.obs.detail,
+            sample_every: self.spec.sweep.obs.sample_every,
+        }
     }
 
     /// The machine at the active scenario's design point.
@@ -159,47 +184,28 @@ pub trait Experiment {
     /// Execute the experiment.
     fn run(&self, ctx: &ExperimentContext) -> Self::Output;
 
-    /// Execute the experiment with observability recording under `obs`,
-    /// returning the recorded per-point [`EventLog`]s alongside the
-    /// output.
+    /// Execute the experiment, returning the per-point [`EventLog`]s it
+    /// recorded alongside the output (recording is on when
+    /// [`ExperimentContext::record`] is set).
     ///
-    /// The default ignores `obs` and records nothing — experiments without
-    /// instrumentation stay observability-transparent. Instrumented
-    /// experiments implement *this* method as their real body (threading
-    /// per-point logs through `simulate_observed` and friends) and
-    /// implement [`Experiment::run`] as
-    /// `self.run_observed(ctx, &ObsConfig::off()).0`, which is what makes
-    /// "recording off changes nothing" structural: the plain path and the
-    /// observed path are the same code, differing only in a disabled
-    /// recorder. The contract — pinned by tests — is that `Output` is
-    /// byte-identical whether or not recording is on, and that the logs
-    /// themselves are identical across `--jobs` counts and run-to-run.
-    fn run_observed(
-        &self,
-        ctx: &ExperimentContext,
-        obs: &ObsConfig,
-    ) -> (Self::Output, Vec<EventLog>) {
-        let _ = obs;
+    /// The default records nothing — experiments without instrumentation
+    /// stay observability-transparent. Instrumented experiments implement
+    /// *this* method as their real body (threading per-point logs from
+    /// [`Executor::map_indices_observed`] into `simulate_observed` and
+    /// friends) and implement [`Experiment::run`] as
+    /// `self.run_observed(ctx).0`, which is what makes "recording off
+    /// changes nothing" structural: there is one body, and recording only
+    /// swaps a disabled recorder for an enabled one. The contract — pinned
+    /// by tests — is that `Output` is byte-identical whether or not
+    /// recording is on, and that the logs themselves are identical across
+    /// `--jobs` counts and run-to-run.
+    fn run_observed(&self, ctx: &ExperimentContext) -> (Self::Output, Vec<EventLog>) {
         (self.run(ctx), Vec::new())
     }
 
     /// Project an output into the canonical report (without the scenario
-    /// header — the runner attaches that uniformly, see
-    /// [`DynExperiment::run_report`]).
+    /// header — [`DynExperiment::run_report`] attaches that uniformly).
     fn report(&self, ctx: &ExperimentContext, output: &Self::Output) -> Report;
-}
-
-/// [`Experiment::report`] plus the scenario header: the one projection the
-/// runner, the registry driver and the golden tests all share, so every
-/// rendered report names the profile it ran under.
-fn annotated_report<E: Experiment + ?Sized>(
-    experiment: &E,
-    ctx: &ExperimentContext,
-    output: &E::Output,
-) -> Report {
-    experiment
-        .report(ctx, output)
-        .with_scenario(ctx.spec.scenario())
 }
 
 /// Object-safe view of an [`Experiment`], for registries and CLI drivers
@@ -216,17 +222,14 @@ pub trait DynExperiment {
     /// Spec fields the experiment is sensitive to (see
     /// [`Experiment::spec_fields`]).
     fn spec_fields(&self) -> &'static [&'static str];
-    /// Run and project in one step. The report carries the context's
-    /// scenario header.
-    fn run_report(&self, ctx: &ExperimentContext) -> Report;
-    /// Run with observability recording configured from the context's
-    /// `sweep.obs.*` section, returning the report plus the recorded
-    /// per-point event logs (empty for uninstrumented experiments). The
-    /// report is byte-identical to [`DynExperiment::run_report`]; the
-    /// blanket [`Experiment`] impl routes this through
-    /// [`Experiment::run_observed`].
-    fn run_report_observed(&self, ctx: &ExperimentContext) -> (Report, Vec<EventLog>) {
-        (self.run_report(ctx), Vec::new())
+    /// Run and project in one step, returning the report (carrying the
+    /// context's scenario header) plus the recorded per-point event logs
+    /// (see [`Experiment::run_observed`]). The blanket [`Experiment`] impl
+    /// is the one body every run goes through.
+    fn run_report_observed(&self, ctx: &ExperimentContext) -> (Report, Vec<EventLog>);
+    /// The report half of [`DynExperiment::run_report_observed`].
+    fn run_report(&self, ctx: &ExperimentContext) -> Report {
+        self.run_report_observed(ctx).0
     }
 }
 
@@ -246,139 +249,10 @@ impl<E: Experiment> DynExperiment for E {
     fn spec_fields(&self) -> &'static [&'static str] {
         Experiment::spec_fields(self)
     }
-    fn run_report(&self, ctx: &ExperimentContext) -> Report {
-        let output = self.run(ctx);
-        annotated_report(self, ctx, &output)
-    }
     fn run_report_observed(&self, ctx: &ExperimentContext) -> (Report, Vec<EventLog>) {
-        let obs = ctx.spec.sweep.obs.config();
-        let (output, logs) = self.run_observed(ctx, &obs);
-        (annotated_report(self, ctx, &output), logs)
-    }
-}
-
-/// Deterministic executor for experiments and sweeps.
-#[derive(Debug, Clone)]
-pub struct Runner {
-    /// The context every execution receives.
-    pub ctx: ExperimentContext,
-}
-
-impl Runner {
-    /// A runner over the given context.
-    #[must_use]
-    pub fn new(ctx: ExperimentContext) -> Self {
-        Runner { ctx }
-    }
-
-    /// Run one experiment, returning its typed output.
-    pub fn run<E: Experiment>(&self, experiment: &E) -> E::Output {
-        experiment.run(&self.ctx)
-    }
-
-    /// Run one experiment and project it into its report (carrying the
-    /// context's scenario header, like [`DynExperiment::run_report`]).
-    pub fn report<E: Experiment>(&self, experiment: &E) -> Report {
-        let output = experiment.run(&self.ctx);
-        annotated_report(experiment, &self.ctx, &output)
-    }
-
-    /// Run one experiment under a specific execution strategy, returning
-    /// its typed output.
-    ///
-    /// This is the parallel entry point: the experiment sees
-    /// `self.ctx.with_executor(executor)` and routes its internal sweeps
-    /// through it. The output is guaranteed (and tested) to be identical to
-    /// [`Runner::run`] for every thread count — parallelism is a pure
-    /// speed-up, never a result change.
-    pub fn run_parallel<E: Experiment>(&self, experiment: &E, executor: Executor) -> E::Output {
-        experiment.run(&self.ctx.clone().with_executor(executor))
-    }
-
-    /// Run one experiment under a specific execution strategy and project
-    /// it into its report. Byte-identical to [`Runner::report`] for every
-    /// thread count.
-    pub fn report_parallel<E: Experiment>(&self, experiment: &E, executor: Executor) -> Report {
-        let ctx = self.ctx.clone().with_executor(executor);
-        let output = experiment.run(&ctx);
-        annotated_report(experiment, &ctx, &output)
-    }
-
-    /// Evaluate `f` over every sweep point with an independently seeded
-    /// context per point.
-    ///
-    /// The per-point contexts carry `derived_seed(i)` as their seed, so the
-    /// result for point `i` depends only on `(ctx, points[i], i)` — never on
-    /// evaluation order. This form takes `FnMut` and always runs the loop
-    /// sequentially; [`Runner::sweep_parallel`] is the executor-routed
-    /// equivalent with the same per-point seeding, guaranteed to produce
-    /// the same results.
-    pub fn sweep<P, R>(
-        &self,
-        points: &[P],
-        mut f: impl FnMut(&ExperimentContext, &P) -> R,
-    ) -> Vec<R> {
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, p)| f(&self.point_context(i), p))
-            .collect()
-    }
-
-    /// Evaluate `f` over every sweep point through the context's
-    /// [`Executor`], reassembling results in point order.
-    ///
-    /// Identical seeding and ordering semantics to [`Runner::sweep`]; only
-    /// the evaluation strategy differs, so for a pure `f` the two are
-    /// interchangeable at every thread count.
-    pub fn sweep_parallel<P, R>(
-        &self,
-        points: &[P],
-        f: impl Fn(&ExperimentContext, &P) -> R + Sync,
-    ) -> Vec<R>
-    where
-        P: Sync,
-        R: Send,
-    {
-        self.ctx
-            .executor
-            .map(points, |i, p| f(&self.point_context(i), p))
-    }
-
-    /// [`Runner::sweep_parallel`] with observability: each point also
-    /// receives a fresh per-point [`EventLog`] (created and sealed by
-    /// [`Executor::map_indices_observed`]), and the logs come back in
-    /// point order next to the results. Same seeding, same ordering, same
-    /// thread-count invariance.
-    pub fn sweep_parallel_observed<P, R>(
-        &self,
-        points: &[P],
-        obs: &ObsConfig,
-        f: impl Fn(&ExperimentContext, &P, &mut EventLog) -> R + Sync,
-    ) -> (Vec<R>, Vec<EventLog>)
-    where
-        P: Sync,
-        R: Send,
-    {
-        self.ctx
-            .executor
-            .map_indices_observed(points.len(), obs, |i, log| {
-                f(&self.point_context(i), &points[i], log)
-            })
-    }
-
-    /// The derived context sweep point `i` is evaluated under: the master
-    /// seed is replaced by `derived_seed(i)`, and the executor is reset to
-    /// sequential so a parallel sweep never oversubscribes by nesting
-    /// thread pools. The machine spec carries over unchanged.
-    #[must_use]
-    fn point_context(&self, index: usize) -> ExperimentContext {
-        ExperimentContext {
-            trials: self.ctx.trials,
-            seed: self.ctx.derived_seed(index as u64),
-            executor: Executor::Sequential,
-            spec: self.ctx.spec.clone(),
-        }
+        let (output, logs) = self.run_observed(ctx);
+        let report = self.report(ctx, &output).with_scenario(ctx.spec.scenario());
+        (report, logs)
     }
 }
 
@@ -414,11 +288,10 @@ mod tests {
 
         fn run(&self, ctx: &ExperimentContext) -> MeanOutput {
             use rand::Rng;
-            let runner = Runner::new(ctx.clone());
-            let means = runner.sweep_parallel(&[0u8, 1, 2], |point_ctx, _| {
-                let mut rng = point_ctx.rng_for_point(0);
-                let sum: f64 = (0..point_ctx.trials).map(|_| rng.random::<f64>()).sum();
-                sum / point_ctx.trials as f64
+            let means = ctx.executor.map_indices(3, |i| {
+                let mut rng = ctx.rng_for_point(i as u64);
+                let sum: f64 = (0..ctx.trials).map(|_| rng.random::<f64>()).sum();
+                sum / ctx.trials as f64
             });
             MeanOutput { means }
         }
@@ -433,6 +306,10 @@ mod tests {
             }
             r
         }
+    }
+
+    fn run_report(ctx: &ExperimentContext) -> Report {
+        (&MeanDraw as &dyn DynExperiment).run_report(ctx)
     }
 
     #[test]
@@ -455,49 +332,68 @@ mod tests {
 
     #[test]
     fn sweep_results_do_not_depend_on_evaluation_order() {
-        let runner = Runner::new(ExperimentContext::new(64, 7));
-        let forward = runner.sweep(&[0, 1, 2, 3], |ctx, _| ctx.seed);
+        let ctx = ExperimentContext::new(64, 7);
+        let forward = ctx
+            .executor
+            .map(&[0, 1, 2, 3], |i, _| ctx.derived_seed(i as u64));
         // Re-evaluating a single point reproduces its slot exactly.
-        let third = runner.sweep(&[0, 0, 2], |ctx, _| ctx.seed)[2];
+        let third = ctx
+            .executor
+            .map(&[0, 0, 2], |i, _| ctx.derived_seed(i as u64))[2];
         assert_eq!(third, forward[2]);
         assert_eq!(forward.len(), 4);
     }
 
     #[test]
-    fn runner_report_equals_dyn_run_report() {
+    fn run_report_is_the_report_half_of_run_report_observed() {
         let ctx = ExperimentContext::new(16, 5);
-        let direct = Runner::new(ctx.clone()).report(&MeanDraw);
-        let dynamic = (&MeanDraw as &dyn DynExperiment).run_report(&ctx);
-        assert_eq!(direct, dynamic);
+        let direct = MeanDraw.report(&ctx, &MeanDraw.run(&ctx));
+        let (observed, logs) = (&MeanDraw as &dyn DynExperiment).run_report_observed(&ctx);
+        assert_eq!(run_report(&ctx), observed);
+        assert_eq!(observed.rows, direct.rows);
         assert_eq!(direct.rows.len(), 3);
+        // An uninstrumented experiment records nothing, even when asked to.
+        assert!(logs.is_empty());
+        assert_eq!(run_report(&ctx.with_recording(true)), observed);
+    }
+
+    #[test]
+    fn recording_is_off_by_default_and_shaped_by_the_spec() {
+        let ctx = ExperimentContext::new(1, 1);
+        assert!(!ctx.record);
+        assert!(!ctx.obs().enabled);
+        let mut spec = crate::spec::MachineSpec::expected();
+        spec.sweep.obs.sample_every = 4;
+        let obs = ctx.with_spec(spec).with_recording(true).obs();
+        assert!(obs.enabled);
+        assert_eq!(obs.sample_every, 4);
     }
 
     #[test]
     fn reports_carry_the_scenario_of_the_active_spec() {
         let ctx = ExperimentContext::new(8, 1);
-        let report = (&MeanDraw as &dyn DynExperiment).run_report(&ctx);
-        let scenario = report.scenario.expect("runner attaches the scenario");
+        let report = run_report(&ctx);
+        let scenario = report.scenario.expect("run_report attaches the scenario");
         assert_eq!(scenario.profile, "expected");
 
         let current = ctx.with_spec(crate::spec::MachineSpec::current());
-        let report = (&MeanDraw as &dyn DynExperiment).run_report(&current);
+        let report = run_report(&current);
         assert_eq!(report.scenario.unwrap().profile, "current");
     }
 
     #[test]
-    fn sweep_parallel_is_identical_to_sweep_at_every_thread_count() {
-        let runner = Runner::new(ExperimentContext::new(48, 11));
+    fn executor_sweeps_are_identical_at_every_thread_count() {
+        let ctx = ExperimentContext::new(48, 11);
         let points: Vec<u32> = (0..23).collect();
-        let eval = |ctx: &ExperimentContext, p: &u32| {
+        let eval = |i: usize, p: &u32| {
             use rand::Rng;
             let mut rng = ctx.rng_for_point(u64::from(*p));
-            (ctx.seed, rng.random::<u64>())
+            (ctx.derived_seed(i as u64), rng.random::<u64>())
         };
-        let sequential = runner.sweep(&points, eval);
+        let sequential = Executor::SEQUENTIAL.map(&points, eval);
         for jobs in [1usize, 2, 8] {
-            let runner = Runner::new(ExperimentContext::new(48, 11).with_jobs(jobs));
             assert_eq!(
-                runner.sweep_parallel(&points, eval),
+                Executor::from_jobs(jobs).map(&points, eval),
                 sequential,
                 "{jobs} jobs"
             );
@@ -505,29 +401,20 @@ mod tests {
     }
 
     #[test]
-    fn run_parallel_matches_run_for_every_executor() {
-        let runner = Runner::new(ExperimentContext::new(64, 3));
-        let sequential = runner.report(&MeanDraw);
+    fn run_report_matches_for_every_executor() {
+        let ctx = ExperimentContext::new(64, 3);
+        let sequential = run_report(&ctx);
         for jobs in [1usize, 2, 8] {
-            let report = runner.report_parallel(&MeanDraw, Executor::from_jobs(jobs));
+            let report = run_report(&ctx.clone().with_jobs(jobs));
             assert_eq!(report, sequential, "{jobs} jobs");
         }
-        let output = runner.run_parallel(&MeanDraw, Executor::from_jobs(4));
-        assert_eq!(output.means.len(), 3);
-    }
-
-    #[test]
-    fn point_contexts_are_sequential_even_under_a_parallel_runner() {
-        let runner = Runner::new(ExperimentContext::new(8, 1).with_jobs(8));
-        let executors = runner.sweep_parallel(&[0u8, 1, 2], |ctx, _| ctx.executor);
-        assert_eq!(executors, vec![Executor::Sequential; 3]);
     }
 
     #[test]
     fn same_seed_same_output_different_seed_different_output() {
-        let a = Runner::new(ExperimentContext::new(64, 1)).report(&MeanDraw);
-        let b = Runner::new(ExperimentContext::new(64, 1)).report(&MeanDraw);
-        let c = Runner::new(ExperimentContext::new(64, 2)).report(&MeanDraw);
+        let a = run_report(&ExperimentContext::new(64, 1));
+        let b = run_report(&ExperimentContext::new(64, 1));
+        let c = run_report(&ExperimentContext::new(64, 2));
         assert_eq!(a, b);
         assert_ne!(a.rows, c.rows);
     }

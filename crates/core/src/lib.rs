@@ -12,11 +12,11 @@
 //! * [`builder`] — [`MachineBuilder`]: fluent, validating machine
 //!   construction (the supported way to assemble non-default design points).
 //! * [`experiment`] — the unified experiment API: the [`Experiment`] trait,
-//!   the seed-deriving deterministic [`Runner`], and the object-safe
+//!   the seed-deriving [`ExperimentContext`], and the object-safe
 //!   [`DynExperiment`] view the `qla-bench` registry is built on.
-//! * [`executor`] — the threading subsystem: the [`Executor`]
-//!   (`Sequential`/`Threads(n)`) scoped thread pool the `Runner` routes
-//!   parallel sweeps through, with results reassembled in index order so
+//! * [`executor`] — the threading subsystem: the [`Executor`] (a worker
+//!   count; one worker runs inline) scoped thread pool every sweep maps
+//!   its points through, with results reassembled in index order so
 //!   parallel output is byte-identical to sequential.
 //! * [`spec`] — the Scenario API: [`MachineSpec`], the named machine
 //!   profiles (`expected`, `current`, the Section 6 relaxations) and the
@@ -50,7 +50,7 @@ pub use arq::{Arq, ArqError, ArqRun};
 pub use builder::{MachineBuildError, MachineBuilder};
 pub use cache::LruCache;
 pub use executor::Executor;
-pub use experiment::{DynExperiment, Experiment, ExperimentContext, Runner};
+pub use experiment::{DynExperiment, Experiment, ExperimentContext};
 pub use hash::{content_hash, fnv1a64, mix64};
 pub use machine::{MachineConfig, QlaMachine};
 pub use montecarlo::{ThresholdExperiment, ThresholdPoint};

@@ -132,22 +132,15 @@ impl ThresholdExperiment {
         self.level1_failure_rate(l1)
     }
 
-    /// Sweep the component failure rate, producing the two curves of
-    /// Figure 7 (sequentially; see [`Self::sweep_with`]).
-    #[must_use]
-    pub fn sweep(&self, physical_rates: &[f64]) -> Vec<ThresholdPoint> {
-        self.sweep_with(physical_rates, &Executor::Sequential)
-    }
-
     /// Sweep the component failure rate through an [`Executor`], producing
     /// the two curves of Figure 7.
     ///
-    /// Every point already draws from its own generator (seeded by
+    /// Every point draws from its own generator (seeded by
     /// `seed ^ p.to_bits()`), so points are evaluated independently and the
-    /// executor reassembles them in rate order: the result is identical to
-    /// [`Self::sweep`] for every thread count.
+    /// executor reassembles them in rate order: the result is identical for
+    /// every thread count.
     #[must_use]
-    pub fn sweep_with(&self, physical_rates: &[f64], executor: &Executor) -> Vec<ThresholdPoint> {
+    pub fn sweep(&self, physical_rates: &[f64], executor: &Executor) -> Vec<ThresholdPoint> {
         executor.map(physical_rates, |_, &p| {
             let level1_rate = self.level1_failure_rate(p);
             let level2_rate = if level1_rate == 0.0 {
@@ -165,24 +158,18 @@ impl ThresholdExperiment {
 
     /// Estimate the pseudo-threshold: the component rate at which the level-1
     /// logical rate equals the physical rate (the crossing point of Figure 7).
-    /// Returns the bracketing estimate from a geometric scan of `[lo, hi]`.
-    #[must_use]
-    pub fn estimate_threshold(&self, lo: f64, hi: f64, points: usize) -> Option<f64> {
-        self.estimate_threshold_with(lo, hi, points, &Executor::Sequential)
-    }
-
-    /// [`Self::estimate_threshold`] with the scan points evaluated through
-    /// an [`Executor`].
+    /// Returns the bracketing estimate from a geometric scan of `[lo, hi]`,
+    /// with the scan points evaluated through an [`Executor`].
     ///
-    /// Sequentially, the scan stops at the first crossing (the rates past
+    /// On one worker, the scan stops at the first crossing (the rates past
     /// it are never sampled — they cost a full Monte-Carlo evaluation
-    /// each). In parallel, all `points` rates are evaluated up front (each
+    /// each). On more, all `points` rates are evaluated up front (each
     /// from its own `seed ^ p.to_bits()` generator) and the crossing is
     /// located in a pass over the ordered ratios. Both paths return the
     /// *first* crossing over identically seeded, order-independent point
     /// evaluations, so the estimate is identical for every thread count.
     #[must_use]
-    pub fn estimate_threshold_with(
+    pub fn estimate_threshold(
         &self,
         lo: f64,
         hi: f64,
@@ -193,7 +180,7 @@ impl ThresholdExperiment {
             let t = i as f64 / (points - 1).max(1) as f64;
             lo * (hi / lo).powf(t)
         };
-        if matches!(executor, Executor::Sequential) {
+        if executor.jobs() == 1 {
             // Lazy scan with early exit: don't pay for points past the
             // crossing.
             let mut previous: Option<(f64, f64)> = None;
@@ -538,7 +525,7 @@ mod tests {
             ..quick()
         };
         let pth = e
-            .estimate_threshold(2e-4, 3e-2, 10)
+            .estimate_threshold(2e-4, 3e-2, 10, &Executor::SEQUENTIAL)
             .expect("threshold crossing must exist");
         assert!(
             pth > 2e-4 && pth < 3e-2,
@@ -552,7 +539,7 @@ mod tests {
             trials: 1000,
             ..quick()
         };
-        let points = e.sweep(&[1e-3, 2e-3]);
+        let points = e.sweep(&[1e-3, 2e-3], &Executor::SEQUENTIAL);
         assert_eq!(points.len(), 2);
         assert!(points[0].physical_rate < points[1].physical_rate);
     }
@@ -570,9 +557,9 @@ mod tests {
             ..quick()
         };
         let rates = [5e-4, 1e-3, 2e-3, 4e-3, 8e-3];
-        let sequential = e.sweep(&rates);
+        let sequential = e.sweep(&rates, &Executor::SEQUENTIAL);
         for jobs in [1usize, 2, 8] {
-            let parallel = e.sweep_with(&rates, &Executor::from_jobs(jobs));
+            let parallel = e.sweep(&rates, &Executor::from_jobs(jobs));
             assert_eq!(parallel, sequential, "{jobs} jobs");
         }
     }
@@ -583,10 +570,10 @@ mod tests {
             trials: 3000,
             ..quick()
         };
-        let sequential = e.estimate_threshold(2e-4, 3e-2, 10);
+        let sequential = e.estimate_threshold(2e-4, 3e-2, 10, &Executor::SEQUENTIAL);
         for jobs in [2usize, 8] {
             assert_eq!(
-                e.estimate_threshold_with(2e-4, 3e-2, 10, &Executor::from_jobs(jobs)),
+                e.estimate_threshold(2e-4, 3e-2, 10, &Executor::from_jobs(jobs)),
                 sequential,
                 "{jobs} jobs"
             );

@@ -41,7 +41,7 @@ use crate::kv::{finite, Fields, KvError};
 use crate::machine::QlaMachine;
 use crate::MachineBuildError;
 use qla_network::InterconnectParams;
-use qla_obs::{ObsConfig, ObsDetail};
+use qla_obs::ObsDetail;
 use qla_physical::{TechnologyParams, Time};
 use qla_qec::EccLatencies;
 use qla_report::Scenario;
@@ -310,16 +310,6 @@ impl ObsSpec {
         ObsSpec {
             detail: ObsDetail::Full,
             sample_every: 1,
-        }
-    }
-
-    /// The recorder configuration for an *observed* run under this spec.
-    #[must_use]
-    pub fn config(&self) -> ObsConfig {
-        ObsConfig {
-            enabled: true,
-            detail: self.detail,
-            sample_every: self.sample_every,
         }
     }
 }

@@ -44,9 +44,9 @@ impl ObsDetail {
 /// Recorder configuration, sourced from the `sweep.obs.*` spec section.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ObsConfig {
-    /// Whether recording is on at all. Off is the default everywhere: the
-    /// plain `run` path always uses an off config, so observability can
-    /// never perturb a golden byte.
+    /// Whether recording is on at all. Off is the default everywhere: a run
+    /// records only when its context asks to, and observability can never
+    /// perturb a golden byte.
     pub enabled: bool,
     /// Detail level for the high-volume tracks.
     pub detail: ObsDetail,
@@ -136,9 +136,9 @@ pub trait Recorder {
 }
 
 /// The always-off recorder: [`Recorder::enabled`] is `false` and every
-/// record call does nothing. The plain `simulate`/`handle_burst` entry
-/// points thread this through, which is what "zero overhead when off"
-/// means in practice.
+/// record call does nothing. The plain `simulate` entry point and
+/// unrecorded `handle_burst` calls pass this, which is what "zero overhead
+/// when off" means in practice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Noop;
 

@@ -241,7 +241,18 @@ impl Service {
     ///
     /// Only run requests are meaningful in a burst; `stats`/`shutdown`
     /// lines are answered with a `bad-request` error.
-    pub fn handle_burst(&self, lines: &[String], executor: &Executor) -> Vec<ServedRequest> {
+    ///
+    /// When `rec` is enabled, each request's lifecycle is replayed onto the
+    /// `serve` track after the burst is served, stamped with the charged
+    /// service time. Recording never changes the responses: pass
+    /// [`qla_obs::Noop`] for an unrecorded burst.
+    pub fn handle_burst(
+        &self,
+        lines: &[String],
+        executor: &Executor,
+        rec: &mut dyn Recorder,
+    ) -> Vec<ServedRequest> {
+        let base = self.stats.service_ns.load(Ordering::SeqCst);
         // Phase 1: parse, admit, and look up sequentially in line order.
         let mut plans: Vec<Plan> = Vec::with_capacity(lines.len());
         let mut jobs: Vec<EvalJob> = Vec::new();
@@ -327,7 +338,7 @@ impl Service {
         let clock = self.config.clock;
         let results: Vec<((Report, String), u64)> = executor.map(&jobs, |_, job| {
             clock.time(clock.miss_cost_ns(job.trials), || {
-                let report = self.evaluate(&job.req, job.trials, Executor::Sequential);
+                let report = self.evaluate(&job.req, job.trials, Executor::SEQUENTIAL);
                 let rendered = report.render(job.req.format);
                 (report, rendered)
             })
@@ -364,53 +375,10 @@ impl Service {
                 }
             }
         }
-        responses
-    }
-
-    /// [`Service::handle_burst`] with an observability [`Recorder`]
-    /// attached: after the burst is served, each request's lifecycle is
-    /// replayed onto the `serve` track in line order —
-    /// `admit → lookup-hit | (lookup-miss, evaluate) → render` for accepted
-    /// requests, a lone `shed`/`error` instant otherwise.
-    ///
-    /// Timestamps are the running total of charged service time (starting
-    /// from the service's cumulative `service_ns` at burst entry), so under
-    /// the default virtual clock the recorded log is a byte-deterministic
-    /// function of the request sequence — independent of thread count and
-    /// wall time — while under a wall clock it degrades gracefully to
-    /// measured durations. Recording never changes the responses: the burst
-    /// is served by the exact same code path as [`Service::handle_burst`].
-    pub fn handle_burst_recorded(
-        &self,
-        lines: &[String],
-        executor: &Executor,
-        rec: &mut dyn Recorder,
-    ) -> Vec<ServedRequest> {
-        let base = self.stats.service_ns.load(Ordering::SeqCst);
-        let served = self.handle_burst(lines, executor);
         if rec.enabled() {
-            let mut cursor = base;
-            for request in &served {
-                match request.outcome {
-                    Outcome::Shed => rec.instant("serve", "shed", cursor),
-                    Outcome::Error => rec.instant("serve", "error", cursor),
-                    Outcome::Hit => {
-                        rec.instant("serve", "admit", cursor);
-                        rec.span("serve", "lookup-hit", cursor, request.service_ns);
-                        cursor += request.service_ns;
-                        rec.instant("serve", "render", cursor);
-                    }
-                    Outcome::Miss => {
-                        rec.instant("serve", "admit", cursor);
-                        rec.instant("serve", "lookup-miss", cursor);
-                        rec.span("serve", "evaluate", cursor, request.service_ns);
-                        cursor += request.service_ns;
-                        rec.instant("serve", "render", cursor);
-                    }
-                }
-            }
+            record_burst(rec, base, &responses);
         }
-        served
+        responses
     }
 
     /// Resolve the experiment and canonical key, or build the error reply.
@@ -521,6 +489,39 @@ impl Service {
     }
 }
 
+/// Replay a served burst's request lifecycles onto the `serve` track in
+/// line order — `admit → lookup-hit | (lookup-miss, evaluate) → render` for
+/// accepted requests, a lone `shed`/`error` instant otherwise.
+///
+/// Timestamps are the running total of charged service time, starting from
+/// the service's cumulative `service_ns` at burst entry (`base`), so under
+/// the default virtual clock the recorded log is a byte-deterministic
+/// function of the request sequence — independent of thread count and wall
+/// time — while under a wall clock it degrades gracefully to measured
+/// durations.
+fn record_burst(rec: &mut dyn Recorder, base: u64, served: &[ServedRequest]) {
+    let mut cursor = base;
+    for request in served {
+        match request.outcome {
+            Outcome::Shed => rec.instant("serve", "shed", cursor),
+            Outcome::Error => rec.instant("serve", "error", cursor),
+            Outcome::Hit => {
+                rec.instant("serve", "admit", cursor);
+                rec.span("serve", "lookup-hit", cursor, request.service_ns);
+                cursor += request.service_ns;
+                rec.instant("serve", "render", cursor);
+            }
+            Outcome::Miss => {
+                rec.instant("serve", "admit", cursor);
+                rec.instant("serve", "lookup-miss", cursor);
+                rec.span("serve", "evaluate", cursor, request.service_ns);
+                cursor += request.service_ns;
+                rec.instant("serve", "render", cursor);
+            }
+        }
+    }
+}
+
 /// The fixed-key-order success envelope.
 fn ok_response(experiment: &str, format: Format, rendered: &str) -> String {
     format!(
@@ -552,6 +553,7 @@ mod tests {
     use super::*;
     use crate::json::Json;
     use qla_core::Experiment;
+    use qla_obs::Noop;
     use qla_report::Column;
 
     /// A deterministic toy experiment: one seed-and-trials-dependent value.
@@ -664,7 +666,7 @@ mod tests {
         let lines: Vec<String> = (0..4)
             .map(|i| format!("{{\"experiment\": \"echo\", \"seed\": {i}}}"))
             .collect();
-        let served = svc.handle_burst(&lines, &Executor::Sequential);
+        let served = svc.handle_burst(&lines, &Executor::SEQUENTIAL, &mut Noop);
         let outcomes: Vec<Outcome> = served.iter().map(|s| s.outcome).collect();
         assert_eq!(
             outcomes,
@@ -683,11 +685,11 @@ mod tests {
             .collect();
         let serve_with = |executor: Executor| {
             let svc = service(ServeConfig::default());
-            let served = svc.handle_burst(&lines, &executor);
+            let served = svc.handle_burst(&lines, &executor, &mut Noop);
             let bodies: Vec<String> = served.iter().map(|s| s.response.clone()).collect();
             (bodies, svc.stats())
         };
-        let (seq_bodies, seq_stats) = serve_with(Executor::Sequential);
+        let (seq_bodies, seq_stats) = serve_with(Executor::SEQUENTIAL);
         for jobs in [2usize, 8] {
             let (par_bodies, par_stats) = serve_with(Executor::from_jobs(jobs));
             assert_eq!(par_bodies, seq_bodies, "{jobs} jobs");
@@ -701,7 +703,7 @@ mod tests {
     fn burst_duplicates_hit_within_a_single_burst() {
         let svc = service(ServeConfig::default());
         let line = r#"{"experiment": "echo"}"#.to_string();
-        let served = svc.handle_burst(&[line.clone(), line], &Executor::Sequential);
+        let served = svc.handle_burst(&[line.clone(), line], &Executor::SEQUENTIAL, &mut Noop);
         assert_eq!(served[0].outcome, Outcome::Miss);
         assert_eq!(served[1].outcome, Outcome::Hit);
         assert_eq!(served[0].response, served[1].response);
@@ -712,7 +714,8 @@ mod tests {
         let svc = service(ServeConfig::default());
         let served = svc.handle_burst(
             &["{\"cmd\": \"shutdown\"}".to_string()],
-            &Executor::Sequential,
+            &Executor::SEQUENTIAL,
+            &mut Noop,
         );
         assert_eq!(served[0].outcome, Outcome::Error);
         assert!(served[0].response.contains("only run requests"));
@@ -741,11 +744,11 @@ mod tests {
             .map(|i| format!("{{\"experiment\": \"echo\", \"seed\": {}}}", i % 2))
             .collect();
         let plain_svc = service(ServeConfig::default());
-        let plain = plain_svc.handle_burst(&lines, &Executor::Sequential);
+        let plain = plain_svc.handle_burst(&lines, &Executor::SEQUENTIAL, &mut Noop);
 
         let svc = service(ServeConfig::default());
         let mut log = EventLog::for_point(ObsConfig::full(), "pass");
-        let recorded = svc.handle_burst_recorded(&lines, &Executor::Sequential, &mut log);
+        let recorded = svc.handle_burst(&lines, &Executor::SEQUENTIAL, &mut log);
         let bodies = |served: &[ServedRequest]| -> Vec<String> {
             served.iter().map(|s| s.response.clone()).collect()
         };
@@ -763,13 +766,13 @@ mod tests {
         // Same burst again on a fresh service: byte-identical log.
         let svc2 = service(ServeConfig::default());
         let mut log2 = EventLog::for_point(ObsConfig::full(), "pass");
-        let _ = svc2.handle_burst_recorded(&lines, &Executor::Sequential, &mut log2);
+        let _ = svc2.handle_burst(&lines, &Executor::SEQUENTIAL, &mut log2);
         assert_eq!(log, log2);
 
         // And a disabled recorder records nothing while serving the same.
         let svc3 = service(ServeConfig::default());
         let mut off = EventLog::off();
-        let silent = svc3.handle_burst_recorded(&lines, &Executor::Sequential, &mut off);
+        let silent = svc3.handle_burst(&lines, &Executor::SEQUENTIAL, &mut off);
         assert_eq!(bodies(&silent), bodies(&plain));
         assert!(off.events().is_empty());
     }
@@ -793,7 +796,7 @@ mod tests {
     fn service_time_percentiles_split_by_class() {
         let svc = service(ServeConfig::default());
         let line = r#"{"experiment": "echo", "trials": 100}"#.to_string();
-        let _ = svc.handle_burst(&[line.clone(), line], &Executor::Sequential);
+        let _ = svc.handle_burst(&[line.clone(), line], &Executor::SEQUENTIAL, &mut Noop);
         let snap = svc.stats();
         assert_eq!(snap.hit_p50_ns, crate::clock::VIRTUAL_HIT_NS);
         assert_eq!(snap.hit_p99_ns, crate::clock::VIRTUAL_HIT_NS);
@@ -807,7 +810,7 @@ mod tests {
     fn virtual_service_times_separate_hits_from_misses() {
         let svc = service(ServeConfig::default());
         let line = r#"{"experiment": "echo", "trials": 100}"#.to_string();
-        let served = svc.handle_burst(&[line.clone(), line], &Executor::Sequential);
+        let served = svc.handle_burst(&[line.clone(), line], &Executor::SEQUENTIAL, &mut Noop);
         assert!(served[0].service_ns > 100 * served[1].service_ns);
         assert_eq!(
             served[0].service_ns,

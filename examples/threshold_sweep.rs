@@ -6,7 +6,7 @@
 //! cargo run --release --example threshold_sweep
 //! ```
 
-use qla::core::ThresholdExperiment;
+use qla::core::{Executor, ThresholdExperiment};
 use qla::qec::{ThresholdAnalysis, EMPIRICAL_THRESHOLD};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
         "{:>14} {:>16} {:>16}",
         "physical p", "level-1 failure", "level-2 failure"
     );
-    for point in experiment.sweep(&rates) {
+    for point in experiment.sweep(&rates, &Executor::SEQUENTIAL) {
         println!(
             "{:>14.2e} {:>16.3e} {:>16.3e}",
             point.physical_rate, point.level1_rate, point.level2_rate
@@ -31,7 +31,7 @@ fn main() {
     }
 
     println!("\nestimating the pseudo-threshold (level-1 curve crossing y = x)...");
-    match experiment.estimate_threshold(3e-4, 3e-2, 12) {
+    match experiment.estimate_threshold(3e-4, 3e-2, 12, &Executor::SEQUENTIAL) {
         Some(pth) => {
             println!("  empirical threshold ~ {pth:.2e}");
             println!("  paper's ARQ measurement: {EMPIRICAL_THRESHOLD:.1e} (+/- 1.8e-3)");

@@ -9,7 +9,7 @@
 //! fully deterministic, so these bounds are exact regression checks,
 //! not flaky statistical ones.
 
-use qla::core::ThresholdExperiment;
+use qla::core::{Executor, ThresholdExperiment};
 
 /// Paper band: 2.1e-3 minus/plus 1.8e-3.
 const BAND_LO: f64 = 0.3e-3;
@@ -57,7 +57,7 @@ fn level2_wins_below_the_crossing_and_loses_above_it() {
 fn crossing_point_lands_inside_the_paper_band() {
     let e = small_trials();
     let pth = e
-        .estimate_threshold(2e-4, 3e-2, 12)
+        .estimate_threshold(2e-4, 3e-2, 12, &Executor::SEQUENTIAL)
         .expect("a level-1 crossing must exist in the scanned decade");
     assert!(
         (BAND_LO..=BAND_HI).contains(&pth),
