@@ -4,7 +4,7 @@
 //! The fault hooks (time-varying channel capacity, factory outages,
 //! per-tenant quotas) sit on the engine's hottest paths, so this bench
 //! pins two numbers per commit: the cost of running a *zero-fault*
-//! timeline through `simulate_faulted` (which must track the plain
+//! timeline through `simulate_observed` (which must track the plain
 //! `simulate` cases in `sim_event_loop`), and the cost of a genuinely
 //! degraded run whose dark rounds and recovery events the engine has to
 //! spin through. CI uploads the output next to the other bench artefacts.
@@ -12,9 +12,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qla_core::MachineSpec;
 use qla_faults::FaultPlan;
+use qla_obs::Noop;
 use qla_sched::Mesh;
 use qla_sim::{
-    simulate_faulted, toffoli_arrivals, toffoli_work_items, FaultTimeline, TrafficParams, WorkItem,
+    simulate_observed, toffoli_arrivals, toffoli_work_items, FaultTimeline, TrafficParams, WorkItem,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -73,9 +74,12 @@ fn bench_fault_injection(c: &mut Criterion) {
 
     for (label, timeline) in [("healthy", &healthy), ("degraded", &degraded)] {
         // Determinism guard: the bench must never drift the result.
-        let reference = simulate_faulted(&mesh, &cfg, &items, timeline);
+        let reference = simulate_observed(&mesh, &cfg, &items, timeline, &mut Noop);
         assert!(reference.events > 0);
-        assert_eq!(reference, simulate_faulted(&mesh, &cfg, &items, timeline));
+        assert_eq!(
+            reference,
+            simulate_observed(&mesh, &cfg, &items, timeline, &mut Noop)
+        );
         println!(
             "fault_injection/{label}: {} work items, {} events per run",
             items.len(),
@@ -86,11 +90,12 @@ fn bench_fault_injection(c: &mut Criterion) {
             &(&mesh, &items, timeline),
             |b, (mesh, items, timeline)| {
                 b.iter(|| {
-                    black_box(simulate_faulted(
+                    black_box(simulate_observed(
                         black_box(mesh),
                         black_box(&cfg),
                         black_box(items),
                         black_box(timeline),
+                        &mut Noop,
                     ))
                 });
             },

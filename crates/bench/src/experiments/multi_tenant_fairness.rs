@@ -16,8 +16,9 @@ use crate::experiments::round2;
 use crate::experiments::sim_support::{machine_mesh, sim_config};
 use qla_core::{Experiment, ExperimentContext};
 use qla_faults::{symmetric_tenant_items, tenant_quotas};
+use qla_obs::Noop;
 use qla_report::{jains_index, row, Column, Report};
-use qla_sim::{simulate_faulted, FaultTimeline, LatencySummary};
+use qla_sim::{simulate_observed, FaultTimeline, LatencySummary};
 use serde::Serialize;
 
 /// The quota-skew sweep. Tenant count, base quota and the skew grid come
@@ -118,7 +119,7 @@ impl Experiment for MultiTenantFairness {
                 tenant_quotas: quotas,
                 ..FaultTimeline::default()
             };
-            let out = simulate_faulted(&mesh, &cfg, &items, &timeline);
+            let out = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
 
             let per_tenant = out.sojourns_by_tenant(fault.tenants);
             let means_ms: Vec<f64> = per_tenant

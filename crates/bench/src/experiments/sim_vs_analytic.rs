@@ -18,7 +18,7 @@ use crate::experiments::sim_support::sim_config;
 use qla_core::{Experiment, ExperimentContext};
 use qla_report::{row, Column, Report};
 use qla_sched::{CommRequest, GreedyScheduler, Mesh, PAIRS_PER_LOGICAL_TELEPORT};
-use qla_sim::{simulate_requests, SimTime};
+use qla_sim::{simulate, SimTime, WorkItem};
 use serde::Serialize;
 
 /// Rows of the contended corridor mesh: a middle data row plus one detour
@@ -227,8 +227,11 @@ fn compare(
          {ANALYTIC_WINDOW_BUDGET} windows"
     );
 
-    let timed: Vec<(SimTime, CommRequest)> = requests.iter().map(|&r| (SimTime::ZERO, r)).collect();
-    let sim = simulate_requests(mesh, cfg, &timed);
+    let items: Vec<WorkItem> = requests
+        .iter()
+        .map(|&r| WorkItem::request(SimTime::ZERO, r))
+        .collect();
+    let sim = simulate(mesh, cfg, &items);
 
     WindowComparison {
         pairs: pairs * count,

@@ -15,7 +15,7 @@ use crate::experiments::sim_support::{machine_mesh, sim_config};
 use qla_core::{Experiment, ExperimentContext};
 use qla_faults::{matrix_requests, TrafficMatrix};
 use qla_report::{row, Column, Report};
-use qla_sim::{simulate_requests, LatencySummary, TrafficParams};
+use qla_sim::{simulate, LatencySummary, TrafficParams, WorkItem};
 use serde::Serialize;
 
 /// The traffic-matrix study. Load and hot-spot sizing come from the
@@ -107,7 +107,11 @@ impl Experiment for TrafficMatrixStudy {
                 fault.hotspot_fraction,
                 &mut rng,
             );
-            let out = simulate_requests(&mesh, &cfg, &requests);
+            let items: Vec<WorkItem> = requests
+                .iter()
+                .map(|&(arrival, r)| WorkItem::request(arrival, r))
+                .collect();
+            let out = simulate(&mesh, &cfg, &items);
 
             let sojourns: Vec<qla_sim::SimTime> = out
                 .items

@@ -14,8 +14,9 @@ use qla_bench::experiments::MultiTenantFairness;
 use qla_bench::registry;
 use qla_core::{Experiment, ExperimentContext};
 use qla_faults::FaultPlan;
+use qla_obs::Noop;
 use qla_sim::{
-    simulate, simulate_faulted, toffoli_arrivals, toffoli_work_items, FaultTimeline, TrafficParams,
+    simulate, simulate_observed, toffoli_arrivals, toffoli_work_items, FaultTimeline, TrafficParams,
 };
 
 /// Same seed the golden reports are pinned at.
@@ -61,7 +62,7 @@ fn zero_fault_timelines_reproduce_the_offered_load_numbers_exactly() {
         let baseline = simulate(&mesh, &cfg, &items);
         assert_eq!(
             baseline,
-            simulate_faulted(&mesh, &cfg, &items, &FaultTimeline::default()),
+            simulate_observed(&mesh, &cfg, &items, &FaultTimeline::default(), &mut Noop),
             "offered load {offered_load}: the default timeline changed the outcome"
         );
         let healthy = FaultPlan::healthy("healthy")
@@ -69,7 +70,7 @@ fn zero_fault_timelines_reproduce_the_offered_load_numbers_exactly() {
             .expect("healthy plans compile against any mesh");
         assert_eq!(
             baseline,
-            simulate_faulted(&mesh, &cfg, &items, &healthy),
+            simulate_observed(&mesh, &cfg, &items, &healthy, &mut Noop),
             "offered load {offered_load}: a compiled healthy plan changed the outcome"
         );
     }

@@ -20,7 +20,7 @@ use qla_bench::registry;
 use qla_core::{Executor, Experiment, ExperimentContext, MachineSpec};
 use qla_report::Format;
 use qla_sched::{CommRequest, Mesh};
-use qla_sim::{simulate_requests, SimTime};
+use qla_sim::{simulate, SimTime, WorkItem};
 
 /// The design-point engine configuration (clocks and capacities derived
 /// from the `expected` machine — `pair_service_time`, the ECC window, and
@@ -71,7 +71,11 @@ proptest! {
             })
             .collect();
 
-        let out = simulate_requests(&mesh, &cfg, &requests);
+        let items: Vec<WorkItem> = requests
+            .iter()
+            .map(|&(arrival, r)| WorkItem::request(arrival, r))
+            .collect();
+        let out = simulate(&mesh, &cfg, &items);
         prop_assert_eq!(out.requests.len(), requests.len());
         for (outcome, (arrival, request)) in out.requests.iter().zip(&requests) {
             // Exact agreement with the closed form, for every arrival phase
@@ -107,8 +111,9 @@ proptest! {
         };
         let mesh = machine_mesh(&machine);
         let request = CommRequest { from: 0, to: 21, pairs: cfg.channels_per_edge };
-        let narrow_run = simulate_requests(&mesh, &cfg, &[(SimTime::ZERO, request)]);
-        let wide_run = simulate_requests(&mesh, &wide, &[(SimTime::ZERO, request)]);
+        let items = [WorkItem::request(SimTime::ZERO, request)];
+        let narrow_run = simulate(&mesh, &cfg, &items);
+        let wide_run = simulate(&mesh, &wide, &items);
         prop_assert_eq!(narrow_run.requests[0].completion, cfg.pair_service);
         prop_assert_eq!(wide_run.requests[0].completion, cfg.pair_service);
     }

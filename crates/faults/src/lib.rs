@@ -36,7 +36,8 @@
 //! ```
 //! use qla_faults::FaultPlan;
 //! use qla_sched::{CommRequest, Mesh};
-//! use qla_sim::{simulate, simulate_faulted, SimConfig, SimTime, WorkItem};
+//! use qla_obs::Noop;
+//! use qla_sim::{simulate, simulate_observed, SimConfig, SimTime, WorkItem};
 //!
 //! let mesh = Mesh::new(2, 1, 2); // one edge, bandwidth 2 => 4 channels
 //! let cfg = SimConfig {
@@ -66,7 +67,7 @@
 //! let timeline = plan.compile(&mesh, &cfg).unwrap();
 //!
 //! let healthy = simulate(&mesh, &cfg, &items);
-//! let faulted = simulate_faulted(&mesh, &cfg, &items, &timeline);
+//! let faulted = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
 //!
 //! // 8 pairs over 4 channels: two healthy rounds. Over 1 channel: eight.
 //! assert_eq!(healthy.makespan, SimTime::from_nanos(200));

@@ -222,7 +222,6 @@ pub fn symmetric_tenant_items(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qla_sim::shortest_path;
     use rand::SeedableRng;
 
     fn params() -> TrafficParams {
@@ -284,6 +283,7 @@ mod tests {
     #[test]
     fn tenant_rows_are_distinct_interior_and_edge_disjoint() {
         let mesh = Mesh::new(8, 8, 1);
+        let mut topology = qla_sched::Topology::new(&mesh);
         let items = symmetric_tenant_items(&mesh, 4, 3, 2, SimTime::from_nanos(1_000));
         assert_eq!(items.len(), 3 * 4 * 2);
         let mut rows_by_tenant = std::collections::BTreeMap::new();
@@ -297,8 +297,8 @@ mod tests {
                 .insert(row);
             // The BFS route stays on the tenant's row, so tenants on
             // distinct rows never contend.
-            let path = shortest_path(&mesh, request.from, request.to);
-            assert!(path.iter().all(|&n| n / mesh.columns() == row));
+            let route = topology.route(request.from, request.to, |_| true).unwrap();
+            assert!(route.nodes.iter().all(|&n| n / mesh.columns() == row));
         }
         let rows: Vec<_> = rows_by_tenant.values().flatten().copied().collect();
         assert_eq!(rows.len(), 4, "one row per tenant");

@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 use qla_faults::{windows, FaultPlan};
+use qla_obs::Noop;
 use qla_sched::Mesh;
 use qla_sim::{
-    simulate, simulate_faulted, toffoli_arrivals, toffoli_work_items, LatencySummary, SimConfig,
+    simulate, simulate_observed, toffoli_arrivals, toffoli_work_items, LatencySummary, SimConfig,
     SimTime, TrafficParams, WorkItem,
 };
 use rand::SeedableRng;
@@ -64,7 +65,7 @@ proptest! {
             .expect("plan compiles");
 
         let healthy = simulate(&mesh, &cfg, &items);
-        let degraded = simulate_faulted(&mesh, &cfg, &items, &timeline);
+        let degraded = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
 
         let healthy_p99 = LatencySummary::of(&healthy.sojourns()).p99_ns;
         let degraded_p99 = LatencySummary::of(&degraded.sojourns()).p99_ns;
@@ -87,7 +88,7 @@ proptest! {
             .expect("plan compiles");
 
         let healthy = simulate(&mesh, &cfg, &items);
-        let degraded = simulate_faulted(&mesh, &cfg, &items, &timeline);
+        let degraded = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
 
         // The straggler is the last item of the stream.
         let h = healthy.items.last().expect("items");

@@ -9,6 +9,13 @@
 //!
 //! * [`mesh`] — the channel mesh between logical-qubit tiles and its
 //!   per-window bandwidth capacity.
+//! * [`topology`] — the mesh compiled to dense form: edge ids `0..E` in
+//!   [`Mesh::edges`] order, CSR `(neighbour, edge id)` arrays in the fixed
+//!   left/right/up/down order, and the one breadth-first search
+//!   ([`Topology::route`]) over reusable stamped scratch buffers. An "edge
+//!   usable" test makes it the scheduler's capacity-aware search; always
+//!   `true`, it is the simulator's static route. Both callers keep per-edge
+//!   state in vectors indexed by edge id.
 //! * [`scheduler`] — the greedy path-grabbing scheduler with back-off and
 //!   multi-window spill-over.
 //! * [`traffic`] — workload generators (fault-tolerant Toffoli traffic) and
@@ -19,10 +26,12 @@
 
 pub mod mesh;
 pub mod scheduler;
+pub mod topology;
 pub mod traffic;
 
 pub use mesh::{Edge, Mesh, Node};
 pub use scheduler::{CommRequest, GreedyScheduler, RoutedBatch, ScheduleResult};
+pub use topology::{EdgeId, Route, Topology};
 pub use traffic::{
     random_toffoli_sites, schedule_toffoli_traffic, ToffoliScheduleReport, ToffoliSite,
     PAIRS_PER_LOGICAL_TELEPORT, TOFFOLI_ANCILLA_QUBITS,

@@ -139,6 +139,14 @@ impl Mesh {
         out
     }
 
+    /// Number of edges, `(columns − 1)·rows + columns·(rows − 1)` in closed
+    /// form (zero when either dimension is empty) — the length of
+    /// [`Mesh::edges`] without building it.
+    #[must_use]
+    pub fn edge_count(&self) -> usize {
+        self.columns.saturating_sub(1) * self.rows + self.columns * self.rows.saturating_sub(1)
+    }
+
     /// All edges of the mesh.
     #[must_use]
     pub fn edges(&self) -> Vec<Edge> {
@@ -159,7 +167,7 @@ impl Mesh {
     /// of every edge).
     #[must_use]
     pub fn total_capacity_per_window(&self) -> usize {
-        self.edges().len() * self.edge_capacity_per_window()
+        self.edge_count() * self.edge_capacity_per_window()
     }
 
     /// Manhattan hop distance between two nodes.
@@ -212,6 +220,22 @@ mod tests {
         let pipelined = Mesh::new(3, 3, 2).with_pairs_per_window(64);
         assert_eq!(pipelined.edge_capacity_per_window(), 2 * 2 * 64);
         assert_eq!(pipelined.total_capacity_per_window(), 12 * 2 * 2 * 64);
+    }
+
+    #[test]
+    fn edge_count_matches_the_edge_listing() {
+        for columns in [0, 1, 2, 7] {
+            for rows in [0, 1, 2, 5] {
+                let m = Mesh::new(columns, rows, 1);
+                assert_eq!(m.edge_count(), m.edges().len(), "{columns}x{rows} mesh");
+            }
+        }
+        assert_eq!(Mesh::new(0, 4, 1).edge_count(), 0);
+        assert_eq!(Mesh::new(4, 0, 1).edge_count(), 0);
+        assert_eq!(Mesh::new(1, 1, 1).edge_count(), 0);
+        assert_eq!(Mesh::new(1, 6, 1).edge_count(), 5);
+        assert_eq!(Mesh::new(6, 1, 1).edge_count(), 5);
+        assert_eq!(Mesh::new(59, 18, 1).edge_count(), 58 * 18 + 59 * 17);
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! logical qubits spend in error correction, so that communication never
 //! appears on the critical path.
 
-use crate::mesh::{Edge, Mesh, Node};
+use crate::mesh::{Mesh, Node};
+use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, VecDeque};
 
 /// A request to deliver `pairs` purified EPR pairs between two logical
 /// qubits before their next interaction.
@@ -94,63 +94,61 @@ impl GreedyScheduler {
 
     /// Schedule all requests, greedily filling each window before opening the
     /// next.
+    ///
+    /// # Panics
+    /// Panics when a request names a node outside the mesh.
     #[must_use]
     pub fn schedule(&self, requests: &[CommRequest]) -> ScheduleResult {
+        let mut topology = Topology::new(&self.mesh);
+        for r in requests {
+            topology.check_endpoints(r.from, r.to);
+        }
         let mut remaining: Vec<usize> = requests.iter().map(|r| r.pairs).collect();
         let mut batches = Vec::new();
         let mut windows_used = 0usize;
         let mut capacity_consumed = 0usize;
+        // Residual capacity per edge id (both directions of an edge
+        // together), refilled at the start of every window.
+        let mut capacity = vec![0usize; topology.edge_count()];
+        let mut order = Vec::with_capacity(requests.len());
 
         for window in 0..self.max_windows {
             if remaining.iter().all(|&p| p == 0) {
                 break;
             }
             windows_used = window + 1;
-            // Fresh per-window residual capacities (bandwidth per direction;
-            // we track the two directions of an edge together).
-            let mut capacity: HashMap<Edge, usize> = self
-                .mesh
-                .edges()
-                .into_iter()
-                .map(|e| (e, self.mesh.edge_capacity_per_window()))
-                .collect();
+            capacity.fill(self.mesh.edge_capacity_per_window());
 
-            // Greedy pass: requests in order of decreasing remaining demand,
-            // grabbing all the bandwidth their best path offers; back off to
-            // the next request when no path with spare capacity exists.
+            // Greedy pass: requests in order of decreasing remaining demand
+            // (ties by index: the sort is stable), grabbing all the
+            // bandwidth their best path offers; back off to the next
+            // request when no path with spare capacity exists.
             loop {
                 let mut progressed = false;
-                let mut order: Vec<usize> = (0..requests.len()).collect();
+                order.clear();
+                order.extend((0..requests.len()).filter(|&i| remaining[i] > 0));
                 order.sort_by_key(|&i| std::cmp::Reverse(remaining[i]));
-                for i in order {
-                    if remaining[i] == 0 {
-                        continue;
-                    }
+                for &i in &order {
                     let req = requests[i];
-                    if let Some(path) = self.shortest_available_path(req.from, req.to, &capacity) {
-                        // Bottleneck capacity along the path.
-                        let bottleneck = path
-                            .windows(2)
-                            .map(|w| capacity[&Edge::new(w[0], w[1])])
-                            .min()
-                            .unwrap_or(0);
-                        if bottleneck == 0 {
-                            continue;
-                        }
-                        let send = bottleneck.min(remaining[i]);
-                        for w in path.windows(2) {
-                            *capacity.get_mut(&Edge::new(w[0], w[1])).expect("edge") -= send;
-                        }
-                        capacity_consumed += send * (path.len() - 1);
-                        remaining[i] -= send;
-                        batches.push(RoutedBatch {
-                            request: i,
-                            window,
-                            path: path.clone(),
-                            pairs: send,
-                        });
-                        progressed = true;
+                    let Some(route) = topology.route(req.from, req.to, |e| capacity[e] > 0) else {
+                        continue;
+                    };
+                    // Bottleneck capacity along the path; every edge of the
+                    // route has spare capacity, so it is positive.
+                    let bottleneck = route.edges.iter().map(|&e| capacity[e]).min();
+                    let send = bottleneck.expect("a route has an edge").min(remaining[i]);
+                    for &e in route.edges {
+                        capacity[e] -= send;
                     }
+                    capacity_consumed += send * route.edges.len();
+                    remaining[i] -= send;
+                    batches.push(RoutedBatch {
+                        request: i,
+                        window,
+                        path: route.nodes.to_vec(),
+                        pairs: send,
+                    });
+                    progressed = true;
                 }
                 if !progressed {
                     break;
@@ -171,52 +169,6 @@ impl GreedyScheduler {
             utilization: capacity_consumed as f64 / total_capacity as f64,
             unsatisfied,
         }
-    }
-
-    /// BFS for the shortest path from `from` to `to` using only edges with
-    /// spare capacity. Requests between co-located qubits return a trivial
-    /// two-node path via any neighbour (the pair still has to leave the tile).
-    fn shortest_available_path(
-        &self,
-        from: Node,
-        to: Node,
-        capacity: &HashMap<Edge, usize>,
-    ) -> Option<Vec<Node>> {
-        if from == to {
-            return self
-                .mesh
-                .neighbours(from)
-                .into_iter()
-                .find(|&n| capacity.get(&Edge::new(from, n)).copied().unwrap_or(0) > 0)
-                .map(|n| vec![from, n]);
-        }
-        let mut prev: HashMap<Node, Node> = HashMap::new();
-        let mut queue = VecDeque::new();
-        queue.push_back(from);
-        prev.insert(from, from);
-        while let Some(n) = queue.pop_front() {
-            if n == to {
-                let mut path = vec![to];
-                let mut cur = to;
-                while cur != from {
-                    cur = prev[&cur];
-                    path.push(cur);
-                }
-                path.reverse();
-                return Some(path);
-            }
-            for next in self.mesh.neighbours(n) {
-                if prev.contains_key(&next) {
-                    continue;
-                }
-                if capacity.get(&Edge::new(n, next)).copied().unwrap_or(0) == 0 {
-                    continue;
-                }
-                prev.insert(next, n);
-                queue.push_back(next);
-            }
-        }
-        None
     }
 }
 
@@ -310,6 +262,26 @@ mod tests {
         let narrow = GreedyScheduler::new(mesh(1)).schedule(&requests);
         let wide = GreedyScheduler::new(mesh(4)).schedule(&requests);
         assert!(wide.windows_used <= narrow.windows_used);
+    }
+
+    #[test]
+    #[should_panic(expected = "request endpoints (40, 3) outside the 36-node mesh")]
+    fn a_foreign_source_fails_loudly() {
+        let _ = GreedyScheduler::new(mesh(2)).schedule(&[CommRequest {
+            from: 40,
+            to: 3,
+            pairs: 1,
+        }]);
+    }
+
+    #[test]
+    #[should_panic(expected = "request endpoints (3, 36) outside the 36-node mesh")]
+    fn a_foreign_destination_fails_loudly() {
+        let _ = GreedyScheduler::new(mesh(2)).schedule(&[CommRequest {
+            from: 3,
+            to: 36,
+            pairs: 1,
+        }]);
     }
 
     #[test]

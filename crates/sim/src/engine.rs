@@ -24,12 +24,13 @@
 //!   the next window. Each edge serves its segment jobs from a FIFO queue,
 //!   up to `channels_per_edge` jobs per round.
 //! * **Requests** ([`CommRequest`]) are routed over a breadth-first
-//!   shortest path at release time. Producing one end-to-end pair requires
-//!   one purified *segment* pair on **every** edge of the path (segments
-//!   purify concurrently and are entanglement-swapped together — pairs do
-//!   not hop store-and-forward), so a request for `P` pairs enqueues `P`
-//!   segment jobs on each path edge and completes when the last of them is
-//!   served.
+//!   shortest path at release time ([`Topology::route`] with every edge
+//!   usable, the same search the greedy scheduler runs). Producing one
+//!   end-to-end pair requires one purified *segment* pair on **every** edge
+//!   of the path (segments purify concurrently and are
+//!   entanglement-swapped together — pairs do not hop store-and-forward),
+//!   so a request for `P` pairs enqueues `P` segment jobs on each path edge
+//!   and completes when the last of them is served.
 //! * **Ancilla factories** prepare the logical ancilla blocks a
 //!   fault-tolerant Toffoli consumes before its communication starts:
 //!   [`SimConfig::ancilla_capacity`] parallel preparation slots, each
@@ -37,6 +38,18 @@
 //! * **Admission control**: at most [`SimConfig::max_in_flight`] work items
 //!   are in flight; later arrivals wait in a FIFO backlog (the scheduler's
 //!   finite reorder window).
+//!
+//! # Data layout
+//!
+//! Per-edge state lives in vectors indexed by the topology's dense edge id
+//! (`edge-N` in recorded labels is `Mesh::edges()[N]`). An edge's FIFO holds
+//! run-length `(request, count)` jobs: a `P`-pair request is one run per
+//! path edge, not `P` copies. A round moves up to `channels` jobs off the
+//! front runs (splitting the last one if needed) into the edge's reusable
+//! in-service buffer, and the round's `BatchDone` settles that buffer. This
+//! relies on one ordering fact, checked by a `debug_assert!`: a round's
+//! `BatchDone` is pushed before the edge's next `RoundStart`, can be no later
+//! than it, and `(time, sequence)` ordering therefore pops it first.
 //!
 //! In the uncontended limit this collapses to the closed-form
 //! [`uncontended_completion`] — exactly, not approximately, which is what
@@ -48,9 +61,9 @@
 use crate::queue::EventQueue;
 use crate::time::SimTime;
 use qla_obs::{Noop, ObsDetail, Recorder};
-use qla_sched::{CommRequest, Edge, Mesh};
+use qla_sched::{CommRequest, Edge, EdgeId, Mesh, Topology};
 use serde::Serialize;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Fixed parameters of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -169,6 +182,21 @@ pub struct WorkItem {
     pub tenant: usize,
 }
 
+impl WorkItem {
+    /// A bare replayed request arriving at `arrival`: no ancilla stage,
+    /// tenant 0 — the "scheduler front-end" form that turns the analytic
+    /// layer's pre-batched windows into arrivals.
+    #[must_use]
+    pub fn request(arrival: SimTime, request: CommRequest) -> Self {
+        WorkItem {
+            arrival,
+            ancillas: 0,
+            requests: vec![request],
+            tenant: 0,
+        }
+    }
+}
+
 /// One per-edge channel fault: during `[from, until)` the edge serves at
 /// most `channels` segment jobs per round instead of
 /// [`SimConfig::channels_per_edge`] (`0` is a full outage — rounds run
@@ -202,7 +230,7 @@ pub struct FactoryFault {
 /// factory capacity plus optional per-tenant admission quotas.
 ///
 /// The default (empty) timeline reproduces the healthy engine behaviour
-/// event-for-event — [`simulate`] is exactly [`simulate_faulted`] with an
+/// event-for-event — [`simulate`] is exactly [`simulate_observed`] with an
 /// empty timeline, which is what the zero-fault identity tests pin.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultTimeline {
@@ -415,8 +443,9 @@ enum Event {
     AncillaDone(usize),
     /// An edge's next service round begins.
     RoundStart(usize),
-    /// A round's batch of segment jobs (request ids) finished on an edge.
-    BatchDone(usize, Vec<usize>),
+    /// A round's batch of segment jobs (the edge's in-service buffer)
+    /// finished on an edge.
+    BatchDone(usize),
     /// A factory fault ended: capacity is back, re-kick the factory.
     /// (Edges need no such event — a queued edge keeps scheduling rounds
     /// through an outage, so it re-probes its capacity every slot.)
@@ -442,8 +471,14 @@ struct RequestState {
     jobs_left: usize,
 }
 
+#[derive(Default)]
 struct EdgeState {
-    queue: VecDeque<usize>,
+    /// Waiting segment jobs as FIFO runs of `(request id, count)`.
+    queue: VecDeque<(usize, usize)>,
+    /// Jobs across all of `queue`'s runs.
+    queued: usize,
+    /// The runs the current round serves, settled by its `BatchDone`.
+    in_service: Vec<(usize, usize)>,
     round_pending: bool,
     busy_until: SimTime,
 }
@@ -451,9 +486,10 @@ struct EdgeState {
 /// The simulator: mesh topology, link/factory state, and the event loop.
 struct Simulator<'a> {
     cfg: &'a SimConfig,
-    mesh: &'a Mesh,
-    edge_index: HashMap<Edge, usize>,
+    topology: Topology,
     edges: Vec<EdgeState>,
+    /// Scratch copy of the route being released.
+    route: Vec<EdgeId>,
     /// Channel faults per edge index, `(from, until, channels)`.
     edge_faults: Vec<Vec<(SimTime, SimTime, usize)>>,
     factory_faults: &'a [FactoryFault],
@@ -476,7 +512,19 @@ struct Simulator<'a> {
     rec: &'a mut dyn Recorder,
 }
 
-/// Run the simulator over a stream of work items.
+/// Run the simulator over a stream of work items on a healthy machine,
+/// unrecorded: [`simulate_observed`] with an empty [`FaultTimeline`] and a
+/// [`Noop`] recorder.
+///
+/// # Panics
+/// Exactly as [`simulate_observed`].
+#[must_use]
+pub fn simulate(mesh: &Mesh, cfg: &SimConfig, items: &[WorkItem]) -> SimOutcome {
+    simulate_observed(mesh, cfg, items, &FaultTimeline::default(), &mut Noop)
+}
+
+/// Run the simulator over a stream of work items under a compiled fault
+/// scenario, with an observability [`Recorder`] attached.
 ///
 /// Items may arrive in any time order; the event queue serialises them.
 /// The run ends when every item has completed (the engine always drains —
@@ -484,42 +532,17 @@ struct Simulator<'a> {
 /// capacity" shows up as a growing makespan, exactly like a saturated
 /// queueing system).
 ///
-/// # Panics
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]) or
-/// a request names a node outside the mesh.
-#[must_use]
-pub fn simulate(mesh: &Mesh, cfg: &SimConfig, items: &[WorkItem]) -> SimOutcome {
-    simulate_faulted(mesh, cfg, items, &FaultTimeline::default())
-}
-
-/// Run the simulator under a compiled fault scenario: time-varying channel
-/// and factory capacity plus per-tenant admission quotas.
+/// `faults` adds time-varying channel and factory capacity plus per-tenant
+/// admission quotas. An empty (default) timeline reproduces the healthy
+/// engine event-for-event — the zero-fault identity the acceptance tests
+/// pin. Faults never drop work: a job queued on an outaged edge waits for
+/// recovery, so the run still drains and degradation shows up as sojourn
+/// time and makespan.
 ///
-/// An empty (default) timeline reproduces [`simulate`] event-for-event —
-/// the zero-fault identity the acceptance tests pin. Faults never drop
-/// work: a job queued on an outaged edge waits for recovery, so the run
-/// still drains and degradation shows up as sojourn time and makespan.
-///
-/// # Panics
-/// Panics if the configuration is invalid (see [`SimConfig::validate`]),
-/// the timeline is inconsistent (see [`FaultTimeline::validate`]), or a
-/// request names a node outside the mesh.
-#[must_use]
-pub fn simulate_faulted(
-    mesh: &Mesh,
-    cfg: &SimConfig,
-    items: &[WorkItem],
-    faults: &FaultTimeline,
-) -> SimOutcome {
-    simulate_observed(mesh, cfg, items, faults, &mut Noop)
-}
-
-/// Run the simulator with an observability [`Recorder`] attached.
-///
-/// This is the one real entry point — [`simulate`] and [`simulate_faulted`]
-/// are this function with a [`Noop`] recorder, so recording can never
-/// change an outcome: the engine consults the recorder only to *emit*,
-/// never to decide. Recorded tracks (all integer virtual-time stamps):
+/// This is the one real entry point, and [`simulate`] is it with a [`Noop`]
+/// recorder, so recording can never change an outcome: the engine consults
+/// the recorder only to *emit*, never to decide. Recorded tracks (all
+/// integer virtual-time stamps):
 ///
 /// * `admission` — `admit` / `defer` / `quota-defer` instants per item;
 /// * `factory` — one `ancilla-prep` span per preparation slot occupancy;
@@ -529,7 +552,9 @@ pub fn simulate_faulted(
 ///   round spans and post-round queue-depth samples.
 ///
 /// # Panics
-/// Exactly as [`simulate_faulted`].
+/// Panics if the configuration is invalid (see [`SimConfig::validate`]),
+/// the timeline is inconsistent (see [`FaultTimeline::validate`]), or a
+/// request names a node outside the mesh.
 #[must_use]
 pub fn simulate_observed(
     mesh: &Mesh,
@@ -540,28 +565,20 @@ pub fn simulate_observed(
 ) -> SimOutcome {
     cfg.validate();
     faults.validate(mesh, cfg, items);
-    let mesh_edges = mesh.edges();
-    let edge_index: HashMap<Edge, usize> = mesh_edges
-        .iter()
-        .enumerate()
-        .map(|(i, &e)| (e, i))
-        .collect();
-    let mut edge_faults: Vec<Vec<(SimTime, SimTime, usize)>> = vec![Vec::new(); mesh_edges.len()];
+    let topology = Topology::new(mesh);
+    let mut edge_faults: Vec<Vec<(SimTime, SimTime, usize)>> =
+        vec![Vec::new(); topology.edge_count()];
     for fault in &faults.channel_faults {
-        edge_faults[edge_index[&fault.edge]].push((fault.from, fault.until, fault.channels));
+        let id = topology.edge_id(fault.edge).expect("validated fault edge");
+        edge_faults[id].push((fault.from, fault.until, fault.channels));
     }
     let mut sim = Simulator {
         cfg,
-        mesh,
-        edges: mesh_edges
-            .iter()
-            .map(|_| EdgeState {
-                queue: VecDeque::new(),
-                round_pending: false,
-                busy_until: SimTime::ZERO,
-            })
+        edges: (0..topology.edge_count())
+            .map(|_| EdgeState::default())
             .collect(),
-        edge_index,
+        topology,
+        route: Vec::new(),
         edge_faults,
         factory_faults: &faults.factory_faults,
         tenant_quotas: &faults.tenant_quotas,
@@ -620,27 +637,6 @@ pub fn simulate_observed(
     sim.run()
 }
 
-/// Convenience wrapper: replay a timestamped [`CommRequest`] stream (one
-/// work item per request, no ancilla stage) — the "scheduler front-end"
-/// that turns the analytic layer's pre-batched windows into arrivals.
-#[must_use]
-pub fn simulate_requests(
-    mesh: &Mesh,
-    cfg: &SimConfig,
-    requests: &[(SimTime, CommRequest)],
-) -> SimOutcome {
-    let items: Vec<WorkItem> = requests
-        .iter()
-        .map(|&(arrival, request)| WorkItem {
-            arrival,
-            ancillas: 0,
-            requests: vec![request],
-            tenant: 0,
-        })
-        .collect();
-    simulate(mesh, cfg, &items)
-}
-
 impl Simulator<'_> {
     fn run(mut self) -> SimOutcome {
         while let Some((now, event)) = self.events.pop() {
@@ -648,7 +644,7 @@ impl Simulator<'_> {
                 Event::Arrival(item) => self.on_arrival(item, now),
                 Event::AncillaDone(item) => self.on_ancilla_done(item, now),
                 Event::RoundStart(edge) => self.on_round_start(edge, now),
-                Event::BatchDone(edge, jobs) => self.on_batch_done(edge, &jobs, now),
+                Event::BatchDone(edge) => self.on_batch_done(edge, now),
                 Event::FactoryRecovered => self.factory_kick(now),
             }
         }
@@ -678,7 +674,7 @@ impl Simulator<'_> {
             items,
             makespan: self.makespan,
             events: self.events.processed(),
-            edges: self.edges.len(),
+            edges: self.topology.edge_count(),
             busy_channel_ns: self.busy_channel_ns,
             measured_busy_channel_ns: self.measured_busy_channel_ns,
             busy_factory_ns: self.busy_factory_ns,
@@ -806,9 +802,15 @@ impl Simulator<'_> {
             self.complete_item(item, now);
             return;
         }
+        let mut route = std::mem::take(&mut self.route);
         for request in comm {
-            let path = shortest_path(self.mesh, request.from, request.to);
-            let hops = path.len().saturating_sub(1);
+            // Co-located endpoints on a single-tile mesh have no edge to
+            // leave through: a zero-hop route that completes at release.
+            route.clear();
+            if let Some(r) = self.topology.route(request.from, request.to, |_| true) {
+                route.extend_from_slice(r.edges);
+            }
+            let hops = route.len();
             let jobs = request.pairs * hops;
             let id = self.requests.len();
             self.requests.push(RequestState {
@@ -823,14 +825,14 @@ impl Simulator<'_> {
                 self.complete_request(id, now);
                 continue;
             }
-            for pair in path.windows(2) {
-                let edge = self.edge_index[&Edge::new(pair[0], pair[1])];
-                for _ in 0..request.pairs {
-                    self.edges[edge].queue.push_back(id);
-                }
+            for &edge in &route {
+                let e = &mut self.edges[edge];
+                e.queue.push_back((id, request.pairs));
+                e.queued += request.pairs;
                 self.schedule_round(edge, now);
             }
         }
+        self.route = route;
     }
 
     fn schedule_round(&mut self, edge: usize, now: SimTime) {
@@ -851,15 +853,27 @@ impl Simulator<'_> {
         // surviving channels) runs the round dark and re-probes at the
         // next slot, so queued jobs simply wait out the fault.
         let capacity = self.channels_at(edge, now);
-        let served = {
-            let e = &mut self.edges[edge];
-            e.round_pending = false;
-            let batch = e.queue.len().min(capacity);
-            let jobs: Vec<usize> = e.queue.drain(..batch).collect();
-            e.busy_until = now + self.cfg.pair_service;
-            jobs
-        };
-        if !served.is_empty() {
+        let e = &mut self.edges[edge];
+        debug_assert!(
+            e.in_service.is_empty(),
+            "edge {edge}: round at {now:?} started before the previous round's BatchDone"
+        );
+        e.round_pending = false;
+        let served = e.queued.min(capacity);
+        e.queued -= served;
+        let mut left = served;
+        while left > 0 {
+            let front = e.queue.front_mut().expect("queued counts the runs' jobs");
+            let take = front.1.min(left);
+            e.in_service.push((front.0, take));
+            front.1 -= take;
+            left -= take;
+            if front.1 == 0 {
+                e.queue.pop_front();
+            }
+        }
+        e.busy_until = now + self.cfg.pair_service;
+        if served > 0 {
             let done = now + self.cfg.pair_service;
             if self.rec.enabled() && self.rec.detail() == ObsDetail::Full {
                 // High-volume per-edge tracks, Full detail only: the busy
@@ -871,26 +885,27 @@ impl Simulator<'_> {
                     now.nanos(),
                     self.cfg.pair_service.nanos(),
                 );
-                self.rec.counter(
-                    "queue",
-                    &label,
-                    now.nanos(),
-                    self.edges[edge].queue.len() as u64,
-                );
+                self.rec
+                    .counter("queue", &label, now.nanos(), self.edges[edge].queued as u64);
             }
-            self.account_channels(served.len(), now, done);
-            self.events.push(done, Event::BatchDone(edge, served));
+            self.account_channels(served, now, done);
+            self.events.push(done, Event::BatchDone(edge));
         }
         self.schedule_round(edge, now);
     }
 
-    fn on_batch_done(&mut self, _edge: usize, jobs: &[usize], now: SimTime) {
-        for &id in jobs {
-            self.requests[id].jobs_left -= 1;
+    fn on_batch_done(&mut self, edge: usize, now: SimTime) {
+        // Completions may release new requests onto this very edge; they
+        // only queue, so the taken buffer is the whole batch.
+        let mut batch = std::mem::take(&mut self.edges[edge].in_service);
+        for &(id, count) in &batch {
+            self.requests[id].jobs_left -= count;
             if self.requests[id].jobs_left == 0 {
                 self.complete_request(id, now);
             }
         }
+        batch.clear();
+        self.edges[edge].in_service = batch;
     }
 
     fn complete_request(&mut self, id: usize, now: SimTime) {
@@ -945,49 +960,6 @@ impl Simulator<'_> {
     }
 }
 
-/// Deterministic breadth-first shortest path over the mesh (neighbour order
-/// is the mesh's fixed left/right/up/down order, so routing never depends
-/// on hash-map iteration). Co-located endpoints route out-and-back through
-/// the first neighbour, mirroring the greedy scheduler's convention that
-/// the pair still has to leave the tile.
-#[must_use]
-pub fn shortest_path(mesh: &Mesh, from: usize, to: usize) -> Vec<usize> {
-    assert!(
-        from < mesh.node_count() && to < mesh.node_count(),
-        "request endpoints ({from}, {to}) outside the {}-node mesh",
-        mesh.node_count()
-    );
-    if from == to {
-        return match mesh.neighbours(from).first() {
-            Some(&n) => vec![from, n],
-            None => vec![from],
-        };
-    }
-    let mut prev: Vec<Option<usize>> = vec![None; mesh.node_count()];
-    prev[from] = Some(from);
-    let mut queue = VecDeque::new();
-    queue.push_back(from);
-    'search: while let Some(node) = queue.pop_front() {
-        for next in mesh.neighbours(node) {
-            if prev[next].is_none() {
-                prev[next] = Some(node);
-                if next == to {
-                    break 'search;
-                }
-                queue.push_back(next);
-            }
-        }
-    }
-    let mut path = vec![to];
-    let mut cursor = to;
-    while cursor != from {
-        cursor = prev[cursor].expect("grid meshes are connected");
-        path.push(cursor);
-    }
-    path.reverse();
-    path
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1014,6 +986,19 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
+    /// One bare work item per timestamped request.
+    fn run_requests(
+        mesh: &Mesh,
+        cfg: &SimConfig,
+        requests: &[(SimTime, CommRequest)],
+    ) -> SimOutcome {
+        let items: Vec<WorkItem> = requests
+            .iter()
+            .map(|&(arrival, r)| WorkItem::request(arrival, r))
+            .collect();
+        simulate(mesh, cfg, &items)
+    }
+
     #[test]
     fn slot_grid_quantises_to_rounds_and_windows() {
         let c = cfg();
@@ -1038,7 +1023,7 @@ mod tests {
         // Uncontended, aligned, pairs <= channels: latency == s, the
         // closed-form pair_service_time prediction.
         let mesh = Mesh::new(4, 4, 2);
-        let out = simulate_requests(&mesh, &cfg(), &[(SimTime::ZERO, request(0, 3, 4))]);
+        let out = run_requests(&mesh, &cfg(), &[(SimTime::ZERO, request(0, 3, 4))]);
         assert_eq!(out.requests.len(), 1);
         assert_eq!(out.requests[0].hops, 3);
         assert_eq!(out.requests[0].completion, at(100));
@@ -1060,7 +1045,7 @@ mod tests {
             (2_000, 80),
         ] {
             let c = cfg();
-            let out = simulate_requests(&mesh, &c, &[(at(release), request(0, 17, pairs))]);
+            let out = run_requests(&mesh, &c, &[(at(release), request(0, 17, pairs))]);
             assert_eq!(
                 out.requests[0].completion,
                 c.uncontended_completion(at(release), pairs),
@@ -1077,7 +1062,7 @@ mod tests {
         let mesh = Mesh::new(5, 1, 1);
         let c = cfg();
         for pairs in [1usize, 39, 40, 41, 80, 81, 397] {
-            let out = simulate_requests(&mesh, &c, &[(SimTime::ZERO, request(0, 4, pairs))]);
+            let out = run_requests(&mesh, &c, &[(SimTime::ZERO, request(0, 4, pairs))]);
             let analytic = pairs
                 .div_ceil(c.channels_per_edge)
                 .div_ceil(c.pairs_per_window);
@@ -1091,7 +1076,7 @@ mod tests {
         // queue behind the first's and finish one round later.
         let mesh = Mesh::new(2, 1, 1);
         let c = cfg();
-        let out = simulate_requests(
+        let out = run_requests(
             &mesh,
             &c,
             &[
@@ -1108,7 +1093,7 @@ mod tests {
     #[test]
     fn colocated_requests_route_out_and_back() {
         let mesh = Mesh::new(3, 3, 1);
-        let out = simulate_requests(&mesh, &cfg(), &[(SimTime::ZERO, request(4, 4, 2))]);
+        let out = run_requests(&mesh, &cfg(), &[(SimTime::ZERO, request(4, 4, 2))]);
         assert_eq!(out.requests[0].hops, 1);
         assert_eq!(out.requests[0].completion, at(100));
     }
@@ -1194,7 +1179,7 @@ mod tests {
         };
         // One 4-pair round spans [0, 100) ns; only 50 ns × 4 channels fall
         // inside the interval.
-        let out = simulate_requests(&mesh, &measured, &[(SimTime::ZERO, request(0, 1, 4))]);
+        let out = run_requests(&mesh, &measured, &[(SimTime::ZERO, request(0, 1, 4))]);
         assert_eq!(out.busy_channel_ns, 400);
         assert_eq!(out.measured_busy_channel_ns, 200);
     }
@@ -1230,7 +1215,7 @@ mod tests {
             .collect();
         assert_eq!(
             simulate(&mesh, &c, &items),
-            simulate_faulted(&mesh, &c, &items, &FaultTimeline::default()),
+            simulate_observed(&mesh, &c, &items, &FaultTimeline::default(), &mut Noop),
             "a healthy timeline must not perturb the run"
         );
     }
@@ -1257,7 +1242,7 @@ mod tests {
         // Healthy: one 4-pair round completes at s = 100 ns. Outaged: the
         // first serving round is the first slot at/after recovery.
         assert_eq!(simulate(&mesh, &c, &items).makespan, at(100));
-        let out = simulate_faulted(&mesh, &c, &items, &faults);
+        let out = simulate_observed(&mesh, &c, &items, &faults, &mut Noop);
         assert_eq!(out.makespan, at(1_100));
     }
 
@@ -1283,7 +1268,7 @@ mod tests {
         // The rounds starting at 0 and 100 ns fall inside the fault and
         // serve 1 job each; the round at 200 ns is past it and serves the
         // remaining 2 at full width.
-        let out = simulate_faulted(&mesh, &c, &items, &faults);
+        let out = simulate_observed(&mesh, &c, &items, &faults, &mut Noop);
         assert_eq!(out.makespan, at(300));
         // And work arriving after recovery is completely unaffected.
         let late = [WorkItem {
@@ -1293,7 +1278,7 @@ mod tests {
             tenant: 0,
         }];
         assert_eq!(
-            simulate_faulted(&mesh, &c, &late, &faults),
+            simulate_observed(&mesh, &c, &late, &faults, &mut Noop),
             simulate(&mesh, &c, &late),
             "a past fault must leave later traffic untouched"
         );
@@ -1320,7 +1305,7 @@ mod tests {
         // Healthy: the single prep runs [0, 1000). Stalled: it cannot
         // start before the recovery instant at 5000 ns.
         assert_eq!(simulate(&mesh, &c, &items).items[0].released, at(1_000));
-        let out = simulate_faulted(&mesh, &c, &items, &faults);
+        let out = simulate_observed(&mesh, &c, &items, &faults, &mut Noop);
         assert_eq!(out.items[0].released, at(6_000));
     }
 
@@ -1339,7 +1324,7 @@ mod tests {
             tenant_quotas: vec![1, 2],
             ..FaultTimeline::default()
         };
-        let out = simulate_faulted(&mesh, &c, &items, &faults);
+        let out = simulate_observed(&mesh, &c, &items, &faults, &mut Noop);
         // Tenant 1's two items are admitted immediately; tenant 0's second
         // waits for its first to finish (quota 1) even though the global
         // limit never binds.
@@ -1374,7 +1359,7 @@ mod tests {
             }],
             ..FaultTimeline::default()
         };
-        let plain = simulate_faulted(&mesh, &c, &items, &faults);
+        let plain = simulate_observed(&mesh, &c, &items, &faults, &mut Noop);
 
         let mut full = EventLog::for_point(ObsConfig::full(), "sim");
         let observed = simulate_observed(&mesh, &c, &items, &faults, &mut full);
@@ -1428,7 +1413,7 @@ mod tests {
             tenant_quotas: vec![4],
             ..FaultTimeline::default()
         };
-        let _ = simulate_faulted(&mesh, &cfg(), &items, &faults);
+        let _ = simulate_observed(&mesh, &cfg(), &items, &faults, &mut Noop);
     }
 
     #[test]
@@ -1444,6 +1429,6 @@ mod tests {
             }],
             ..FaultTimeline::default()
         };
-        let _ = simulate_faulted(&mesh, &cfg(), &[], &faults);
+        let _ = simulate_observed(&mesh, &cfg(), &[], &faults, &mut Noop);
     }
 }

@@ -30,9 +30,12 @@
 //!   `(time, sequence)` tie-breaking: runs are byte-reproducible under the
 //!   repository's determinism CI.
 //! * [`engine`] — the actors: EPR links as window-paced multi-channel FIFO
-//!   queues over the [`qla_sched::Mesh`], ancilla factories, admission
-//!   control, and the closed-form [`engine::SimConfig::uncontended_completion`]
-//!   the contended results are measured against.
+//!   queues of run-length `(request, count)` jobs, one per edge of the
+//!   dense [`qla_sched::Topology`], ancilla factories, admission control,
+//!   and the closed-form [`engine::SimConfig::uncontended_completion`] the
+//!   contended results are measured against. [`simulate_observed`] is the
+//!   one entry point (faults and recorder included); [`simulate`] is it on
+//!   a healthy, unrecorded machine.
 //! * [`workload`] — timestamped Toffoli/[`qla_sched::CommRequest`] arrival
 //!   streams (the replayed form of the Section 5 traffic model).
 //! * [`stats`] — exact nearest-rank percentiles for tail-latency reports.
@@ -52,7 +55,7 @@
 //!
 //! ```
 //! use qla_sched::{CommRequest, Mesh};
-//! use qla_sim::{simulate_requests, SimConfig, SimTime};
+//! use qla_sim::{simulate, SimConfig, SimTime, WorkItem};
 //!
 //! let mesh = Mesh::new(2, 1, 2); // one edge, bandwidth 2 => 4 channels
 //! let cfg = SimConfig {
@@ -66,7 +69,8 @@
 //!     measure: None,
 //! };
 //! let req = CommRequest { from: 0, to: 1, pairs: 4 };
-//! let out = simulate_requests(&mesh, &cfg, &[(SimTime::ZERO, req), (SimTime::ZERO, req)]);
+//! let items = [WorkItem::request(SimTime::ZERO, req), WorkItem::request(SimTime::ZERO, req)];
+//! let out = simulate(&mesh, &cfg, &items);
 //!
 //! // The first request finishes after one service round, the second after
 //! // two — and both match the closed-form prediction plus queueing.
@@ -89,8 +93,8 @@ pub mod time;
 pub mod workload;
 
 pub use engine::{
-    shortest_path, simulate, simulate_faulted, simulate_observed, simulate_requests, ChannelFault,
-    FactoryFault, FaultTimeline, ItemOutcome, RequestOutcome, SimConfig, SimOutcome, WorkItem,
+    simulate, simulate_observed, ChannelFault, FactoryFault, FaultTimeline, ItemOutcome,
+    RequestOutcome, SimConfig, SimOutcome, WorkItem,
 };
 pub use queue::EventQueue;
 pub use stats::{mean_nanos, percentile, sorted_nanos, LatencySummary};
