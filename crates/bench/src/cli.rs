@@ -3,12 +3,10 @@
 //!
 //! It understands the unified flag set (`--trials`, `--seed`, `--format`,
 //! `--out-dir`, `--jobs`, and the repeatable `--trace FILE` that swaps
-//! `trace-replay`'s built-in programs for user trace files), a bare
-//! positional integer as the trial count (the
-//! historical calling convention of `fig7_threshold`), and tolerates the
-//! historical ablation flags (`--serial`, `--sweep-bandwidth`,
-//! `--ballistic-baseline`) whose ablations are now always part of the
-//! corresponding experiment's report.
+//! `trace-replay`'s built-in programs for user trace files). Any other
+//! `--flag` is an `unknown flag` error, and `--trials N` is the only way to
+//! set a trial budget: a bare integer is a positional like any other, so
+//! [`CliArgs::expect_positionals`] rejects it as an extra argument.
 //!
 //! `--jobs N` — or `--jobs auto` to size the pool to the machine —
 //! selects the [`Executor`] sweeps run on (default: the `QLA_JOBS`
@@ -143,32 +141,30 @@ impl CliArgs {
                     }
                     parsed.traces.push(PathBuf::from(v));
                 }
-                // Historical ablation flags: the ablations are now always
-                // included in the reports, so these are accepted and ignored.
-                "--serial" | "--sweep-bandwidth" | "--ballistic-baseline" => {}
                 flag if flag.starts_with("--") => {
                     return Err(format!("unknown flag '{flag}'"));
                 }
-                positional => {
-                    // The historical convention: a bare integer is the trial
-                    // count. A second one is ambiguous (old binaries took at
-                    // most one), so reject it rather than let it silently
-                    // override.
-                    if let Ok(trials) = positional.parse::<usize>() {
-                        if parsed.trials.is_some() {
-                            return Err(format!(
-                                "trial count given more than once (second value: '{positional}'); \
-                                 use --trials N exactly once"
-                            ));
-                        }
-                        parsed.trials = Some(check_trials(trials)?);
-                    } else {
-                        parsed.positional.push(positional.to_string());
-                    }
-                }
+                positional => parsed.positional.push(positional.to_string()),
             }
         }
         Ok(parsed)
+    }
+
+    /// Reject positional arguments past the first `expected`, which a
+    /// subcommand would otherwise silently ignore (`run table1
+    /// table2-shor` running only `table1`, or the `500` of `run
+    /// fig7-threshold 500` dropping a trial count).
+    ///
+    /// # Errors
+    /// Returns a message naming the extra arguments.
+    pub fn expect_positionals(&self, expected: usize) -> Result<(), String> {
+        if self.positional.len() > expected {
+            return Err(format!(
+                "unexpected extra arguments: {}",
+                self.positional[expected..].join(" ")
+            ));
+        }
+        Ok(())
     }
 
     /// The execution context for an experiment with the given default trial
@@ -268,8 +264,7 @@ pub fn resolve_jobs(flag: Option<usize>, env: Option<&str>) -> Result<usize, Str
 /// Reject a zero trial budget loudly. A Monte-Carlo experiment with zero
 /// trials would silently produce all-zero rates (0 failures out of 0), and
 /// downstream consumers could mistake the hole for a measurement — so
-/// `--trials 0` (and the bare-integer form `qla-bench run <x> 0`) is a
-/// usage error, not a degenerate run.
+/// `--trials 0` is a usage error, not a degenerate run.
 fn check_trials(trials: usize) -> Result<usize, String> {
     if trials == 0 {
         return Err(
@@ -585,16 +580,27 @@ mod tests {
     }
 
     #[test]
-    fn bare_integers_are_trial_counts_like_the_old_binaries() {
-        let args = parse(&["25000"]).unwrap();
-        assert_eq!(args.trials, Some(25_000));
-        assert!(args.positional.is_empty());
+    fn bare_integers_are_stray_positionals_not_trial_counts() {
+        for trials in ["25000", "0"] {
+            let args = parse(&["run", "fig7-threshold", trials]).unwrap();
+            assert_eq!(args.trials, None);
+            let err = args.expect_positionals(2).unwrap_err();
+            assert_eq!(err, format!("unexpected extra arguments: {trials}"));
+        }
+        assert!(parse(&["run", "fig7-threshold"])
+            .unwrap()
+            .expect_positionals(2)
+            .is_ok());
     }
 
     #[test]
-    fn historical_ablation_flags_are_tolerated() {
-        let args = parse(&["--serial", "--sweep-bandwidth", "--ballistic-baseline"]).unwrap();
-        assert_eq!(args, CliArgs::default());
+    fn historical_ablation_flags_are_unknown_flags() {
+        for flag in ["--serial", "--sweep-bandwidth", "--ballistic-baseline"] {
+            assert_eq!(
+                parse(&[flag]).unwrap_err(),
+                format!("unknown flag '{flag}'")
+            );
+        }
     }
 
     #[test]
@@ -609,12 +615,17 @@ mod tests {
 
     #[test]
     fn a_second_bare_trial_count_is_rejected_not_silently_overriding() {
-        assert!(parse(&["40000", "7"])
-            .unwrap_err()
-            .contains("more than once"));
-        assert!(parse(&["--trials", "500", "7"])
-            .unwrap_err()
-            .contains("more than once"));
+        let args = parse(&["run", "fig7-threshold", "40000", "7"]).unwrap();
+        assert_eq!(
+            args.expect_positionals(2).unwrap_err(),
+            "unexpected extra arguments: 40000 7"
+        );
+        let args = parse(&["run", "fig7-threshold", "--trials", "500", "7"]).unwrap();
+        assert_eq!(args.trials, Some(500));
+        assert_eq!(
+            args.expect_positionals(2).unwrap_err(),
+            "unexpected extra arguments: 7"
+        );
     }
 
     #[test]
@@ -717,9 +728,6 @@ mod tests {
         // would happily report 0-failure-out-of-0 rates; `--jobs 0` has no
         // meaningful executor. Both are usage errors, in every spelling.
         let err = parse(&["--trials", "0"]).unwrap_err();
-        assert!(err.contains("--trials must be at least 1"), "{err}");
-        // The historical bare-integer trial count gets the same treatment.
-        let err = parse(&["run", "fig7-threshold", "0"]).unwrap_err();
         assert!(err.contains("--trials must be at least 1"), "{err}");
         let err = parse(&["--jobs", "0"]).unwrap_err();
         assert!(err.contains("must be at least 1"), "{err}");

@@ -34,8 +34,8 @@ pub struct EccLatencyOutput {
     pub model: (f64, f64),
     /// The paper's published constants (0.003 s, 0.043 s).
     pub paper: (f64, f64),
-    /// Level-2 trivial-syndrome step with serial ancilla handling (the
-    /// ablation the old `--serial` flag printed), in milliseconds.
+    /// Level-2 trivial-syndrome step with serial ancilla handling (an
+    /// ablation every report carries), in milliseconds.
     pub serial_ablation_ms: f64,
 }
 

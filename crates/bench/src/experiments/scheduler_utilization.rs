@@ -1,7 +1,6 @@
 //! Section 5: aggregate bandwidth utilisation of the greedy EPR scheduler on
 //! fault-tolerant Toffoli traffic, across bandwidths (the paper's design
-//! point is bandwidth 2; the old `--sweep-bandwidth` ablation is always
-//! included).
+//! point is bandwidth 2; every report carries the whole bandwidth sweep).
 
 use crate::experiments::round2;
 use qla_core::{Experiment, ExperimentContext};

@@ -40,9 +40,9 @@
 //! | `sensitivity` | §6 — scenario matrix across the built-in profiles |
 //!
 //! Every artefact runs through the one `qla-bench` binary
-//! (`cargo run --release -p qla-bench -- run fig7-threshold`), and the
-//! Criterion benches in `benches/` measure the performance of the
-//! simulator substrate itself.
+//! (`cargo run --release -p qla-bench -- run fig7-threshold`). The
+//! performance of the stack itself is measured by the separate `qla-perf`
+//! package (`qla-perf/`), end to end and per layer.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -97,14 +97,11 @@ fn main() {
     }
 }
 
-/// Reject trailing positional arguments a subcommand would otherwise
-/// silently ignore (e.g. `run table1 table2-shor` running only `table1`).
+/// Exit with usage on trailing positional arguments (see
+/// [`CliArgs::expect_positionals`]).
 fn expect_positionals(args: &CliArgs, expected: usize) {
-    if args.positional.len() > expected {
-        fail(&format!(
-            "unexpected extra arguments: {}\n{USAGE}",
-            args.positional[expected..].join(" ")
-        ));
+    if let Err(message) = args.expect_positionals(expected) {
+        fail(&format!("{message}\n{USAGE}"));
     }
 }
 

@@ -24,7 +24,7 @@ fn run(name: &str, cli: &CliArgs, trials: usize) -> qla_report::Report {
 
 #[test]
 fn profile_current_with_jobs_4_is_byte_stable() {
-    // The acceptance criterion: `qla-bench run fig7-threshold --profile
+    // The acceptance check: `qla-bench run fig7-threshold --profile
     // current --jobs 4` produces byte-stable output carrying scenario
     // metadata. Byte-stable means run-to-run identical AND identical to
     // the sequential evaluation.

@@ -121,9 +121,8 @@ proptest! {
 
 #[test]
 fn sim_vs_analytic_agrees_uncontended_and_dominates_contended() {
-    // The PR acceptance criterion, as a test: exact agreement where there
-    // is no contention, sim >= analytic (with real divergence) where there
-    // is.
+    // The acceptance check: exact agreement where there is no contention,
+    // sim >= analytic (with real divergence) where there is.
     for profile in ["expected", "current"] {
         let spec = MachineSpec::builtin(profile).unwrap();
         let ctx = ExperimentContext::new(1, 2005).with_spec(spec);

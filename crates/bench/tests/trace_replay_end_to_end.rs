@@ -56,7 +56,7 @@ fn one_invocation_replays_real_programs_through_scheduler_and_sim() {
                     "{profile}/{}: sim processed no events",
                     p.program
                 );
-                // The acceptance criterion: under contention the sim —
+                // The acceptance check: under contention the sim —
                 // which also charges queueing, factory occupancy, and
                 // admission — can only meet or exceed the analytic plan.
                 assert!(

@@ -1,8 +1,8 @@
-//! The QLA machine model and the ARQ architectural simulator — the paper's
-//! primary contribution, assembled from the substrate crates.
+//! The QLA machine model and the Figure 7 Monte-Carlo — the paper's primary
+//! contribution, assembled from the substrate crates. (Running a Clifford
+//! circuit on the stabilizer backend, the core of the paper's ARQ simulator,
+//! is `qla_qec::run_clifford`.)
 //!
-//! * [`arq`] — the ARQ pipeline: circuits are lowered onto the stabilizer
-//!   backend and annotated with physical timing (Section 3's simulator).
 //! * [`montecarlo`] — the Figure 7 experiment: circuit-level Monte-Carlo
 //!   estimation of the logical gate failure rate at recursion levels 1 and 2
 //!   and of the empirical threshold.
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod arq;
 pub mod builder;
 pub mod cache;
 pub mod executor;
@@ -46,7 +45,6 @@ pub mod montecarlo;
 pub mod spec;
 pub mod stats;
 
-pub use arq::{Arq, ArqError, ArqRun};
 pub use builder::{MachineBuildError, MachineBuilder};
 pub use cache::LruCache;
 pub use executor::Executor;

@@ -15,11 +15,13 @@
 //!   correct — for both error types) with depolarising faults injected at
 //!   every physical operation, then asks whether a *logical* error remains
 //!   after ideal decoding;
-//! * the level-2 rate is obtained by the standard concatenation construction:
+//! * the level-2 rate is obtained by the standard concatenation substitution:
 //!   the level-1 logical error rate measured above becomes the component
-//!   error rate of another level-1 simulation (documented substitution in
-//!   DESIGN.md — the full 98-qubit flat simulation gives the same asymptotics
-//!   at far higher cost).
+//!   error rate of another level-1 simulation. The substitution assumes that
+//!   level-1 failures act as independent component faults, each level-1
+//!   block failing on its own with the measured rate. It does not model the
+//!   level-1 error correction inside level-2 ancilla preparation. No flat
+//!   98-qubit level-2 simulation checks it.
 //!
 //! The crossing point of the two curves is the empirical threshold; the paper
 //! measures (2.1 ± 1.8) × 10⁻³.

@@ -1,11 +1,11 @@
 //! Property tests for compiled fault timelines against the engine: a
-//! degraded channel can only push the sojourn tail up, and once the
-//! outage window passes the machine serves late arrivals exactly like a
-//! healthy one.
+//! degraded channel can only push the sojourn tail up, a degraded run is
+//! deterministic and unperturbed by recording, and once the outage window
+//! passes the machine serves late arrivals exactly like a healthy one.
 
 use proptest::prelude::*;
 use qla_faults::{windows, FaultPlan};
-use qla_obs::Noop;
+use qla_obs::{EventLog, Noop, ObsConfig};
 use qla_sched::Mesh;
 use qla_sim::{
     simulate, simulate_observed, toffoli_arrivals, toffoli_work_items, LatencySummary, SimConfig,
@@ -66,6 +66,18 @@ proptest! {
 
         let healthy = simulate(&mesh, &cfg, &items);
         let degraded = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
+        // A degraded timeline is as deterministic as a healthy one: the
+        // same outcome run to run, and full recording does not perturb it.
+        prop_assert!(degraded.events > 0);
+        prop_assert_eq!(
+            &degraded,
+            &simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop)
+        );
+        let mut log = EventLog::for_point(ObsConfig::full(), "degraded");
+        prop_assert_eq!(
+            &degraded,
+            &simulate_observed(&mesh, &cfg, &items, &timeline, &mut log)
+        );
 
         let healthy_p99 = LatencySummary::of(&healthy.sojourns()).p99_ns;
         let degraded_p99 = LatencySummary::of(&degraded.sojourns()).p99_ns;

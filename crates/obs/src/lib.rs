@@ -14,8 +14,8 @@
 //!
 //! - [`Recorder`]: the instrumentation trait the engine and service write
 //!   against. [`Noop`] is the always-off implementation; call sites gate on
-//!   [`Recorder::enabled`] so that recording off costs one branch and no
-//!   allocations (pinned by the `obs_recording` criterion bench).
+//!   [`Recorder::enabled`] so that recording off costs one branch. The
+//!   `obs-overhead` experiment counts what each detail level records.
 //! - [`EventLog`]: the structured in-memory implementation — spans,
 //!   instants, and counter samples on named tracks, with a detail level and
 //!   counter sampling stride from [`ObsConfig`] (the `sweep.obs.*` spec

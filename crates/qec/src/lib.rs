@@ -10,6 +10,10 @@
 //!   compilation (stabilizer supports as `u64` masks, decoders as
 //!   syndrome-indexed correction LUTs) that the Monte-Carlo hot path runs on
 //!   ([`code`]).
+//! * [`arq`] — [`run_clifford`], the core of the paper's ARQ simulator: runs
+//!   a Clifford circuit on the stabilizer backend and returns its
+//!   measurement bits (the one `Gate` → `CliffordGate` lowering; a
+//!   non-Clifford gate is a typed [`NonCliffordGate`] error).
 //! * [`steane`] — the Steane [[7,1,3]] code: stabilizers, the |0⟩_L/|+⟩_L
 //!   encoders, transversal logical gates.
 //! * [`bitflip`] — the 3-qubit bit-flip code used illustratively in Figure 4.
@@ -25,6 +29,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod arq;
 pub mod bitflip;
 pub mod code;
 pub mod latency;
@@ -33,6 +38,7 @@ pub mod steane;
 pub mod syndrome;
 pub mod threshold;
 
+pub use arq::{run_clifford, NonCliffordGate};
 pub use code::{CodeMasks, CssCode};
 pub use latency::{EccLatencies, EccLatencyModel, ScheduleShape};
 pub use recursion::ConcatenatedSteane;

@@ -138,22 +138,12 @@ pub fn append_transversal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qla_stabilizer::{CliffordGate, PauliString, StabilizerSimulator};
+    use crate::arq::run_clifford;
+    use qla_stabilizer::{PauliString, StabilizerSimulator};
 
-    fn run_clifford(circuit: &Circuit, n: usize) -> StabilizerSimulator {
+    fn simulate(circuit: &Circuit, n: usize) -> StabilizerSimulator {
         let mut sim = StabilizerSimulator::with_seed(n, 11);
-        for g in circuit.gates() {
-            let cg = match *g {
-                qla_circuit::Gate::H(q) => CliffordGate::H(q),
-                qla_circuit::Gate::X(q) => CliffordGate::X(q),
-                qla_circuit::Gate::Z(q) => CliffordGate::Z(q),
-                qla_circuit::Gate::S(q) => CliffordGate::S(q),
-                qla_circuit::Gate::Sdg(q) => CliffordGate::Sdg(q),
-                qla_circuit::Gate::Cnot(a, b) => CliffordGate::Cnot(a, b),
-                other => panic!("unexpected gate {other} in encoder"),
-            };
-            sim.apply_ideal(cg);
-        }
+        run_clifford(&mut sim, circuit).expect("test circuits are Clifford");
         sim
     }
 
@@ -176,7 +166,7 @@ mod tests {
     #[test]
     fn encoder_prepares_logical_zero() {
         let code = steane_code();
-        let sim = run_clifford(&encode_zero_circuit(), 7);
+        let sim = simulate(&encode_zero_circuit(), 7);
         for s in code
             .x_stabilizer_strings()
             .iter()
@@ -192,7 +182,7 @@ mod tests {
     #[test]
     fn encoder_plus_prepares_logical_plus() {
         let code = steane_code();
-        let sim = run_clifford(&encode_plus_circuit(), 7);
+        let sim = simulate(&encode_plus_circuit(), 7);
         for s in code
             .x_stabilizer_strings()
             .iter()
@@ -209,7 +199,7 @@ mod tests {
         let code = steane_code();
         let mut circuit = encode_zero_circuit();
         append_transversal(&mut circuit, TransversalGate::X, 0, None);
-        let sim = run_clifford(&circuit, 7);
+        let sim = simulate(&circuit, 7);
         // Now stabilized by -Z_L, i.e. it is |1>_L: Z_L no longer stabilizes
         // with + sign.
         let mut minus_zl = code.logical_z_string();
@@ -225,7 +215,7 @@ mod tests {
         let code = steane_code();
         let mut circuit = encode_zero_circuit();
         append_transversal(&mut circuit, TransversalGate::H, 0, None);
-        let sim = run_clifford(&circuit, 7);
+        let sim = simulate(&circuit, 7);
         assert!(sim.stabilizes(&code.logical_x_string()));
     }
 
@@ -237,7 +227,7 @@ mod tests {
         circuit.append_offset(&encode_zero_circuit(), 7);
         append_transversal(&mut circuit, TransversalGate::X, 0, None);
         append_transversal(&mut circuit, TransversalGate::Cnot, 0, Some(7));
-        let sim = run_clifford(&circuit, 14);
+        let sim = simulate(&circuit, 14);
         // Logical Z on block B should now have a -1 expectation: check that
         // +Z_L(B) does not stabilize while -Z_L(B) does.
         let zl_b =

@@ -109,8 +109,9 @@ pub fn extraction_op_counts(error_type: ErrorType) -> qla_circuit::GateCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arq::run_clifford;
     use crate::steane::steane_code;
-    use qla_stabilizer::{CliffordGate, StabilizerSimulator};
+    use qla_stabilizer::StabilizerSimulator;
 
     /// Run a circuit on the tableau backend, injecting `error` on data qubit
     /// `error_qubit` *before* the transversal interaction, and return the 7
@@ -122,34 +123,11 @@ mod tests {
     ) -> Vec<bool> {
         let mut sim = StabilizerSimulator::with_seed(14, 5);
         // Prepare the data block in |0>_L first.
-        for g in encode_zero_circuit().gates() {
-            sim.apply_ideal(to_clifford(g));
-        }
+        run_clifford(&mut sim, &encode_zero_circuit()).expect("encoder is Clifford");
         if let Some(q) = error_qubit {
             sim.apply_pauli(q, error);
         }
-        let mut measured = Vec::new();
-        for g in extraction_circuit(error_type).gates() {
-            if let qla_circuit::Gate::MeasureZ(q) = g {
-                measured.push(sim.measure_ideal(*q).value);
-            } else {
-                sim.apply_ideal(to_clifford(g));
-            }
-        }
-        measured
-    }
-
-    fn to_clifford(g: &qla_circuit::Gate) -> CliffordGate {
-        match *g {
-            qla_circuit::Gate::H(q) => CliffordGate::H(q),
-            qla_circuit::Gate::X(q) => CliffordGate::X(q),
-            qla_circuit::Gate::Z(q) => CliffordGate::Z(q),
-            qla_circuit::Gate::S(q) => CliffordGate::S(q),
-            qla_circuit::Gate::Sdg(q) => CliffordGate::Sdg(q),
-            qla_circuit::Gate::Cnot(a, b) => CliffordGate::Cnot(a, b),
-            qla_circuit::Gate::PrepZ(q) => CliffordGate::PrepZ(q),
-            ref other => panic!("unexpected gate {other}"),
-        }
+        run_clifford(&mut sim, &extraction_circuit(error_type)).expect("extraction is Clifford")
     }
 
     #[test]
@@ -226,16 +204,8 @@ mod tests {
         let code = steane_code();
         for et in [ErrorType::X, ErrorType::Z] {
             let mut sim = StabilizerSimulator::with_seed(14, 21);
-            for g in encode_zero_circuit().gates() {
-                sim.apply_ideal(to_clifford(g));
-            }
-            for g in extraction_circuit(et).gates() {
-                if let qla_circuit::Gate::MeasureZ(q) = g {
-                    sim.measure_ideal(*q);
-                } else {
-                    sim.apply_ideal(to_clifford(g));
-                }
-            }
+            run_clifford(&mut sim, &encode_zero_circuit()).unwrap();
+            run_clifford(&mut sim, &extraction_circuit(et)).unwrap();
             let logical_z = code.logical_z_string().embed(14, 0);
             assert!(
                 sim.stabilizes(&logical_z),

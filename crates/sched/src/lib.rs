@@ -19,7 +19,7 @@
 //! * [`scheduler`] — the greedy path-grabbing scheduler with back-off and
 //!   multi-window spill-over.
 //! * [`traffic`] — workload generators (fault-tolerant Toffoli traffic) and
-//!   the overlap-with-error-correction criterion.
+//!   the overlap-with-error-correction condition.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -94,7 +94,7 @@ pub struct ToffoliScheduleReport {
     /// Channel bandwidth used.
     pub bandwidth: usize,
     /// Whether every request was delivered within a single error-correction
-    /// window (the paper's full-overlap criterion).
+    /// window (the paper's full-overlap condition).
     pub overlaps_with_ecc: bool,
 }
 

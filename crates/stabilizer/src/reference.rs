@@ -1,13 +1,11 @@
 //! Scalar (one-Pauli-per-element) reference implementations.
 //!
 //! These are the pre-bit-packing tableau and frame kernels, retained verbatim
-//! as (a) the oracle for the differential property tests — random
+//! as the oracle for the differential property tests: random
 //! Clifford+measurement programs must produce identical outcomes and signs
-//! through the packed engine and through this module — and (b) the baseline
-//! the `stabilizer_kernels` criterion bench measures the packed kernels
-//! against at equal seeds. They store one boolean per symplectic bit and
-//! update rows element by element, exactly the idiom the packed API retires;
-//! nothing outside tests and benches should use them.
+//! through the packed engine and through this module. They store one boolean
+//! per symplectic bit and update rows element by element, exactly the idiom
+//! the packed API retires; nothing outside tests should use them.
 
 use crate::pauli::Pauli;
 use crate::tableau::{CliffordGate, MeasurementOutcome};

@@ -6,27 +6,12 @@
 //! cargo run --example logical_qubit_tour
 //! ```
 
-use qla::circuit::Gate;
 use qla::qec::syndrome::{correction_for, extraction_circuit, syndrome_from_measurements};
 use qla::qec::{
-    encode_zero_circuit, steane_code, ConcatenatedSteane, EccLatencies, EccLatencyModel, ErrorType,
-    ThresholdAnalysis,
+    encode_zero_circuit, run_clifford, steane_code, ConcatenatedSteane, EccLatencies,
+    EccLatencyModel, ErrorType, ThresholdAnalysis,
 };
-use qla::stabilizer::{CliffordGate, Pauli, StabilizerSimulator};
-
-fn to_clifford(g: &Gate) -> Option<CliffordGate> {
-    Some(match *g {
-        Gate::H(q) => CliffordGate::H(q),
-        Gate::X(q) => CliffordGate::X(q),
-        Gate::Z(q) => CliffordGate::Z(q),
-        Gate::S(q) => CliffordGate::S(q),
-        Gate::Sdg(q) => CliffordGate::Sdg(q),
-        Gate::Cnot(a, b) => CliffordGate::Cnot(a, b),
-        Gate::PrepZ(q) => CliffordGate::PrepZ(q),
-        Gate::MeasureZ(_) => return None,
-        _ => return None,
-    })
-}
+use qla::stabilizer::{Pauli, StabilizerSimulator};
 
 fn main() {
     println!("=== The QLA logical qubit ===\n");
@@ -40,19 +25,12 @@ fn main() {
     // Encode |0>_L, kick it with an X error on qubit 4, and run the Figure 6
     // X-syndrome extraction on the stabilizer simulator.
     let mut sim = StabilizerSimulator::with_seed(14, 1);
-    for g in encode_zero_circuit().gates() {
-        sim.apply_ideal(to_clifford(g).expect("encoder is Clifford"));
-    }
+    run_clifford(&mut sim, &encode_zero_circuit()).expect("encoder is Clifford");
     println!("\ninjecting an X error on data qubit 4 ...");
     sim.apply_pauli(4, Pauli::X);
 
-    let mut measured = Vec::new();
-    for g in extraction_circuit(ErrorType::X).gates() {
-        match g {
-            Gate::MeasureZ(q) => measured.push(sim.measure_ideal(*q).value),
-            other => sim.apply_ideal(to_clifford(other).expect("extraction is Clifford")),
-        }
-    }
+    let measured =
+        run_clifford(&mut sim, &extraction_circuit(ErrorType::X)).expect("extraction is Clifford");
     let syndrome = syndrome_from_measurements(&code, ErrorType::X, &measured);
     println!("measured ancilla block: {measured:?}");
     println!("syndrome: {syndrome:?}");

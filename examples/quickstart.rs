@@ -1,15 +1,16 @@
-//! Quickstart: build a small QLA machine, run a Clifford circuit on ARQ, and
-//! print the headline numbers of the architecture.
+//! Quickstart: build a small QLA machine, run a Clifford circuit on the
+//! stabilizer backend, and print the headline numbers of the architecture.
 //!
 //! ```text
 //! cargo run --example quickstart
 //! ```
 
 use qla::circuit::Circuit;
-use qla::core::{Arq, QlaMachine};
+use qla::core::QlaMachine;
 use qla::layout::LogicalQubitId;
 use qla::physical::TechnologyParams;
-use qla::qec::{steane_code, ThresholdAnalysis};
+use qla::qec::{run_clifford, steane_code, ThresholdAnalysis};
+use qla::stabilizer::StabilizerSimulator;
 
 fn main() {
     println!("=== QLA quickstart ===\n");
@@ -63,14 +64,16 @@ fn main() {
         );
     }
 
-    // 6. Run a Bell-pair circuit on the ARQ stabilizer backend.
+    // 6. Run a Bell-pair circuit on the stabilizer backend (the paper's ARQ
+    //    path) and time its ASAP schedule on the technology.
     let mut circuit = Circuit::new(2);
     circuit.h(0).cnot(0, 1).measure(0).measure(1);
-    let run = Arq::new(7).run(&circuit).expect("Clifford circuit");
+    let mut sim = StabilizerSimulator::with_seed(2, 7);
+    let bits = run_clifford(&mut sim, &circuit).expect("Clifford circuit");
     println!(
         "ARQ Bell test: measured {:?} (correlated: {}) in {}",
-        run.measurements,
-        run.measurements[0] == run.measurements[1],
-        run.scheduled_latency
+        bits,
+        bits[0] == bits[1],
+        circuit.schedule().latency(&tech)
     );
 }

@@ -1,33 +1,11 @@
-//! Cross-crate integration: the Steane code, the circuit IR, the stabilizer
-//! backend and ARQ working together — the software path every QLA logical
+//! Cross-crate integration: the Steane code, the circuit IR and the
+//! stabilizer backend working together — the software path every QLA logical
 //! operation takes.
 
 use qla::circuit::{Circuit, Gate};
-use qla::core::Arq;
 use qla::qec::syndrome::{correction_for, extraction_circuit, syndrome_from_measurements};
-use qla::qec::{encode_zero_circuit, steane_code, ErrorType};
+use qla::qec::{encode_zero_circuit, run_clifford, steane_code, ErrorType};
 use qla::stabilizer::{CliffordGate, Pauli, PauliString, StabilizerSimulator};
-
-fn run_gates(sim: &mut StabilizerSimulator, circuit: &Circuit) -> Vec<bool> {
-    let mut measurements = Vec::new();
-    for g in circuit.gates() {
-        match *g {
-            Gate::H(q) => sim.apply_ideal(CliffordGate::H(q)),
-            Gate::X(q) => sim.apply_ideal(CliffordGate::X(q)),
-            Gate::Y(q) => sim.apply_ideal(CliffordGate::Y(q)),
-            Gate::Z(q) => sim.apply_ideal(CliffordGate::Z(q)),
-            Gate::S(q) => sim.apply_ideal(CliffordGate::S(q)),
-            Gate::Sdg(q) => sim.apply_ideal(CliffordGate::Sdg(q)),
-            Gate::Cnot(a, b) => sim.apply_ideal(CliffordGate::Cnot(a, b)),
-            Gate::Cz(a, b) => sim.apply_ideal(CliffordGate::Cz(a, b)),
-            Gate::Swap(a, b) => sim.apply_ideal(CliffordGate::Swap(a, b)),
-            Gate::PrepZ(q) => sim.apply_ideal(CliffordGate::PrepZ(q)),
-            Gate::MeasureZ(q) => measurements.push(sim.measure_ideal(q).value),
-            other => panic!("non-Clifford gate {other} in pipeline test"),
-        }
-    }
-    measurements
-}
 
 /// Inject every possible single-qubit Pauli error on the encoded data block
 /// and confirm the full Figure 6 extraction + decode pipeline names a
@@ -38,11 +16,11 @@ fn every_single_error_is_corrected_end_to_end() {
     for error_qubit in 0..7 {
         for error in [Pauli::X, Pauli::Z, Pauli::Y] {
             let mut sim = StabilizerSimulator::with_seed(14, 99);
-            run_gates(&mut sim, &encode_zero_circuit());
+            run_clifford(&mut sim, &encode_zero_circuit()).unwrap();
             sim.apply_pauli(error_qubit, error);
 
             // X-type extraction and correction.
-            let measured = run_gates(&mut sim, &extraction_circuit(ErrorType::X));
+            let measured = run_clifford(&mut sim, &extraction_circuit(ErrorType::X)).unwrap();
             let syndrome = syndrome_from_measurements(&code, ErrorType::X, &measured);
             if let Some(Gate::X(q)) = correction_for(&code, ErrorType::X, &syndrome) {
                 sim.apply_pauli(q, Pauli::X);
@@ -52,7 +30,7 @@ fn every_single_error_is_corrected_end_to_end() {
             for q in 7..14 {
                 sim.apply_ideal(CliffordGate::PrepZ(q));
             }
-            let measured = run_gates(&mut sim, &extraction_circuit(ErrorType::Z));
+            let measured = run_clifford(&mut sim, &extraction_circuit(ErrorType::Z)).unwrap();
             let syndrome = syndrome_from_measurements(&code, ErrorType::Z, &measured);
             if let Some(Gate::Z(q)) = correction_for(&code, ErrorType::Z, &syndrome) {
                 sim.apply_pauli(q, Pauli::Z);
@@ -73,7 +51,8 @@ fn every_single_error_is_corrected_end_to_end() {
 }
 
 /// The transversal logical CNOT between two encoded blocks behaves as a CNOT
-/// on the encoded information, end to end through the circuit IR and ARQ.
+/// on the encoded information, end to end through the circuit IR and the
+/// stabilizer backend (the paper's ARQ path).
 #[test]
 fn transversal_logical_cnot_through_arq() {
     // Build |1>_L |0>_L, apply the transversal CNOT, measure block B
@@ -90,17 +69,17 @@ fn transversal_logical_cnot_through_arq() {
     for q in 7..14 {
         circuit.measure(q);
     }
-    let run = Arq::new(123).run(&circuit).expect("Clifford circuit");
+    let mut sim = StabilizerSimulator::with_seed(14, 123);
+    let bits = run_clifford(&mut sim, &circuit).unwrap();
     let code = steane_code();
     // Decode block B: correct any (here absent) single error, then take the
     // parity over the logical-Z support.
-    let bits = &run.measurements;
     let syndrome: Vec<bool> = code
         .z_stabilizers
         .iter()
         .map(|s| s.iter().fold(false, |acc, &q| acc ^ bits[q]))
         .collect();
-    let mut corrected: Vec<bool> = bits.clone();
+    let mut corrected = bits;
     if let Some(q) = code.decode_single_x_error(&syndrome) {
         corrected[q] = !corrected[q];
     }
@@ -109,18 +88,4 @@ fn transversal_logical_cnot_through_arq() {
         .iter()
         .fold(false, |acc, &q| acc ^ corrected[q]);
     assert!(logical, "block B should decode to logical |1>");
-}
-
-/// The scheduled latency reported by ARQ respects the technology's gate
-/// durations and never exceeds the serial latency.
-#[test]
-fn arq_timing_is_consistent_with_the_technology() {
-    let tech = qla::physical::TechnologyParams::expected();
-    let mut circuit = encode_zero_circuit();
-    circuit.measure_all();
-    let run = Arq::new(5).run(&circuit).expect("Clifford circuit");
-    let serial = circuit.serial_latency(&tech);
-    assert!(run.scheduled_latency.as_micros() <= serial.as_micros() + 1e-9);
-    // Must at least include one measurement (100 us).
-    assert!(run.scheduled_latency.as_micros() >= 100.0);
 }
