@@ -711,7 +711,10 @@ mod tests {
         };
         let err = args.scenario().unwrap_err();
         assert!(err.contains("failed validation"), "{err}");
-        assert!(err.contains("recursion level 9"), "{err}");
+        assert!(
+            err.contains("recursion_level must be between 1 and 2, got 9"),
+            "{err}"
+        );
     }
 
     #[test]

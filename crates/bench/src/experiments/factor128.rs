@@ -3,7 +3,7 @@
 //! number, plus the physical scale of the machine that runs it.
 
 use crate::experiments::table2_shor::spec_estimator;
-use qla_core::{Experiment, ExperimentContext};
+use qla_core::{Experiment, ExperimentContext, MachineSpec};
 use qla_report::{row, Column, Report, Value};
 use qla_shor::{classical_mips_years, ShorResources};
 use serde::Serialize;
@@ -47,12 +47,12 @@ impl Experiment for Factor128Walkthrough {
         let resources = spec_estimator(ctx).estimate(128);
         // The machine takes the spec's design point but is sized for the
         // workload, not for the spec's default qubit count.
-        let machine = ctx
-            .spec
-            .builder()
-            .logical_qubits(resources.logical_qubits as usize)
-            .build()
-            .expect("spec validated at load time");
+        let machine = MachineSpec {
+            logical_qubits: resources.logical_qubits as usize,
+            ..ctx.spec.clone()
+        }
+        .machine()
+        .expect("spec validated at load time");
         Factor128Output {
             resources,
             physical_ion_sites: machine.physical_ion_sites(),

@@ -32,7 +32,7 @@ pub fn sim_config(
         window,
         pair_service: SimTime::from_time(machine.epr_pair_service_time()),
         pairs_per_window: machine.epr_pairs_per_ecc_window(),
-        channels_per_edge: 2 * machine.config.bandwidth,
+        channels_per_edge: 2 * machine.bandwidth,
         max_in_flight: sim.max_in_flight,
         ancilla_capacity: sim.ancilla_capacity,
         ancilla_prep: window,
@@ -44,7 +44,7 @@ pub fn sim_config(
 /// (shared with the analytic scheduler study).
 #[must_use]
 pub fn machine_mesh(machine: &QlaMachine) -> Mesh {
-    Mesh::from_floorplan(&machine.floorplan, machine.config.bandwidth)
+    Mesh::from_floorplan(&machine.floorplan, machine.bandwidth)
         .with_pairs_per_window(machine.epr_pairs_per_ecc_window())
 }
 

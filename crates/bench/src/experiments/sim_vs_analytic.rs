@@ -104,7 +104,7 @@ impl Experiment for SimVsAnalytic {
         let machine = ctx.machine();
         let cfg = sim_config(&machine, &ctx.spec.sweep.sim, None);
         let pitch = machine.floorplan.tile.pitch_x_cells();
-        let bandwidth = machine.config.bandwidth;
+        let bandwidth = machine.bandwidth;
         let m = cfg.pairs_per_window;
         let channels = cfg.channels_per_edge;
         let contended_requests = ctx.spec.sweep.sim.contended_requests;

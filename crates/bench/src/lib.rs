@@ -51,30 +51,3 @@ pub mod cli;
 pub mod experiments;
 pub mod registry;
 pub mod serve_cli;
-
-/// Format a floating-point number for table output: plain decimal in a
-/// readable range, scientific notation outside it.
-#[must_use]
-pub fn eng(x: f64) -> String {
-    if x == 0.0 {
-        return "0".to_string();
-    }
-    let magnitude = x.abs().log10();
-    if (-3.0..6.0).contains(&magnitude) {
-        format!("{x:.4}")
-    } else {
-        format!("{x:.3e}")
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn eng_formatting() {
-        assert_eq!(eng(0.0), "0");
-        assert_eq!(eng(1.5), "1.5000");
-        assert!(eng(1.0e12).contains('e'));
-    }
-}

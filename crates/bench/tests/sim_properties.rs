@@ -220,7 +220,7 @@ fn corridor_meshes_match_the_machines_window_capacity() {
     // The sim-vs-analytic corridors must share the machine's per-window
     // edge capacity, or "agreement" would be vacuous.
     let (cfg, machine) = design_point();
-    let corridor = Mesh::new(10, 1, machine.config.bandwidth)
+    let corridor = Mesh::new(10, 1, machine.bandwidth)
         .with_pairs_per_window(machine.epr_pairs_per_ecc_window());
     assert_eq!(
         corridor.edge_capacity_per_window(),

@@ -89,12 +89,6 @@ impl Gate {
         !matches!(self, Gate::T(_) | Gate::Tdg(_) | Gate::Toffoli { .. })
     }
 
-    /// True if the gate is a measurement.
-    #[must_use]
-    pub fn is_measurement(&self) -> bool {
-        matches!(self, Gate::MeasureZ(_))
-    }
-
     /// True if the gate is a two-qubit entangling gate.
     #[must_use]
     pub fn is_two_qubit(&self) -> bool {

@@ -67,18 +67,6 @@ impl Schedule {
         self.steps.len()
     }
 
-    /// Total number of gates scheduled.
-    #[must_use]
-    pub fn gate_count(&self) -> usize {
-        self.steps.iter().map(|s| s.gates.len()).sum()
-    }
-
-    /// The widest timestep (maximum parallelism actually achieved).
-    #[must_use]
-    pub fn max_parallelism(&self) -> usize {
-        self.steps.iter().map(|s| s.gates.len()).max().unwrap_or(0)
-    }
-
     /// Wall-clock latency: the sum over timesteps of the slowest gate in each.
     #[must_use]
     pub fn latency(&self, tech: &TechnologyParams) -> Time {
@@ -97,7 +85,7 @@ mod tests {
         c.h(0).h(1).h(2).h(3);
         let s = c.schedule();
         assert_eq!(s.depth(), 1);
-        assert_eq!(s.max_parallelism(), 4);
+        assert_eq!(s.steps()[0].gates.len(), 4);
     }
 
     #[test]
@@ -106,7 +94,7 @@ mod tests {
         c.h(0).cnot(0, 1).h(1);
         let s = c.schedule();
         assert_eq!(s.depth(), 3);
-        assert_eq!(s.gate_count(), 3);
+        assert!(s.steps().iter().all(|step| step.gates.len() == 1));
     }
 
     #[test]
@@ -159,7 +147,8 @@ mod tests {
                 }
             }
             let s = c.schedule();
-            prop_assert_eq!(s.gate_count(), c.len());
+            let scheduled: usize = s.steps().iter().map(|step| step.gates.len()).sum();
+            prop_assert_eq!(scheduled, c.len());
             for step in s.steps() {
                 let mut seen = std::collections::HashSet::new();
                 for g in &step.gates {

@@ -84,12 +84,6 @@ impl ExperimentContext {
         ChaCha8Rng::seed_from_u64(self.derived_seed(index))
     }
 
-    /// This context with a different trial budget.
-    #[must_use]
-    pub fn with_trials(self, trials: usize) -> Self {
-        ExperimentContext { trials, ..self }
-    }
-
     /// This context with a different execution strategy.
     #[must_use]
     pub fn with_executor(self, executor: Executor) -> Self {

@@ -9,8 +9,6 @@
 //! * [`machine`] — [`QlaMachine`]: floorplan, error-correction cadence,
 //!   teleportation interconnect and EPR scheduling in one object, used by the
 //!   Shor performance model and the examples.
-//! * [`builder`] — [`MachineBuilder`]: fluent, validating machine
-//!   construction (the supported way to assemble non-default design points).
 //! * [`experiment`] — the unified experiment API: the [`Experiment`] trait,
 //!   the seed-deriving [`ExperimentContext`], and the object-safe
 //!   [`DynExperiment`] view the `qla-bench` registry is built on.
@@ -18,10 +16,12 @@
 //!   count; one worker runs inline) scoped thread pool every sweep maps
 //!   its points through, with results reassembled in index order so
 //!   parallel output is byte-identical to sequential.
-//! * [`spec`] — the Scenario API: [`MachineSpec`], the named machine
-//!   profiles (`expected`, `current`, the Section 6 relaxations) and the
-//!   deterministic `key = value` text format behind `--profile`/`--spec`;
-//!   the active spec rides on every [`ExperimentContext`].
+//! * [`spec`] — the Scenario API: [`MachineSpec`], the one description of a
+//!   machine. It holds the named profiles (`expected`, `current`, the
+//!   Section 6 relaxations), the deterministic `key = value` text format
+//!   behind `--profile`/`--spec`, and [`MachineSpec::machine`], which builds
+//!   the [`QlaMachine`]; the active spec rides on every
+//!   [`ExperimentContext`].
 //! * [`kv`] — the one `key = value` scanner behind the spec text format
 //!   and the `qla-faults` fault-plan format, with line-anchored errors.
 //! * [`hash`] / [`cache`] — stable content hashing (FNV-1a 64 +
@@ -34,7 +34,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod builder;
 pub mod cache;
 pub mod executor;
 pub mod experiment;
@@ -45,12 +44,11 @@ pub mod montecarlo;
 pub mod spec;
 pub mod stats;
 
-pub use builder::{MachineBuildError, MachineBuilder};
 pub use cache::LruCache;
 pub use executor::Executor;
 pub use experiment::{DynExperiment, Experiment, ExperimentContext};
 pub use hash::{content_hash, fnv1a64, mix64};
-pub use machine::{MachineConfig, QlaMachine};
+pub use machine::QlaMachine;
 pub use montecarlo::{ThresholdExperiment, ThresholdPoint};
 pub use spec::{
     EccMode, FaultSpec, InterconnectSpec, MachineSpec, ObsSpec, SimSpec, SpecError, SweepSpec,

@@ -9,13 +9,19 @@
 use qla_layout::{AreaModel, Floorplan, LogicalQubitId};
 use qla_network::{best_separation, ConnectionPlan, InterconnectParams, FIGURE9_SEPARATIONS};
 use qla_physical::{TechnologyParams, Time};
-use qla_qec::{ConcatenatedSteane, EccLatencies, EccLatencyModel, ThresholdAnalysis};
+use qla_qec::{ConcatenatedSteane, EccLatencies, ThresholdAnalysis};
 use qla_sched::{schedule_toffoli_traffic, Mesh, ToffoliScheduleReport, ToffoliSite};
 use serde::{Deserialize, Serialize};
 
-/// Configuration of a QLA machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MachineConfig {
+use crate::MachineSpec;
+
+/// A fully assembled QLA machine with a fixed number of logical qubits.
+///
+/// Built by [`MachineSpec::machine`](crate::MachineSpec::machine), which
+/// checks the three fields the machine's methods rely on:
+/// `logical_qubits`, `bandwidth` and `recursion_level`.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QlaMachine {
     /// Physical technology (Table 1).
     pub tech: TechnologyParams,
     /// Recursion level of the logical qubits (2 in the paper's design point).
@@ -25,24 +31,6 @@ pub struct MachineConfig {
     pub ecc: EccLatencies,
     /// Channel bandwidth (physical channels per direction).
     pub bandwidth: usize,
-}
-
-impl Default for MachineConfig {
-    fn default() -> Self {
-        MachineConfig {
-            tech: TechnologyParams::expected(),
-            recursion_level: 2,
-            ecc: EccLatencies::paper(),
-            bandwidth: 2,
-        }
-    }
-}
-
-/// A fully assembled QLA machine with a fixed number of logical qubits.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QlaMachine {
-    /// Machine configuration.
-    pub config: MachineConfig,
     /// Chip floorplan.
     pub floorplan: Floorplan,
     /// Teleportation-interconnect parameters.
@@ -51,29 +39,21 @@ pub struct QlaMachine {
 
 impl QlaMachine {
     /// Build a machine with capacity for at least `logical_qubits` logical
-    /// qubits using the default (paper design-point) configuration.
-    ///
-    /// Delegates to [`QlaMachine::builder`] so the builder's invariants
-    /// hold for every construction path — this used to assemble the struct
-    /// directly, which let `logical_qubits == 0` (and any later drift in
-    /// the default configuration) bypass validation entirely.
+    /// qubits at the paper's design point ([`MachineSpec::expected`] with
+    /// `logical_qubits` swapped in).
     ///
     /// # Panics
-    /// Panics if `logical_qubits` is zero; use [`QlaMachine::builder`] to
-    /// handle the error instead of panicking.
+    /// Panics if `logical_qubits` is zero or above
+    /// [`MAX_LOGICAL_QUBITS`](crate::spec::MAX_LOGICAL_QUBITS); call
+    /// [`MachineSpec::machine`] to handle the error instead.
     #[must_use]
     pub fn with_logical_qubits(logical_qubits: usize) -> Self {
-        QlaMachine::builder()
-            .logical_qubits(logical_qubits)
-            .build()
-            .unwrap_or_else(|e| panic!("invalid design point: {e}"))
-    }
-
-    /// A fluent, validating [`MachineBuilder`](crate::MachineBuilder) at the
-    /// paper's design point.
-    #[must_use]
-    pub fn builder() -> crate::MachineBuilder {
-        crate::MachineBuilder::new()
+        MachineSpec {
+            logical_qubits,
+            ..MachineSpec::expected()
+        }
+        .machine()
+        .unwrap_or_else(|e| panic!("invalid design point: {e}"))
     }
 
     /// Number of logical qubit sites on the chip.
@@ -85,8 +65,7 @@ impl QlaMachine {
     /// Number of physical ion sites on the chip.
     #[must_use]
     pub fn physical_ion_sites(&self) -> u64 {
-        ConcatenatedSteane::new(self.config.recursion_level).total_ions()
-            * self.logical_qubits() as u64
+        ConcatenatedSteane::new(self.recursion_level).total_ions() * self.logical_qubits() as u64
     }
 
     /// Chip area in square metres.
@@ -94,7 +73,7 @@ impl QlaMachine {
     pub fn chip_area_m2(&self) -> f64 {
         AreaModel {
             tile: self.floorplan.tile,
-            tech: self.config.tech,
+            tech: self.tech,
         }
         .area_m2(self.logical_qubits() as u64)
     }
@@ -102,23 +81,21 @@ impl QlaMachine {
     /// The level-L error-correction window that paces the whole machine.
     ///
     /// # Panics
-    /// Panics if `config.recursion_level` exceeds
+    /// Panics if `recursion_level` exceeds
     /// [`qla_qec::EccLatencies::MAX_LEVEL`] — the configured latencies carry
     /// no constant for such a level, and silently reusing the level-2 value
-    /// (the old behaviour) would mis-pace every schedule built on top.
-    /// Machines assembled through [`QlaMachine::builder`] reject such design
-    /// points at construction; only direct field-poking can reach this
-    /// panic.
+    /// would mis-pace every schedule built on top.
+    /// [`MachineSpec::machine`] rejects such design points at construction;
+    /// only direct field-poking can reach this panic.
     #[must_use]
     pub fn ecc_window(&self) -> Time {
-        self.config
-            .ecc
-            .window_for_level(self.config.recursion_level)
+        self.ecc
+            .window_for_level(self.recursion_level)
             .unwrap_or_else(|| {
                 panic!(
                     "no ECC latency constant for recursion level {} (max supported: {}); \
-                     build machines through QlaMachine::builder() to catch this at construction",
-                    self.config.recursion_level,
+                     build machines through MachineSpec::machine() to catch this at construction",
+                    self.recursion_level,
                     EccLatencies::MAX_LEVEL
                 )
             })
@@ -126,20 +103,17 @@ impl QlaMachine {
 
     /// The error-correction latencies derived from the structural model of
     /// Equation 1 for this machine's technology (as opposed to the paper's
-    /// published constants held in `config.ecc`).
+    /// published constants held in `ecc`).
     #[must_use]
     pub fn structural_ecc_latencies(&self) -> EccLatencies {
-        EccLatencies::from_model(&EccLatencyModel {
-            tech: self.config.tech,
-            shape: qla_qec::ScheduleShape::default(),
-        })
+        EccLatencies::structural_for(self.tech)
     }
 
     /// The threshold analysis (Equation 2) at this machine's design point.
     #[must_use]
     pub fn threshold_analysis(&self) -> ThresholdAnalysis {
         ThresholdAnalysis {
-            p0: self.config.tech.failures.mean_component_rate(),
+            p0: self.tech.failures.mean_component_rate(),
             ..ThresholdAnalysis::paper_design_point()
         }
     }
@@ -148,7 +122,7 @@ impl QlaMachine {
     #[must_use]
     pub fn max_computation_size(&self) -> f64 {
         self.threshold_analysis()
-            .max_computation_size(self.config.recursion_level)
+            .max_computation_size(self.recursion_level)
     }
 
     /// Plan a teleportation connection between two logical qubits, choosing
@@ -197,7 +171,7 @@ impl QlaMachine {
     /// correction.
     #[must_use]
     pub fn schedule_toffolis(&self, sites: &[ToffoliSite]) -> ToffoliScheduleReport {
-        let mesh = Mesh::from_floorplan(&self.floorplan, self.config.bandwidth)
+        let mesh = Mesh::from_floorplan(&self.floorplan, self.bandwidth)
             .with_pairs_per_window(self.epr_pairs_per_ecc_window());
         schedule_toffoli_traffic(&mesh, sites, 1)
     }
@@ -269,11 +243,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one logical qubit")]
-    fn with_logical_qubits_routes_through_the_builder_checks() {
-        // The legacy constructor used to poke fields directly, letting a
-        // zero-qubit machine through silently; it now shares the builder's
-        // validation.
+    #[should_panic(expected = "logical_qubits must be between 1 and 1048576, got 0")]
+    fn with_logical_qubits_routes_through_the_spec_checks() {
         let _ = QlaMachine::with_logical_qubits(0);
     }
 
@@ -281,7 +252,7 @@ mod tests {
     #[should_panic(expected = "no ECC latency constant for recursion level 3")]
     fn ecc_window_refuses_unsupported_recursion_levels() {
         let mut m = QlaMachine::with_logical_qubits(10);
-        m.config.recursion_level = 3; // field-poking past the builder's checks
+        m.recursion_level = 3; // field-poking past the spec's checks
         let _ = m.ecc_window();
     }
 

@@ -4,11 +4,11 @@
 //! `TechnologyParams::expected()`, `EccLatencies::paper()`, a fixed
 //! bandwidth — so re-running the analysis under Section 6's relaxed
 //! technology assumptions ("what if gates are 10× worse / 10× slower?")
-//! meant editing source. A [`MachineSpec`] bundles everything
-//! [`MachineBuilder`](crate::MachineBuilder) consumes (technology
-//! parameters, error-correction latencies, recursion level, interconnect,
-//! bandwidth, logical qubits) **plus** the sweep grids the parameterised
-//! experiments scan, behind:
+//! meant editing source. A [`MachineSpec`] is the one description of a
+//! machine: everything [`MachineSpec::machine`] builds a [`QlaMachine`] from
+//! (technology parameters, error-correction latencies, recursion level,
+//! interconnect, bandwidth, logical qubits) **plus** the sweep grids the
+//! parameterised experiments scan, behind:
 //!
 //! * **named built-in profiles** — [`MachineSpec::expected`],
 //!   [`MachineSpec::current`], and the Section 6 variants
@@ -21,9 +21,11 @@
 //!   round-tripping exactly and loud, line-anchored [`SpecError`]s for
 //!   unknown, duplicate, missing, or malformed keys;
 //! * **validation** — [`MachineSpec::validate`] checks every field against
-//!   its range rule, the few rules that tie fields together, and the
-//!   [`MachineBuilder`](crate::MachineBuilder) invariants, so an invalid
-//!   spec fails at load time, not three experiments into a `run-all`.
+//!   its range rule and the few rules that tie fields together, so an
+//!   invalid spec fails at load time, not three experiments into a
+//!   `run-all`. [`MachineSpec::machine`] re-checks only the three rules the
+//!   machine itself relies on (`logical_qubits`, `recursion_level`,
+//!   `bandwidth`), which keeps building a machine cheap.
 //!
 //! Render, parse, and the per-field checks all walk one table, `FIELDS`:
 //! each entry names a key, the field it reads and writes, and its range
@@ -36,10 +38,9 @@
 //! private constants. The `qla-bench` CLI selects it with `--profile <name>`
 //! or `--spec <file>`.
 
-use crate::builder::MachineBuilder;
 use crate::kv::{finite, Fields, KvError};
 use crate::machine::QlaMachine;
-use crate::MachineBuildError;
+use qla_layout::Floorplan;
 use qla_network::InterconnectParams;
 use qla_obs::ObsDetail;
 use qla_physical::{TechnologyParams, Time};
@@ -410,6 +411,11 @@ pub const MAX_TRACE_BITS: usize = 1_024;
 /// Most instructions a spec may ask the random trace generator for.
 pub const MAX_TRACE_OPS: usize = 1_000_000;
 
+/// Most logical qubits a spec may ask for. Table 2's largest machine has
+/// 602,259; this cap keeps a typo'd count from asking the simulator's mesh
+/// for gigabytes of edges.
+pub const MAX_LOGICAL_QUBITS: usize = 1 << 20;
+
 /// Names of the built-in profiles, in presentation order.
 pub const BUILTIN_PROFILES: [&str; 4] =
     ["expected", "current", "relaxed-failures", "relaxed-speed"];
@@ -525,27 +531,28 @@ impl MachineSpec {
         (self.tech.failures.move_per_cell * MOVEMENT_CELLS_PER_GATE as f64).min(1.0)
     }
 
-    /// A [`MachineBuilder`] preloaded with this profile's design point
-    /// (experiments that size the machine to their workload override
-    /// `logical_qubits` before building).
-    #[must_use]
-    pub fn builder(&self) -> MachineBuilder {
-        MachineBuilder::new()
-            .logical_qubits(self.logical_qubits)
-            .tech(self.tech)
-            .recursion_level(self.recursion_level)
-            .bandwidth(self.bandwidth)
-            .ecc_latencies(self.ecc_latencies())
-            .interconnect(self.interconnect_params())
-    }
-
-    /// Build and validate the machine at this profile's design point.
+    /// Build the machine at this profile's design point.
+    ///
+    /// Checks only the rules of the three fields the machine relies on
+    /// (`logical_qubits`, `recursion_level`, `bandwidth`), not the whole
+    /// spec: [`MachineSpec::validate`] runs once at load time, and
+    /// experiments build machines far more often than that.
     ///
     /// # Errors
-    /// Returns the [`MachineBuildError`] for inconsistent design points
-    /// (zero qubits/bandwidth, unsupported recursion level).
-    pub fn machine(&self) -> Result<QlaMachine, MachineBuildError> {
-        self.builder().build()
+    /// Returns a [`SpecError::Invalid`] naming the first of those fields
+    /// that is out of range.
+    pub fn machine(&self) -> Result<QlaMachine, SpecError> {
+        for field in &FIELDS[MACHINE_FIELDS] {
+            field.check(self)?;
+        }
+        Ok(QlaMachine {
+            tech: self.tech,
+            recursion_level: self.recursion_level,
+            ecc: self.ecc_latencies(),
+            bandwidth: self.bandwidth,
+            floorplan: Floorplan::for_qubit_count(self.logical_qubits),
+            interconnect: self.interconnect_params(),
+        })
     }
 
     /// The scenario header stamped onto every [`Report`](qla_report::Report)
@@ -566,8 +573,7 @@ impl MachineSpec {
     }
 
     /// Check the whole spec: every field against the range rule of its
-    /// `FIELDS` entry, the rules that tie fields together, and the
-    /// machine invariants (through [`MachineBuilder`]).
+    /// `FIELDS` entry, then the rules that tie fields together.
     ///
     /// # Errors
     /// Returns the first violation as a [`SpecError`] with a message naming
@@ -592,7 +598,6 @@ impl MachineSpec {
                 s.distance_max_cells, s.distance_step_cells
             )));
         }
-        self.machine().map_err(SpecError::Machine)?;
         Ok(())
     }
 
@@ -874,6 +879,10 @@ macro_rules! field_table {
     };
 }
 
+/// The `FIELDS` entries [`MachineSpec::machine`] checks: `logical_qubits`,
+/// `recursion_level` and `bandwidth`.
+const MACHINE_FIELDS: core::ops::Range<usize> = 2..5;
+
 /// Every key of the text format after `format_version`, in render order.
 /// [`MachineSpec::render`], [`MachineSpec::parse`] and the per-field part
 /// of [`MachineSpec::validate`] all walk this one table.
@@ -885,9 +894,10 @@ static FIELDS: &[FieldDef] = {
     &field_table![
         Text("name", name, Any),
         Text("description", description, Any),
-        Usize("logical_qubits", logical_qubits, Any),
-        U32("recursion_level", recursion_level, Any),
-        Usize("bandwidth", bandwidth, Any),
+        // MACHINE_FIELDS: the three rules `MachineSpec::machine` checks.
+        Usize("logical_qubits", logical_qubits, Within(1.0, MAX_LOGICAL_QUBITS as f64)),
+        U32("recursion_level", recursion_level, Within(1.0, EccLatencies::MAX_LEVEL as f64)),
+        Usize("bandwidth", bandwidth, AtLeast(1.0)),
         Ecc("ecc", ecc, Any),
         F64("tech.cell_size_um", tech.cell_size_um, Positive),
         Micros("tech.time.single_gate_us", tech.times.single_gate, Positive),
@@ -1002,8 +1012,6 @@ pub enum SpecError {
         /// The version string found.
         found: String,
     },
-    /// The design point violates a machine invariant.
-    Machine(MachineBuildError),
     /// A field (or combination) is out of its valid range.
     Invalid(String),
 }
@@ -1041,7 +1049,6 @@ impl core::fmt::Display for SpecError {
                 f,
                 "unsupported spec format_version '{found}' (this build reads version 1)"
             ),
-            SpecError::Machine(e) => write!(f, "invalid design point: {e}"),
             SpecError::Invalid(message) => write!(f, "{message}"),
         }
     }
@@ -1076,12 +1083,6 @@ impl From<KvError> for SpecError {
                 expected,
             },
         }
-    }
-}
-
-impl From<MachineBuildError> for SpecError {
-    fn from(e: MachineBuildError) -> Self {
-        SpecError::Machine(e)
     }
 }
 
@@ -1175,12 +1176,37 @@ mod tests {
 
     #[test]
     fn validate_rejects_out_of_range_fields() {
-        let mut spec = MachineSpec::expected();
-        spec.recursion_level = 7;
-        assert!(matches!(
-            spec.validate().unwrap_err(),
-            SpecError::Machine(MachineBuildError::UnsupportedRecursionLevel { .. })
-        ));
+        // The machine fields: validate() and machine() both refuse them with
+        // an error that names the key.
+        let broken = |edit: fn(&mut MachineSpec)| {
+            let mut spec = MachineSpec::expected();
+            edit(&mut spec);
+            spec
+        };
+        let machine_cases = [
+            ("logical_qubits", broken(|s| s.logical_qubits = 0)),
+            (
+                "logical_qubits",
+                broken(|s| s.logical_qubits = MAX_LOGICAL_QUBITS + 1),
+            ),
+            (
+                "logical_qubits",
+                broken(|s| s.logical_qubits = 4_000_000_000),
+            ),
+            ("bandwidth", broken(|s| s.bandwidth = 0)),
+            ("recursion_level", broken(|s| s.recursion_level = 0)),
+            ("recursion_level", broken(|s| s.recursion_level = 3)),
+            ("recursion_level", broken(|s| s.recursion_level = 7)),
+            ("recursion_level", broken(|s| s.recursion_level = 9)),
+        ];
+        for (key, spec) in machine_cases {
+            for err in [spec.validate().unwrap_err(), spec.machine().unwrap_err()] {
+                assert!(
+                    matches!(&err, SpecError::Invalid(m) if m.starts_with(&format!("{key} must be"))),
+                    "{err}"
+                );
+            }
+        }
 
         let mut spec = MachineSpec::expected();
         spec.sweep.component_rates.clear();
@@ -1397,11 +1423,48 @@ mod tests {
         let slow = MachineSpec::relaxed_speed().machine().unwrap();
         // Same geometry, different technology.
         assert_eq!(expected.logical_qubits(), current.logical_qubits());
-        assert_ne!(expected.config.tech, current.config.tech);
+        assert_ne!(expected.tech, current.tech);
         // The slow profile's structural ECC window paces slower.
         assert!(slow.ecc_window() > expected.ecc_window());
         // Interconnect technology follows the profile.
         assert_eq!(slow.interconnect.tech, TechnologyParams::relaxed_speed());
+    }
+
+    #[test]
+    fn builtin_machines_carry_the_spec_design_point() {
+        for spec in MachineSpec::builtins() {
+            let m = spec.machine().expect("builtin builds");
+            assert_eq!(m.ecc, spec.ecc_latencies(), "{}", spec.name);
+            assert_eq!(m.interconnect, spec.interconnect_params(), "{}", spec.name);
+            assert_eq!(
+                m.floorplan,
+                Floorplan::for_qubit_count(spec.logical_qubits),
+                "{}",
+                spec.name
+            );
+            assert_eq!(m.tech, spec.tech);
+            assert_eq!(m.recursion_level, spec.recursion_level);
+            assert_eq!(m.bandwidth, spec.bandwidth);
+        }
+        for n in [1, 100, 37_971] {
+            let spec = MachineSpec {
+                logical_qubits: n,
+                ..MachineSpec::expected()
+            };
+            assert_eq!(QlaMachine::with_logical_qubits(n), spec.machine().unwrap());
+        }
+    }
+
+    #[test]
+    fn machine_checks_exactly_the_machine_fields() {
+        let keys: Vec<&str> = FIELDS[MACHINE_FIELDS].iter().map(|f| f.key).collect();
+        assert_eq!(keys, ["logical_qubits", "recursion_level", "bandwidth"]);
+        // A spec broken elsewhere still builds its machine: only validate()
+        // walks the whole table.
+        let mut spec = MachineSpec::expected();
+        spec.sweep.component_rates.clear();
+        assert!(spec.validate().is_err());
+        assert!(spec.machine().is_ok());
     }
 
     #[test]

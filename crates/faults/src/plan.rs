@@ -554,7 +554,6 @@ mod tests {
         assert_eq!(timeline.channel_faults[0].until, SimTime::from_nanos(5_000));
         assert_eq!(timeline.channel_faults[1].edge, Edge::new(1, 5));
         assert_eq!(timeline.factory_faults[0].capacity, 6);
-        assert!(!timeline.is_healthy());
     }
 
     #[test]
@@ -602,7 +601,8 @@ mod tests {
         let c = cfg();
         let zero = FaultPlan::for_severity(&spec, &mesh, &c, 0.0);
         assert!(zero.channel_faults.is_empty() && zero.factory_faults.is_empty());
-        assert!(zero.compile(&mesh, &c).expect("compiles").is_healthy());
+        let healthy = zero.compile(&mesh, &c).expect("compiles");
+        assert_eq!(healthy, FaultTimeline::default());
         let full = FaultPlan::for_severity(&spec, &mesh, &c, 1.0);
         // factory_loss 0.5 of 12 slots leaves 6.
         assert_eq!(full.factory_faults[0].capacity, 6);

@@ -33,12 +33,6 @@ impl AreaModel {
         logical_qubits as f64 * self.tile.cells_with_channels() as f64 * self.tech.cell_area_m2()
     }
 
-    /// Edge length of a square chip of that area, in centimetres.
-    #[must_use]
-    pub fn square_edge_cm(&self, logical_qubits: u64) -> f64 {
-        self.area_m2(logical_qubits).sqrt() * 100.0
-    }
-
     /// Number of physical ion sites (data + ancilla + verification) on the
     /// chip, using the level-2 structure of Figure 5.
     #[must_use]
@@ -80,7 +74,7 @@ mod tests {
         // 512-bit area (0.45 m²) for the 33 cm figure; the 128-bit chip is
         // ~33 cm on edge only if square at 0.11 m², i.e. ~33 cm.
         let model = AreaModel::paper();
-        let edge = model.square_edge_cm(37_971);
+        let edge = model.area_m2(37_971).sqrt() * 100.0;
         assert!(edge > 25.0 && edge < 40.0, "edge {edge} cm");
     }
 

@@ -80,16 +80,6 @@ impl Floorplan {
         self.width_cells() as f64 * self.height_cells() as f64 * tech.cell_area_m2()
     }
 
-    /// Chip edge lengths in centimetres `(width, height)`.
-    #[must_use]
-    pub fn dimensions_cm(&self, tech: &TechnologyParams) -> (f64, f64) {
-        let cell_cm = tech.cell_size_m() * 100.0;
-        (
-            self.width_cells() as f64 * cell_cm,
-            self.height_cells() as f64 * cell_cm,
-        )
-    }
-
     /// The (column, row) of a logical qubit id, row-major.
     ///
     /// # Panics
@@ -115,36 +105,6 @@ impl Floorplan {
     pub fn distance_cells(&self, a: LogicalQubitId, b: LogicalQubitId) -> usize {
         self.cell_position(a)
             .manhattan_distance(&self.cell_position(b))
-    }
-
-    /// Number of teleportation islands along a channel of `distance_cells`
-    /// cells with this floorplan's x̂ spacing (the end points are not counted
-    /// as islands).
-    #[must_use]
-    pub fn islands_on_path(&self, distance_cells: usize) -> usize {
-        if self.island_spacing_x_cells == 0 {
-            return 0;
-        }
-        distance_cells / self.island_spacing_x_cells
-    }
-
-    /// Total number of teleportation islands integrated into the chip: one
-    /// per island spacing in each direction of every channel row/column.
-    #[must_use]
-    pub fn total_islands(&self) -> usize {
-        let per_row = self.width_cells() / self.island_spacing_x_cells.max(1);
-        let per_col = self.height_cells() / self.island_spacing_y_cells.max(1);
-        per_row * self.rows + per_col * self.columns
-    }
-
-    /// The maximum communication distance on the chip (opposite corners), in
-    /// cells.
-    #[must_use]
-    pub fn max_distance_cells(&self) -> usize {
-        if self.qubit_count() == 0 {
-            return 0;
-        }
-        self.distance_cells(LogicalQubitId(0), LogicalQubitId(self.qubit_count() - 1))
     }
 }
 
@@ -191,21 +151,13 @@ mod tests {
         // over a distance as large as 60 centimeters".
         let f = Floorplan::for_qubit_count(301_251);
         let tech = qla_physical::TechnologyParams::expected();
-        let (w, h) = f.dimensions_cm(&tech);
-        let diagonal_manhattan = w + h;
+        let cell_cm = tech.cell_size_m() * 100.0;
+        let diagonal_manhattan = (f.width_cells() + f.height_cells()) as f64 * cell_cm;
         assert!(
             diagonal_manhattan > 40.0 && diagonal_manhattan < 250.0,
             "corner-to-corner distance {diagonal_manhattan} cm"
         );
         assert!(f.qubit_count() >= 301_251);
-    }
-
-    #[test]
-    fn islands_every_hundred_cells() {
-        let f = Floorplan::new(20, 20);
-        assert_eq!(f.islands_on_path(650), 6);
-        assert_eq!(f.islands_on_path(99), 0);
-        assert!(f.total_islands() > 0);
     }
 
     #[test]

@@ -18,11 +18,6 @@ pub const CHANNEL_WIDTH_CELLS: usize = 12;
 /// Channel cells added above each tile in the ŷ direction.
 pub const CHANNEL_HEIGHT_CELLS: usize = 11;
 
-/// Width of one level-1 block in cells (three blocks span the qubit width).
-pub const LEVEL1_BLOCK_WIDTH_CELLS: usize = LEVEL2_QUBIT_WIDTH_CELLS / 3;
-/// Height of one level-1 block in cells (21 blocks span the qubit height).
-pub const LEVEL1_BLOCK_HEIGHT_CELLS: usize = LEVEL2_QUBIT_HEIGHT_CELLS / 21;
-
 /// The footprint of one logical-qubit tile, with and without its share of the
 /// communication channels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,18 +41,6 @@ impl QubitTile {
             height_cells: LEVEL2_QUBIT_HEIGHT_CELLS,
             channel_width_cells: CHANNEL_WIDTH_CELLS,
             channel_height_cells: CHANNEL_HEIGHT_CELLS,
-        }
-    }
-
-    /// A single level-1 block tile (no dedicated long-range channels; the
-    /// intra-qubit channels are part of the level-2 tile).
-    #[must_use]
-    pub fn level1_block() -> Self {
-        QubitTile {
-            width_cells: LEVEL1_BLOCK_WIDTH_CELLS,
-            height_cells: LEVEL1_BLOCK_HEIGHT_CELLS,
-            channel_width_cells: 0,
-            channel_height_cells: 0,
         }
     }
 
@@ -90,12 +73,6 @@ impl QubitTile {
     pub fn area_m2(&self, tech: &TechnologyParams) -> f64 {
         self.cells() as f64 * tech.cell_area_m2()
     }
-
-    /// Physical area including the tile's share of the channels, in m².
-    #[must_use]
-    pub fn area_with_channels_m2(&self, tech: &TechnologyParams) -> f64 {
-        self.cells_with_channels() as f64 * tech.cell_area_m2()
-    }
 }
 
 #[cfg(test)]
@@ -111,15 +88,6 @@ mod tests {
         // 20 µm large on each cell side".
         let mm2 = tile.area_m2(&tech) * 1e6;
         assert!((mm2 - 2.11).abs() < 0.02, "area {mm2} mm^2");
-    }
-
-    #[test]
-    fn level1_blocks_tile_the_level2_qubit() {
-        let block = QubitTile::level1_block();
-        assert_eq!(block.width_cells * 3, LEVEL2_QUBIT_WIDTH_CELLS);
-        assert_eq!(block.height_cells * 21, LEVEL2_QUBIT_HEIGHT_CELLS);
-        // 63 blocks fit exactly inside one level-2 qubit.
-        assert_eq!(block.cells() * 63, QubitTile::level2().cells());
     }
 
     #[test]

@@ -79,11 +79,10 @@ impl InterconnectParams {
         }
     }
 
-    /// The Figure 9 calibration with its technology swapped for `tech` —
-    /// the profile constructor `MachineBuilder` and the machine specs use,
-    /// so an interconnect's distribution/teleport operation costs always
-    /// track the machine's technology instead of silently staying at the
-    /// paper's expected parameters.
+    /// The Figure 9 calibration with its technology swapped for `tech`, so
+    /// the interconnect's distribution/teleport operation costs track that
+    /// technology instead of silently staying at the paper's expected
+    /// parameters.
     #[must_use]
     pub fn for_tech(tech: TechnologyParams) -> Self {
         InterconnectParams {

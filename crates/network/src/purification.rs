@@ -53,21 +53,6 @@ impl PurificationParams {
         (out, p_success)
     }
 
-    /// The fixed-point fidelity the protocol converges to with these local
-    /// operations (the purification ceiling), found by iterating the map.
-    #[must_use]
-    pub fn fidelity_ceiling(&self) -> f64 {
-        let mut pair = EprPair::with_fidelity(0.95);
-        for _ in 0..200 {
-            let (next, _) = self.purify(pair);
-            if (next.fidelity - pair.fidelity).abs() < 1e-12 {
-                return next.fidelity;
-            }
-            pair = next;
-        }
-        pair.fidelity
-    }
-
     /// Number of purification rounds needed to raise `input` to at least
     /// `target` fidelity, together with the expected number of raw input
     /// pairs consumed. Returns `None` if the target is unreachable (at or
@@ -133,25 +118,6 @@ mod tests {
             assert!(out.fidelity > f, "F={f}");
             assert!(p > 0.0 && p <= 1.0);
         }
-    }
-
-    #[test]
-    fn ideal_ceiling_is_one() {
-        let c = PurificationParams::ideal().fidelity_ceiling();
-        assert!(c > 0.999_999);
-    }
-
-    #[test]
-    fn noisy_operations_lower_the_ceiling() {
-        let noisy = PurificationParams {
-            local_op_error: 1e-2,
-        };
-        let c = noisy.fidelity_ceiling();
-        assert!(c < 0.999 && c > 0.9, "ceiling {c}");
-        let noisier = PurificationParams {
-            local_op_error: 5e-2,
-        };
-        assert!(noisier.fidelity_ceiling() < c);
     }
 
     #[test]

@@ -1,16 +1,11 @@
-//! The QCCD cell grid: a 2-D array of identical cells on the alumina
-//! substrate.
+//! Cell coordinates on the QCCD substrate.
 //!
-//! Following Section 2.1, each cell can contain an ion, an electrode, or be
-//! empty channel space through which ions are ballistically shuttled. The QLA
-//! abstraction makes no distinction between "memory" and "interaction"
-//! regions: quantum logic and initialisation may be performed anywhere,
-//! allowing ions to be reused as the algorithm progresses.
+//! Following Section 2.1, the chip is a 2-D grid of identical cells, each
+//! holding an ion, an electrode, or empty channel space through which ions
+//! are ballistically shuttled. The layout crates address that grid with
+//! [`Position`].
 
-use crate::ion::{Ion, IonId};
-use crate::{PhysicalError, Result};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A cell coordinate on the grid. `x` grows to the right, `y` grows downward.
 #[derive(
@@ -35,295 +30,20 @@ impl Position {
     pub fn manhattan_distance(&self, other: &Position) -> usize {
         self.x.abs_diff(other.x) + self.y.abs_diff(other.y)
     }
-
-    /// Number of corner turns on the canonical L-shaped Manhattan route to
-    /// `other` (0 if the positions share a row or column, 1 otherwise).
-    #[must_use]
-    pub fn manhattan_turns(&self, other: &Position) -> usize {
-        usize::from(self.x != other.x && self.y != other.y)
-    }
-}
-
-/// What occupies a cell of the QCCD substrate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CellKind {
-    /// A trapping region that currently holds (or may hold) an ion.
-    Trap,
-    /// A control electrode; ions can never occupy this cell.
-    Electrode,
-    /// Empty ballistic-channel space used for shuttling ions.
-    Channel,
-}
-
-/// A 2-D grid of QCCD cells with ion occupancy tracking.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CellGrid {
-    width: usize,
-    height: usize,
-    kinds: Vec<CellKind>,
-    occupancy: Vec<Option<IonId>>,
-    ions: HashMap<IonId, (Ion, Position)>,
-}
-
-impl CellGrid {
-    /// Create a grid of `width × height` cells, all initially channel space.
-    #[must_use]
-    pub fn new(width: usize, height: usize) -> Self {
-        CellGrid {
-            width,
-            height,
-            kinds: vec![CellKind::Channel; width * height],
-            occupancy: vec![None; width * height],
-            ions: HashMap::new(),
-        }
-    }
-
-    /// Grid width in cells.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Grid height in cells.
-    #[must_use]
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
-    /// Total number of cells.
-    #[must_use]
-    pub fn cell_count(&self) -> usize {
-        self.width * self.height
-    }
-
-    /// Number of ions currently placed on the grid.
-    #[must_use]
-    pub fn ion_count(&self) -> usize {
-        self.ions.len()
-    }
-
-    fn index(&self, p: Position) -> Result<usize> {
-        if p.x >= self.width || p.y >= self.height {
-            return Err(PhysicalError::OutOfBounds {
-                position: p,
-                width: self.width,
-                height: self.height,
-            });
-        }
-        Ok(p.y * self.width + p.x)
-    }
-
-    /// The kind of the cell at `p`.
-    pub fn kind(&self, p: Position) -> Result<CellKind> {
-        Ok(self.kinds[self.index(p)?])
-    }
-
-    /// Set the kind of the cell at `p`. Fails if an ion occupies the cell and
-    /// the new kind is [`CellKind::Electrode`].
-    pub fn set_kind(&mut self, p: Position, kind: CellKind) -> Result<()> {
-        let idx = self.index(p)?;
-        if kind == CellKind::Electrode {
-            if let Some(id) = self.occupancy[idx] {
-                return Err(PhysicalError::CellOccupied {
-                    position: p,
-                    occupant: id,
-                });
-            }
-        }
-        self.kinds[idx] = kind;
-        Ok(())
-    }
-
-    /// The ion occupying cell `p`, if any.
-    pub fn occupant(&self, p: Position) -> Result<Option<IonId>> {
-        Ok(self.occupancy[self.index(p)?])
-    }
-
-    /// The position of ion `id`, if it is on the grid.
-    #[must_use]
-    pub fn position_of(&self, id: IonId) -> Option<Position> {
-        self.ions.get(&id).map(|(_, p)| *p)
-    }
-
-    /// The ion record for `id`, if it is on the grid.
-    #[must_use]
-    pub fn ion(&self, id: IonId) -> Option<&Ion> {
-        self.ions.get(&id).map(|(ion, _)| ion)
-    }
-
-    /// Iterate over all ions and their positions.
-    pub fn ions(&self) -> impl Iterator<Item = (&Ion, Position)> {
-        self.ions.values().map(|(ion, p)| (ion, *p))
-    }
-
-    /// Place an ion on the grid.
-    pub fn place(&mut self, ion: Ion, p: Position) -> Result<()> {
-        let idx = self.index(p)?;
-        if self.kinds[idx] == CellKind::Electrode {
-            return Err(PhysicalError::BlockedCell(p));
-        }
-        if let Some(existing) = self.occupancy[idx] {
-            return Err(PhysicalError::CellOccupied {
-                position: p,
-                occupant: existing,
-            });
-        }
-        self.occupancy[idx] = Some(ion.id);
-        self.ions.insert(ion.id, (ion, p));
-        Ok(())
-    }
-
-    /// Remove an ion from the grid (e.g. after it is consumed by measurement
-    /// in a teleportation protocol), returning its last position.
-    pub fn remove(&mut self, id: IonId) -> Result<Position> {
-        let (_, p) = self.ions.remove(&id).ok_or(PhysicalError::UnknownIon(id))?;
-        let idx = self.index(p)?;
-        self.occupancy[idx] = None;
-        Ok(p)
-    }
-
-    /// Move an ion to a new (empty, non-electrode) cell and return the
-    /// Manhattan distance travelled in cells.
-    pub fn shuttle(&mut self, id: IonId, to: Position) -> Result<usize> {
-        let from = self.position_of(id).ok_or(PhysicalError::UnknownIon(id))?;
-        let to_idx = self.index(to)?;
-        if self.kinds[to_idx] == CellKind::Electrode {
-            return Err(PhysicalError::BlockedCell(to));
-        }
-        if let Some(existing) = self.occupancy[to_idx] {
-            if existing != id {
-                return Err(PhysicalError::CellOccupied {
-                    position: to,
-                    occupant: existing,
-                });
-            }
-        }
-        let from_idx = self.index(from)?;
-        self.occupancy[from_idx] = None;
-        self.occupancy[to_idx] = Some(id);
-        if let Some(entry) = self.ions.get_mut(&id) {
-            entry.1 = to;
-        }
-        Ok(from.manhattan_distance(&to))
-    }
-
-    /// Count cells of a given kind.
-    #[must_use]
-    pub fn count_kind(&self, kind: CellKind) -> usize {
-        self.kinds.iter().filter(|&&k| k == kind).count()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ion::{Ion, IonId};
 
     #[test]
-    fn manhattan_distance_and_turns() {
+    fn manhattan_distance_is_the_l1_norm() {
         let a = Position::new(0, 0);
         let b = Position::new(3, 4);
         let c = Position::new(0, 4);
         assert_eq!(a.manhattan_distance(&b), 7);
         assert_eq!(a.manhattan_distance(&c), 4);
-        assert_eq!(a.manhattan_turns(&b), 1);
-        assert_eq!(a.manhattan_turns(&c), 0);
-        assert_eq!(a.manhattan_turns(&a), 0);
-    }
-
-    #[test]
-    fn place_and_lookup() {
-        let mut grid = CellGrid::new(10, 10);
-        let ion = Ion::data(IonId(1));
-        grid.place(ion, Position::new(2, 3)).unwrap();
-        assert_eq!(grid.ion_count(), 1);
-        assert_eq!(grid.position_of(IonId(1)), Some(Position::new(2, 3)));
-        assert_eq!(grid.occupant(Position::new(2, 3)).unwrap(), Some(IonId(1)));
-        assert_eq!(grid.ion(IonId(1)).unwrap().kind, ion.kind);
-    }
-
-    #[test]
-    fn double_occupancy_is_rejected() {
-        let mut grid = CellGrid::new(4, 4);
-        grid.place(Ion::data(IonId(1)), Position::new(1, 1))
-            .unwrap();
-        let err = grid
-            .place(Ion::data(IonId(2)), Position::new(1, 1))
-            .unwrap_err();
-        assert!(matches!(err, PhysicalError::CellOccupied { .. }));
-    }
-
-    #[test]
-    fn electrodes_block_ions() {
-        let mut grid = CellGrid::new(4, 4);
-        grid.set_kind(Position::new(0, 0), CellKind::Electrode)
-            .unwrap();
-        let err = grid
-            .place(Ion::data(IonId(1)), Position::new(0, 0))
-            .unwrap_err();
-        assert!(matches!(err, PhysicalError::BlockedCell(_)));
-    }
-
-    #[test]
-    fn cannot_turn_occupied_cell_into_electrode() {
-        let mut grid = CellGrid::new(4, 4);
-        grid.place(Ion::data(IonId(1)), Position::new(2, 2))
-            .unwrap();
-        let err = grid
-            .set_kind(Position::new(2, 2), CellKind::Electrode)
-            .unwrap_err();
-        assert!(matches!(err, PhysicalError::CellOccupied { .. }));
-    }
-
-    #[test]
-    fn out_of_bounds_detected() {
-        let grid = CellGrid::new(4, 4);
-        assert!(matches!(
-            grid.kind(Position::new(4, 0)),
-            Err(PhysicalError::OutOfBounds { .. })
-        ));
-    }
-
-    #[test]
-    fn shuttle_moves_ion_and_reports_distance() {
-        let mut grid = CellGrid::new(10, 10);
-        grid.place(Ion::data(IonId(7)), Position::new(0, 0))
-            .unwrap();
-        let dist = grid.shuttle(IonId(7), Position::new(3, 4)).unwrap();
-        assert_eq!(dist, 7);
-        assert_eq!(grid.position_of(IonId(7)), Some(Position::new(3, 4)));
-        assert_eq!(grid.occupant(Position::new(0, 0)).unwrap(), None);
-    }
-
-    #[test]
-    fn shuttle_to_occupied_cell_fails() {
-        let mut grid = CellGrid::new(10, 10);
-        grid.place(Ion::data(IonId(1)), Position::new(0, 0))
-            .unwrap();
-        grid.place(Ion::data(IonId(2)), Position::new(5, 5))
-            .unwrap();
-        assert!(grid.shuttle(IonId(1), Position::new(5, 5)).is_err());
-    }
-
-    #[test]
-    fn remove_frees_the_cell() {
-        let mut grid = CellGrid::new(4, 4);
-        grid.place(Ion::epr(IonId(9)), Position::new(1, 2)).unwrap();
-        let p = grid.remove(IonId(9)).unwrap();
-        assert_eq!(p, Position::new(1, 2));
-        assert_eq!(grid.occupant(p).unwrap(), None);
-        assert!(grid.remove(IonId(9)).is_err());
-    }
-
-    #[test]
-    fn count_kind_tracks_modifications() {
-        let mut grid = CellGrid::new(3, 3);
-        assert_eq!(grid.count_kind(CellKind::Channel), 9);
-        grid.set_kind(Position::new(1, 1), CellKind::Trap).unwrap();
-        grid.set_kind(Position::new(0, 1), CellKind::Electrode)
-            .unwrap();
-        assert_eq!(grid.count_kind(CellKind::Channel), 7);
-        assert_eq!(grid.count_kind(CellKind::Trap), 1);
-        assert_eq!(grid.count_kind(CellKind::Electrode), 1);
+        assert_eq!(b.manhattan_distance(&a), 7);
+        assert_eq!(a.manhattan_distance(&a), 0);
     }
 }

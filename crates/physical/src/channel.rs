@@ -66,13 +66,6 @@ impl BallisticChannel {
         let move_fail = 1.0 - (1.0 - self.per_cell_failure).powi(self.length_cells as i32);
         1.0 - (1.0 - move_fail) * (1.0 - self.per_cell_failure)
     }
-
-    /// Number of corner turns needed to compose this channel with another at a
-    /// right angle (always 1); exposed for cost accounting by the router.
-    #[must_use]
-    pub fn corner_turns_to_join(&self) -> usize {
-        1
-    }
 }
 
 #[cfg(test)]

@@ -8,9 +8,7 @@
 //!   sympathetic cooling) together with their execution times and failure
 //!   probabilities ([`PhysicalOp`], [`TechnologyParams`], Table 1 of the
 //!   paper);
-//! * the QCCD abstraction of a 2-D grid of identical cells that may hold a
-//!   data ion, a cooling ion, an electrode, or be empty channel space
-//!   ([`CellGrid`], [`CellKind`], [`Ion`]);
+//! * cell coordinates on the QCCD grid of identical cells ([`Position`]);
 //! * ballistic channels: pipelined shuttling of ions along empty cells, with
 //!   the latency and bandwidth model of Section 2.1 ([`BallisticChannel`]).
 //!
@@ -38,71 +36,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod budget;
 pub mod cell;
 pub mod channel;
-pub mod ion;
 pub mod ops;
 pub mod params;
 pub mod time;
 
-pub use budget::ErrorBudget;
-pub use cell::{CellGrid, CellKind, Position};
+pub use cell::Position;
 pub use channel::BallisticChannel;
-pub use ion::{Ion, IonId, IonKind, IonSpecies};
 pub use ops::{PhysicalOp, SingleQubitKind, TwoQubitKind};
 pub use params::{FailureRates, OperationTimes, TechnologyParams};
 pub use time::Time;
-
-/// Errors produced by the physical-layer model.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PhysicalError {
-    /// A grid coordinate outside the allocated cell grid was referenced.
-    OutOfBounds {
-        /// The offending position.
-        position: Position,
-        /// Grid width in cells.
-        width: usize,
-        /// Grid height in cells.
-        height: usize,
-    },
-    /// An ion was placed on a cell that already holds another ion.
-    CellOccupied {
-        /// The occupied position.
-        position: Position,
-        /// The ion already resident at that position.
-        occupant: IonId,
-    },
-    /// An operation referenced an ion id that is not present in the grid.
-    UnknownIon(IonId),
-    /// A movement was requested across a cell that cannot hold an ion
-    /// (an electrode cell).
-    BlockedCell(Position),
-}
-
-impl core::fmt::Display for PhysicalError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        match self {
-            PhysicalError::OutOfBounds {
-                position,
-                width,
-                height,
-            } => write!(
-                f,
-                "position {position:?} is outside the {width}x{height} cell grid"
-            ),
-            PhysicalError::CellOccupied { position, occupant } => {
-                write!(f, "cell {position:?} already holds ion {occupant:?}")
-            }
-            PhysicalError::UnknownIon(id) => write!(f, "unknown ion id {id:?}"),
-            PhysicalError::BlockedCell(p) => {
-                write!(f, "cell {p:?} is an electrode and cannot hold an ion")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PhysicalError {}
-
-/// Convenience result alias for this crate.
-pub type Result<T> = core::result::Result<T, PhysicalError>;

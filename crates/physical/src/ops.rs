@@ -94,12 +94,6 @@ impl PhysicalOp {
         PhysicalOp::TwoQubitGate(TwoQubitKind::Cnot)
     }
 
-    /// Movement across a single cell.
-    #[must_use]
-    pub fn move_one_cell() -> Self {
-        PhysicalOp::Move { cells: 1 }
-    }
-
     /// Number of qubits this operation touches (memory idle and movement touch
     /// one qubit; two-qubit gates touch two).
     #[must_use]
@@ -108,26 +102,6 @@ impl PhysicalOp {
             PhysicalOp::TwoQubitGate(_) => 2,
             _ => 1,
         }
-    }
-
-    /// True if this operation is one of the gate-type operations (as opposed
-    /// to transport, cooling or idling).
-    #[must_use]
-    pub fn is_gate(&self) -> bool {
-        matches!(
-            self,
-            PhysicalOp::SingleQubitGate(_) | PhysicalOp::TwoQubitGate(_) | PhysicalOp::Measure
-        )
-    }
-
-    /// True if this operation is transport (movement, splitting or corner
-    /// turning).
-    #[must_use]
-    pub fn is_transport(&self) -> bool {
-        matches!(
-            self,
-            PhysicalOp::Move { .. } | PhysicalOp::Split | PhysicalOp::CornerTurn
-        )
     }
 }
 
@@ -156,17 +130,6 @@ mod tests {
         assert_eq!(PhysicalOp::two_qubit().arity(), 2);
         assert_eq!(PhysicalOp::Measure.arity(), 1);
         assert_eq!(PhysicalOp::Move { cells: 5 }.arity(), 1);
-    }
-
-    #[test]
-    fn classification_predicates() {
-        assert!(PhysicalOp::single_qubit().is_gate());
-        assert!(PhysicalOp::Measure.is_gate());
-        assert!(!PhysicalOp::Split.is_gate());
-        assert!(PhysicalOp::Split.is_transport());
-        assert!(PhysicalOp::CornerTurn.is_transport());
-        assert!(PhysicalOp::Move { cells: 1 }.is_transport());
-        assert!(!PhysicalOp::Cool.is_transport());
     }
 
     #[test]

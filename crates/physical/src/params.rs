@@ -178,24 +178,6 @@ impl FailureRates {
     pub fn mean_component_rate(&self) -> f64 {
         (self.single_gate + self.double_gate + self.measure + self.move_per_cell) / 4.0
     }
-
-    /// A copy of these rates with every gate/measure rate scaled so that the
-    /// mean component rate equals `p0`, keeping the movement rate fixed.
-    ///
-    /// This mirrors the experimental procedure behind Figure 7: "we fixed the
-    /// movement failure rate to be the expected rate ... but varied the rest
-    /// of the failure probabilities".
-    #[must_use]
-    pub fn with_uniform_component_rate(&self, p0: f64) -> Self {
-        FailureRates {
-            single_gate: p0,
-            double_gate: p0,
-            measure: p0,
-            move_per_um: self.move_per_um,
-            move_per_cell: self.move_per_cell,
-            memory_per_sec: self.memory_per_sec,
-        }
-    }
 }
 
 /// A complete technology description: operation times, failure rates and the
@@ -298,13 +280,6 @@ impl TechnologyParams {
         }
     }
 
-    /// Time to traverse `cells` cells of a ballistic channel including the
-    /// initial chain split (Section 2.1: `τ + T × D`).
-    #[must_use]
-    pub fn channel_traverse_time(&self, cells: usize) -> Time {
-        self.times.split + self.times.move_per_cell * cells
-    }
-
     /// Edge length of a QCCD cell in metres.
     #[must_use]
     pub fn cell_size_m(&self) -> f64 {
@@ -395,24 +370,6 @@ mod tests {
         let long = tech.op_failure(&PhysicalOp::MemoryIdle { micros: 1e6 });
         assert!(short < long);
         assert!(long < 0.2);
-    }
-
-    #[test]
-    fn channel_traverse_time_includes_split() {
-        let tech = TechnologyParams::expected();
-        // τ + T·D = 10 µs + 0.01 µs × 200
-        let t = tech.channel_traverse_time(200);
-        assert!((t.as_micros() - 12.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_component_rate_keeps_movement_fixed() {
-        let base = FailureRates::expected();
-        let varied = base.with_uniform_component_rate(1e-3);
-        assert_eq!(varied.single_gate, 1e-3);
-        assert_eq!(varied.double_gate, 1e-3);
-        assert_eq!(varied.measure, 1e-3);
-        assert_eq!(varied.move_per_cell, base.move_per_cell);
     }
 
     #[test]

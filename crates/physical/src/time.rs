@@ -51,12 +51,6 @@ impl Time {
         Time::from_secs(h * 3600.0)
     }
 
-    /// Construct from days.
-    #[must_use]
-    pub fn from_days(d: f64) -> Self {
-        Time::from_hours(d * 24.0)
-    }
-
     /// The duration in nanoseconds.
     #[must_use]
     pub fn as_nanos(&self) -> f64 {
@@ -91,12 +85,6 @@ impl Time {
     #[must_use]
     pub fn as_days(&self) -> f64 {
         self.as_hours() / 24.0
-    }
-
-    /// True if this duration is exactly zero.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.micros == 0.0
     }
 
     /// The larger of two durations.
@@ -205,7 +193,6 @@ mod tests {
         assert_eq!(Time::from_millis(3.0).as_micros(), 3000.0);
         assert_eq!(Time::from_secs(1.0).as_millis(), 1000.0);
         assert_eq!(Time::from_hours(2.0).as_secs(), 7200.0);
-        assert_eq!(Time::from_days(1.0).as_hours(), 24.0);
     }
 
     #[test]
@@ -229,8 +216,6 @@ mod tests {
         assert!(a < b);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
-        assert!(Time::ZERO.is_zero());
-        assert!(!a.is_zero());
     }
 
     #[test]

@@ -52,12 +52,12 @@ pub fn run_clifford(
             Gate::Swap(a, b) => CliffordGate::Swap(a, b),
             Gate::PrepZ(q) => CliffordGate::PrepZ(q),
             Gate::MeasureZ(q) => {
-                measurements.push(sim.measure_ideal(q).value);
+                measurements.push(sim.measure(q));
                 continue;
             }
             Gate::T(_) | Gate::Tdg(_) | Gate::Toffoli { .. } => return Err(NonCliffordGate(gate)),
         };
-        sim.apply_ideal(lowered);
+        sim.apply(lowered);
     }
     Ok(measurements)
 }

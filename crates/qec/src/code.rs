@@ -30,12 +30,6 @@ pub struct CssCode {
 }
 
 impl CssCode {
-    /// Number of correctable errors, `⌊(d−1)/2⌋`.
-    #[must_use]
-    pub fn correctable_errors(&self) -> usize {
-        (self.distance - 1) / 2
-    }
-
     /// The X-type stabilizer generators as Pauli strings.
     #[must_use]
     pub fn x_stabilizer_strings(&self) -> Vec<PauliString> {

@@ -292,7 +292,7 @@ mod tests {
         let m = EccLatencyModel::expected();
         assert_eq!(m.logical_cnot(0).as_micros(), 10.0);
         assert_eq!(m.logical_1q(0).as_micros(), 1.0);
-        assert!(m.ecc_step_trivial(0).is_zero());
+        assert_eq!(m.ecc_step_trivial(0), Time::ZERO);
     }
 
     #[test]

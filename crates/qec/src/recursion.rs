@@ -75,29 +75,6 @@ impl ConcatenatedSteane {
     pub fn total_ions(&self) -> u64 {
         self.level1_blocks() * LEVEL1_BLOCK_IONS as u64
     }
-
-    /// Number of physical operations in a transversal logical gate at this
-    /// level (one physical gate per underlying data qubit).
-    #[must_use]
-    pub fn transversal_gate_ops(&self) -> u64 {
-        self.data_qubits()
-    }
-
-    /// The failure probability of an encoded operation, given the physical
-    /// component failure probability `p0` and a threshold `pth`, using the
-    /// standard concatenation recurrence `p_L = pth · (p0/pth)^(2^L)`.
-    #[must_use]
-    pub fn logical_failure_rate(&self, p0: f64, pth: f64) -> f64 {
-        pth * (p0 / pth).powi(1 << self.level)
-    }
-}
-
-/// One step of the concatenation recurrence: the failure probability after
-/// adding one more level of encoding, `p ↦ p²/pth` (equivalently
-/// `pth·(p/pth)²`).
-#[must_use]
-pub fn concatenation_step(p: f64, pth: f64) -> f64 {
-    pth * (p / pth).powi(2)
 }
 
 #[cfg(test)]
@@ -123,28 +100,6 @@ mod tests {
         // conglomerations: 63 level-1 blocks.
         assert_eq!(l2.level1_blocks(), 63);
         assert_eq!(l2.total_ions(), 63 * 21);
-        assert_eq!(l2.transversal_gate_ops(), 49);
-    }
-
-    #[test]
-    fn logical_failure_rate_matches_closed_form() {
-        let c = ConcatenatedSteane::new(2);
-        let p0: f64 = 1e-4;
-        let pth: f64 = 1e-2;
-        let expected = pth * (p0 / pth).powi(4);
-        assert!((c.logical_failure_rate(p0, pth) - expected).abs() < 1e-20);
-    }
-
-    #[test]
-    fn iterating_the_step_reproduces_the_closed_form() {
-        let pth = 7.5e-5;
-        let p0 = 1e-6;
-        let mut p = p0;
-        for _ in 0..3 {
-            p = concatenation_step(p, pth);
-        }
-        let closed = ConcatenatedSteane::new(3).logical_failure_rate(p0, pth);
-        assert!((p - closed).abs() / closed < 1e-9);
     }
 
     #[test]
@@ -154,24 +109,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn below_threshold_recursion_helps(p0 in 1e-8f64..1e-5) {
-            let pth = 7.5e-5;
-            let l1 = ConcatenatedSteane::new(1).logical_failure_rate(p0, pth);
-            let l2 = ConcatenatedSteane::new(2).logical_failure_rate(p0, pth);
-            prop_assert!(l1 < p0);
-            prop_assert!(l2 < l1);
-        }
-
-        #[test]
-        fn above_threshold_recursion_hurts(p0 in 1e-3f64..1e-1) {
-            let pth = 7.5e-5;
-            let l1 = ConcatenatedSteane::new(1).logical_failure_rate(p0, pth);
-            let l2 = ConcatenatedSteane::new(2).logical_failure_rate(p0, pth);
-            prop_assert!(l1 > p0);
-            prop_assert!(l2 > l1);
-        }
-
         #[test]
         fn resources_grow_geometrically(level in 1u32..6) {
             let a = ConcatenatedSteane::new(level);

@@ -99,13 +99,6 @@ pub fn correction_for(code: &CssCode, error_type: ErrorType, syndrome: &[bool]) 
     }
 }
 
-/// Count of physical operations in one extraction circuit — useful for the
-/// latency and resource models.
-#[must_use]
-pub fn extraction_op_counts(error_type: ErrorType) -> qla_circuit::GateCounts {
-    extraction_circuit(error_type).counts()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,12 +178,12 @@ mod tests {
 
     #[test]
     fn extraction_circuits_have_the_expected_shape() {
-        let x = extraction_op_counts(ErrorType::X);
+        let x = extraction_circuit(ErrorType::X).counts();
         assert_eq!(x.measurements, 7);
         assert_eq!(x.two_qubit, 9 + 7); // encoder CNOTs + transversal CNOT
                                         // |+>_L preparation: 3 pivot Hadamards plus the transversal Hadamard.
         assert_eq!(x.single_qubit_clifford, 10);
-        let z = extraction_op_counts(ErrorType::Z);
+        let z = extraction_circuit(ErrorType::Z).counts();
         assert_eq!(z.measurements, 7);
         assert_eq!(z.two_qubit, 9 + 7);
         // |0>_L preparation (3 Hadamards) plus the X-basis rotation (7).

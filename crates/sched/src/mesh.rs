@@ -9,7 +9,7 @@
 //! level-2 error-correction window so that communication fully overlaps
 //! computation.
 
-use qla_layout::{Floorplan, LogicalQubitId};
+use qla_layout::Floorplan;
 use serde::{Deserialize, Serialize};
 
 /// A node of the routing mesh: one logical-qubit site of the floorplan.
@@ -107,12 +107,6 @@ impl Mesh {
         self.columns * self.rows
     }
 
-    /// The node id of a logical qubit.
-    #[must_use]
-    pub fn node_of(&self, q: LogicalQubitId) -> Node {
-        q.0
-    }
-
     /// The (column, row) of a node.
     #[must_use]
     pub fn coords(&self, n: Node) -> (usize, usize) {
@@ -168,14 +162,6 @@ impl Mesh {
     #[must_use]
     pub fn total_capacity_per_window(&self) -> usize {
         self.edge_count() * self.edge_capacity_per_window()
-    }
-
-    /// Manhattan hop distance between two nodes.
-    #[must_use]
-    pub fn hop_distance(&self, a: Node, b: Node) -> usize {
-        let (ca, ra) = self.coords(a);
-        let (cb, rb) = self.coords(b);
-        ca.abs_diff(cb) + ra.abs_diff(rb)
     }
 
     /// `count` distinct node ids spread evenly over the grid in row-major
@@ -262,11 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn coords_and_distance() {
+    fn coords_are_row_major() {
         let m = Mesh::new(5, 4, 1);
         assert_eq!(m.coords(7), (2, 1));
-        assert_eq!(m.hop_distance(0, 7), 3);
-        assert_eq!(m.hop_distance(7, 7), 0);
+        assert_eq!(m.coords(0), (0, 0));
+        assert_eq!(m.coords(19), (4, 3));
     }
 
     #[test]
@@ -275,7 +261,6 @@ mod tests {
         let m = Mesh::from_floorplan(&plan, 2);
         assert_eq!(m.columns(), 6);
         assert_eq!(m.rows(), 4);
-        assert_eq!(m.node_of(LogicalQubitId(13)), 13);
     }
 
     #[test]

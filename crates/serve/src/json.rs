@@ -10,6 +10,13 @@
 //!
 //! Rendering the *response* side reuses `qla_report::json_escape`, so the
 //! service's output escaping is identical to the report renderer's.
+//!
+//! Arrays and objects nest at most 64 deep. A deeper line is a parse
+//! error, not a stack overflow, and the cap also bounds the recursion of
+//! dropping a parsed [`Json`].
+
+/// Deepest nesting of arrays and objects a request may use.
+const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Numbers keep their raw source text (see the module
 /// docs); object keys keep their insertion order.
@@ -39,6 +46,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -100,6 +108,8 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -128,8 +138,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -138,6 +148,20 @@ impl Parser<'_> {
             Some(b) => Err(format!("unexpected '{}' at byte {}", b as char, self.pos)),
             None => Err(format!("unexpected end of input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object, refusing to open more than `MAX_DEPTH`.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -366,6 +390,7 @@ mod tests {
             "{\"a\": 01x}",
             "nulL",
             "{\"dup\": 1, \"dup\": 2}",
+            &"[".repeat(200_000),
         ] {
             let err = Json::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "{bad:?}");
@@ -373,6 +398,22 @@ mod tests {
         assert!(Json::parse("{\"dup\": 1, \"dup\": 2}")
             .unwrap_err()
             .contains("duplicate key"));
+        assert_eq!(
+            Json::parse(&"[".repeat(200_000)).unwrap_err(),
+            "nesting deeper than 64 at byte 64"
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize, open: &str, close: &str| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nest(MAX_DEPTH, "[", "]")).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH, "{\"a\":", "}").replace(":}", ":1}")).is_ok());
+        let objects = nest(MAX_DEPTH + 1, "{\"a\":", "}");
+        let err = Json::parse(&objects).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than 64 at byte {}", 64 * 5));
     }
 
     #[test]

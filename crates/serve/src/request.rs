@@ -253,6 +253,18 @@ mod tests {
             qla_report::json_escape(&broken)
         );
         assert!(parse_command(&line).unwrap_err().contains("validation"));
+
+        // A machine too large to allocate is refused the same way.
+        let huge = spec_text.replace("logical_qubits = 400\n", "logical_qubits = 4000000000\n");
+        let line = format!(
+            "{{\"experiment\": \"sim-tail-latency\", \"spec\": {}}}",
+            qla_report::json_escape(&huge)
+        );
+        let err = parse_command(&line).unwrap_err();
+        assert!(
+            err.contains("logical_qubits must be between 1 and 1048576, got 4000000000"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -277,6 +289,10 @@ mod tests {
     fn malformed_requests_fail_loudly() {
         assert!(parse_command("not json").unwrap_err().contains("malformed"));
         assert!(parse_command("[1, 2]").unwrap_err().contains("object"));
+        assert_eq!(
+            parse_command(&"[".repeat(200_000)).unwrap_err(),
+            "malformed request JSON: nesting deeper than 64 at byte 64"
+        );
         assert!(parse_command(r#"{"trails": 5, "experiment": "table1"}"#)
             .unwrap_err()
             .contains("trails"));

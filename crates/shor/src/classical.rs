@@ -51,13 +51,6 @@ impl QuantumClassicalComparison {
             classical_mips_years: classical_mips_years(bits),
         }
     }
-
-    /// Classical effort expressed as days on a hypothetical machine executing
-    /// the given sustained MIPS rate.
-    #[must_use]
-    pub fn classical_days_at(&self, mips: f64) -> f64 {
-        self.classical_mips_years * 365.25 / mips
-    }
 }
 
 #[cfg(test)]
@@ -86,7 +79,8 @@ mod tests {
         assert!(cmp.quantum_days < 30.0);
         assert!(cmp.classical_mips_years > 1e6);
         // Even a million-MIPS classical machine needs far longer than the QLA.
-        assert!(cmp.classical_days_at(1e6) > cmp.quantum_days * 100.0);
+        let classical_days = cmp.classical_mips_years * 365.25 / 1e6;
+        assert!(classical_days > cmp.quantum_days * 100.0);
     }
 
     #[test]

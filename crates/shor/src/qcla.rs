@@ -46,13 +46,6 @@ pub fn qcla(n: usize) -> QclaResources {
     }
 }
 
-/// Depth of a plain ripple-carry adder, the baseline the QCLA's logarithmic
-/// depth is traded against (used by the ablation bench).
-#[must_use]
-pub fn ripple_carry_toffoli_depth(n: usize) -> usize {
-    2 * n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -64,13 +57,6 @@ mod tests {
         assert_eq!(qcla(2048).toffoli_depth, 4 * 11);
         assert_eq!(qcla(128).cnot_depth, 4);
         assert_eq!(qcla(128).not_depth, 2);
-    }
-
-    #[test]
-    fn qcla_beats_ripple_carry_for_wide_operands() {
-        for n in [64usize, 128, 512, 2048] {
-            assert!(qcla(n).toffoli_depth < ripple_carry_toffoli_depth(n));
-        }
     }
 
     #[test]

@@ -19,9 +19,6 @@ pub const TOFFOLI_PREP_ECC_STEPS: usize = 15;
 /// Error-correction cycles needed to complete the gate after ancilla
 /// preparation.
 pub const TOFFOLI_FINISH_ECC_STEPS: usize = 6;
-/// Times the 15-step ancilla preparation is repeated (overlapped with the
-/// previous Toffoli's execution, so not on the critical path).
-pub const TOFFOLI_PREP_REPETITIONS: usize = 3;
 
 /// The critical-path cost of one fault-tolerant Toffoli.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -245,14 +245,6 @@ pub struct FaultTimeline {
 }
 
 impl FaultTimeline {
-    /// Whether the timeline changes nothing (no faults, no quotas).
-    #[must_use]
-    pub fn is_healthy(&self) -> bool {
-        self.channel_faults.is_empty()
-            && self.factory_faults.is_empty()
-            && self.tenant_quotas.is_empty()
-    }
-
     /// Check the timeline against a mesh, a config, and the offered items.
     ///
     /// # Panics

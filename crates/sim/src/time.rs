@@ -56,12 +56,6 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
-    /// This time back in the analytic layer's unit.
-    #[must_use]
-    pub fn to_time(self) -> Time {
-        Time::from_nanos(self.0 as f64)
-    }
-
     /// Saturating difference (`self - earlier`, floored at zero).
     #[must_use]
     pub fn saturating_since(self, earlier: SimTime) -> SimTime {
@@ -110,7 +104,6 @@ mod tests {
         let t = SimTime::from_time(Time::from_micros(573.25));
         assert_eq!(t.nanos(), 573_250);
         assert_eq!(t.as_millis_f64(), 0.57325);
-        assert_eq!(SimTime::from_time(t.to_time()), t);
     }
 
     #[test]

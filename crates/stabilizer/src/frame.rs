@@ -27,7 +27,7 @@
 //! is then O(words), not O(qubits) — this is what makes the Figure 7
 //! Monte-Carlo trial a handful of word operations end to end.
 
-use crate::pauli::{tail_mask, words_for, Pauli, PauliString};
+use crate::pauli::{tail_mask, Pauli, PauliString};
 use crate::tableau::CliffordGate;
 use serde::{Deserialize, Serialize};
 
@@ -267,22 +267,6 @@ impl PauliFrame {
         }
     }
 
-    /// Parity of the X-error pattern over the qubits selected by `mask`
-    /// (one syndrome bit, in O(words)).
-    ///
-    /// # Panics
-    /// Panics if the mask's word count doesn't match the frame.
-    #[must_use]
-    #[inline]
-    pub fn x_mask_parity(&self, mask: &[u64]) -> bool {
-        assert_eq!(mask.len(), self.x.len(), "mask word count mismatch");
-        mask.iter()
-            .zip(&self.x)
-            .fold(0u32, |acc, (&m, &w)| acc ^ (m & w).count_ones())
-            & 1
-            != 0
-    }
-
     /// Parity of the Z-error pattern over the qubits selected by `mask`.
     ///
     /// # Panics
@@ -385,30 +369,11 @@ impl PauliFrame {
             .sum()
     }
 
-    /// True if no qubit carries an error.
-    #[must_use]
-    pub fn is_clean(&self) -> bool {
-        self.x.iter().all(|&w| w == 0) && self.z.iter().all(|&w| w == 0)
-    }
-
     /// Clear all errors.
     #[inline]
     pub fn reset(&mut self) {
         self.x.fill(0);
         self.z.fill(0);
-    }
-
-    /// Extract the frame as a Pauli string (handing the packed planes over
-    /// whole).
-    #[must_use]
-    pub fn to_pauli_string(&self) -> PauliString {
-        let words = words_for(self.n);
-        PauliString::from_words(
-            self.n,
-            self.x[..words].to_vec(),
-            self.z[..words].to_vec(),
-            0,
-        )
     }
 
     /// The X-error pattern restricted to the given set of qubits, as a parity
@@ -435,7 +400,6 @@ mod tests {
     #[test]
     fn fresh_frame_is_clean() {
         let f = PauliFrame::new(10);
-        assert!(f.is_clean());
         assert_eq!(f.weight(), 0);
         assert_eq!(f.num_qubits(), 10);
     }
@@ -452,7 +416,7 @@ mod tests {
         assert_eq!(f.error_on(3), Pauli::I);
         assert_eq!(f.weight(), 3);
         f.reset();
-        assert!(f.is_clean());
+        assert_eq!(f.weight(), 0);
     }
 
     #[test]
@@ -460,7 +424,7 @@ mod tests {
         let mut f = PauliFrame::new(1);
         f.inject_x(0);
         f.inject_x(0);
-        assert!(f.is_clean());
+        assert_eq!(f.weight(), 0);
     }
 
     #[test]
@@ -527,8 +491,6 @@ mod tests {
         f.inject_x(2);
         f.inject_x(65);
         f.inject_z(64);
-        assert_eq!(f.x_mask_parity(&[1 << 2, 1 << 1]), f.x_parity(&[2, 65]));
-        assert_eq!(f.x_mask_parity(&[1 << 2, 0]), f.x_parity(&[2]));
         assert_eq!(f.z_mask_parity(&[0, 1]), f.z_parity(&[64]));
     }
 
@@ -586,7 +548,6 @@ mod tests {
         a.inject_string(&s);
         b.xor_rows(s.x_words(), s.z_words());
         assert_eq!(a, b);
-        assert_eq!(a.to_pauli_string(), s);
     }
 
     #[test]
@@ -616,12 +577,12 @@ mod tests {
         let mut sim = StabilizerSimulator::with_seed(n, 7);
         sim.apply_pauli(error_qubit, error);
         for &g in circuit {
-            sim.apply_ideal(g);
+            sim.apply(g);
         }
         // Reference (no error) path.
         let mut reference = StabilizerSimulator::with_seed(n, 7);
         for &g in circuit {
-            reference.apply_ideal(g);
+            reference.apply(g);
         }
         // Frame path.
         let mut frame = PauliFrame::new(n);
@@ -633,8 +594,8 @@ mod tests {
             // Only compare when the reference outcome is deterministic (the
             // measured difference is then exactly the frame's X component).
             if reference.tableau().is_deterministic(q) {
-                let noisy = sim.measure_ideal(q).value;
-                let clean = reference.measure_ideal(q).value;
+                let noisy = sim.measure(q);
+                let clean = reference.measure(q);
                 assert_eq!(
                     noisy ^ clean,
                     frame.measurement_flipped(q),

@@ -16,19 +16,16 @@
 //!   generator rows, plus a packed sign plane. Clifford gates update every
 //!   generator at once in O(n/64) words, and measurement runs the
 //!   word-parallel multi-rowsum in O(n²/64) worst case ([`tableau`]).
-//! * [`StabilizerSimulator`] — a convenience wrapper that owns a tableau, a
-//!   seeded RNG and a noise model, used by the ARQ Monte-Carlo experiments
-//!   ([`simulator`]).
+//! * [`StabilizerSimulator`] — a convenience wrapper that owns a tableau and
+//!   a seeded RNG, driven by `qla_qec::run_clifford` ([`simulator`]).
 //! * [`PauliFrame`] — a much cheaper error-propagation ("Pauli frame")
 //!   simulator that tracks only the X/Z error pattern through a Clifford
 //!   circuit, with a mask/word bulk interface (transversal gates and
 //!   syndrome parities in O(words)). For CSS-code Monte Carlo (Figure 7 of
 //!   the paper) this is equivalent to full tableau simulation and orders of
 //!   magnitude faster ([`frame`]).
-//! * [`noise`] — depolarizing and independent X/Z error channels matching the
-//!   component failure rates of Table 1.
 //! * [`reference`] — the retained scalar (one-Pauli-per-element) engines,
-//!   used only as the differential-test oracle and the bench baseline.
+//!   used only as the differential-test oracle.
 //!
 //! # Bit-packed kernels
 //!
@@ -41,15 +38,11 @@
 //! differential property tests in `tests/differential.rs` enforce on random
 //! Clifford+measurement programs.
 //!
-//! Measured on the `stabilizer_kernels` bench in `qla-bench` (Xeon 2.1 GHz,
-//! AVX2): gate-layer application 47–100× and row multiplication 22–27× over
-//! the scalar reference at n = 64…1024, and ~3.5–4× end-to-end on the
-//! Figure 7 threshold Monte Carlo at equal seeds with byte-identical output.
-//! The end-to-end figure is deliberately the smaller one: the goldens pin
-//! the exact RNG draw sequence (~88 `ChaCha8` draws per trial for the
-//! Steane L1 circuit), so once the frame kernels are word-parallel the
-//! sweep is floored by mandatory keystream generation — the remaining time
-//! is the RNG, not the simulator.
+//! The benchmark package `qla-perf` tracks the frame kernels as the
+//! `stabilizer.frame_op_ns` layer of its `fig7` workload. That Monte Carlo
+//! pins the exact RNG draw sequence (the goldens fix ~88 `ChaCha8` draws per
+//! trial for the Steane L1 circuit), so once the frame kernels are
+//! word-parallel its floor is keystream generation, not the simulator.
 //!
 //! # Example: a Bell pair is perfectly correlated
 //!
@@ -68,14 +61,12 @@
 #![forbid(unsafe_code)]
 
 pub mod frame;
-pub mod noise;
 pub mod pauli;
 pub mod reference;
 pub mod simulator;
 pub mod tableau;
 
 pub use frame::PauliFrame;
-pub use noise::{DepolarizingChannel, NoiseChannel, PauliErrorKind, TwoQubitDepolarizing};
 pub use pauli::{Pauli, PauliString};
 pub use simulator::StabilizerSimulator;
 pub use tableau::{CliffordGate, MeasurementOutcome, Tableau};

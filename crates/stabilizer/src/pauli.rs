@@ -87,14 +87,6 @@ impl Pauli {
         // Symplectic product: they anticommute iff x1·z2 + z1·x2 is odd.
         (x1 && z2) == (z1 && x2)
     }
-
-    /// Product of two Paulis, ignoring phase.
-    #[must_use]
-    pub fn mul_ignoring_phase(self, other: Pauli) -> Pauli {
-        let (x1, z1) = self.xz();
-        let (x2, z2) = other.xz();
-        Pauli::from_xz(x1 ^ x2, z1 ^ z2)
-    }
 }
 
 impl core::fmt::Display for Pauli {
@@ -311,21 +303,10 @@ impl PauliString {
             })
     }
 
-    /// The overall sign: `true` means the string carries a −1 phase.
-    #[must_use]
-    pub fn is_negative(&self) -> bool {
-        self.phase == 2
-    }
-
     /// The global phase exponent `k` such that the operator is `i^k · P`.
     #[must_use]
     pub fn phase_exponent(&self) -> u8 {
         self.phase
-    }
-
-    /// Flip the overall sign (multiply the phase by −1).
-    pub fn negate(&mut self) {
-        self.phase = (self.phase + 2) % 4;
     }
 
     /// Number of non-identity tensor factors.
@@ -385,28 +366,6 @@ impl PauliString {
         let exponent =
             i64::from(self.phase) + i64::from(other.phase) + i64::from(plus) - i64::from(minus);
         self.phase = exponent.rem_euclid(4) as u8;
-    }
-
-    /// Restrict to the X-type part (drop all Z components).
-    #[must_use]
-    pub fn x_part(&self) -> PauliString {
-        PauliString {
-            n: self.n,
-            xs: self.xs.clone(),
-            zs: vec![0; self.zs.len()],
-            phase: 0,
-        }
-    }
-
-    /// Restrict to the Z-type part (drop all X components).
-    #[must_use]
-    pub fn z_part(&self) -> PauliString {
-        PauliString {
-            n: self.n,
-            xs: vec![0; self.xs.len()],
-            zs: self.zs.clone(),
-            phase: 0,
-        }
     }
 
     /// Build a weight-1 string with Pauli `p` on qubit `q` of `n`.
@@ -495,15 +454,6 @@ mod tests {
     }
 
     #[test]
-    fn pauli_multiplication_ignoring_phase() {
-        use Pauli::*;
-        assert_eq!(X.mul_ignoring_phase(Z), Y);
-        assert_eq!(X.mul_ignoring_phase(X), I);
-        assert_eq!(Y.mul_ignoring_phase(Z), X);
-        assert_eq!(I.mul_ignoring_phase(Y), Y);
-    }
-
-    #[test]
     fn product_phase_masks_match_single_qubit_table() {
         use Pauli::*;
         for a in [I, X, Y, Z] {
@@ -531,7 +481,7 @@ mod tests {
         assert_eq!(s.get(4), Pauli::Y);
         assert_eq!(format!("{s}"), "XIZZY");
         let neg = PauliString::from_str_repr("-ZZ");
-        assert!(neg.is_negative());
+        assert_eq!(neg.phase_exponent(), 2);
         assert_eq!(format!("{neg}"), "-ZZ");
     }
 
@@ -642,13 +592,6 @@ mod tests {
         let mut prod = y64.clone();
         prod.multiply_by(&x64);
         assert_eq!(prod.phase_exponent(), 0);
-    }
-
-    #[test]
-    fn x_and_z_parts_split_a_y() {
-        let y = PauliString::from_str_repr("YIY");
-        assert_eq!(format!("{}", y.x_part()), "XIX");
-        assert_eq!(format!("{}", y.z_part()), "ZIZ");
     }
 
     #[test]

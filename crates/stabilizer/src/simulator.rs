@@ -1,81 +1,31 @@
-//! A convenience wrapper tying the tableau to a seeded RNG and optional
-//! gate-level noise.
+//! A convenience wrapper tying the tableau to a seeded RNG.
 //!
 //! [`StabilizerSimulator`] is the object the ARQ layer drives: it accepts
-//! Clifford gates, resolves random measurement outcomes with a reproducible
-//! RNG, and (optionally) injects depolarizing noise after every gate it
-//! executes, matching the error model of Section 4.1.3.
+//! Clifford gates and resolves random measurement outcomes (and the random
+//! bit of a `PrepZ` reset) with a reproducible RNG. Simulation is ideal;
+//! the Figure 7 Monte Carlo draws its faults separately and propagates them
+//! through a [`PauliFrame`](crate::PauliFrame).
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::noise::{DepolarizingChannel, NoiseChannel, TwoQubitDepolarizing};
 use crate::pauli::{Pauli, PauliString};
-use crate::tableau::{CliffordGate, MeasurementOutcome, Tableau};
+use crate::tableau::{CliffordGate, Tableau};
 
-/// Gate-level noise configuration for the simulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GateNoise {
-    /// Noise applied after every single-qubit gate.
-    pub single_qubit: DepolarizingChannel,
-    /// Noise applied after every two-qubit gate (to both qubits).
-    pub two_qubit: TwoQubitDepolarizing,
-    /// Probability that a measurement reports the wrong value.
-    pub measurement_flip: f64,
-    /// Probability that a freshly prepared qubit is flipped.
-    pub preparation_flip: f64,
-}
-
-impl GateNoise {
-    /// No noise at all (ideal Clifford simulation).
-    #[must_use]
-    pub fn noiseless() -> Self {
-        GateNoise {
-            single_qubit: DepolarizingChannel::new(0.0),
-            two_qubit: TwoQubitDepolarizing::new(0.0),
-            measurement_flip: 0.0,
-            preparation_flip: 0.0,
-        }
-    }
-
-    /// Uniform noise: every operation fails with probability `p`.
-    #[must_use]
-    pub fn uniform(p: f64) -> Self {
-        GateNoise {
-            single_qubit: DepolarizingChannel::new(p),
-            two_qubit: TwoQubitDepolarizing::new(p),
-            measurement_flip: p,
-            preparation_flip: p,
-        }
-    }
-}
-
-/// A stabilizer-state simulator with a reproducible RNG and optional noise.
+/// A stabilizer-state simulator with a reproducible RNG.
 #[derive(Debug, Clone)]
 pub struct StabilizerSimulator {
     tableau: Tableau,
     rng: ChaCha8Rng,
-    noise: GateNoise,
 }
 
 impl StabilizerSimulator {
-    /// Create a noiseless simulator for `n` qubits with the given RNG seed.
+    /// Create a simulator for `n` qubits with the given RNG seed.
     #[must_use]
     pub fn with_seed(n: usize, seed: u64) -> Self {
         StabilizerSimulator {
             tableau: Tableau::new(n),
             rng: ChaCha8Rng::seed_from_u64(seed),
-            noise: GateNoise::noiseless(),
-        }
-    }
-
-    /// Create a noisy simulator.
-    #[must_use]
-    pub fn with_noise(n: usize, seed: u64, noise: GateNoise) -> Self {
-        StabilizerSimulator {
-            tableau: Tableau::new(n),
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            noise,
         }
     }
 
@@ -91,52 +41,18 @@ impl StabilizerSimulator {
         &self.tableau
     }
 
-    /// Apply a Clifford gate, followed by the configured gate noise.
+    /// Apply a Clifford gate.
     pub fn apply(&mut self, gate: CliffordGate) {
         match gate {
             CliffordGate::PrepZ(q) => {
                 let bit = self.rng.random::<bool>();
                 self.tableau.prepare_z(q, bit);
-                if self.noise.preparation_flip > 0.0
-                    && self.rng.random::<f64>() < self.noise.preparation_flip
-                {
-                    self.tableau.pauli_x(q);
-                }
-                return;
-            }
-            other => self.tableau.apply(other),
-        }
-        self.inject_gate_noise(gate);
-    }
-
-    /// Apply a gate with *no* noise even if noise is configured (used for the
-    /// ideal decoding steps of a Monte-Carlo trial).
-    pub fn apply_ideal(&mut self, gate: CliffordGate) {
-        match gate {
-            CliffordGate::PrepZ(q) => {
-                let bit = self.rng.random::<bool>();
-                self.tableau.prepare_z(q, bit);
             }
             other => self.tableau.apply(other),
         }
     }
 
-    fn inject_gate_noise(&mut self, gate: CliffordGate) {
-        let (a, b) = gate.qubits();
-        match b {
-            None => {
-                let err = self.noise.single_qubit.sample(&mut self.rng);
-                self.apply_pauli(a, err.to_pauli());
-            }
-            Some(b) => {
-                let (ea, eb) = self.noise.two_qubit.sample_pair(&mut self.rng);
-                self.apply_pauli(a, ea.to_pauli());
-                self.apply_pauli(b, eb.to_pauli());
-            }
-        }
-    }
-
-    /// Apply a bare Pauli to one qubit (no noise follows).
+    /// Apply a bare Pauli to one qubit.
     pub fn apply_pauli(&mut self, q: usize, p: Pauli) {
         match p {
             Pauli::I => {}
@@ -151,23 +67,10 @@ impl StabilizerSimulator {
         self.tableau.apply_pauli_string(p);
     }
 
-    /// Measure a qubit in the Z basis, including measurement-flip noise.
+    /// Measure a qubit in the Z basis.
     pub fn measure(&mut self, q: usize) -> bool {
         let random_bit = self.rng.random::<bool>();
-        let outcome = self.tableau.measure_with(q, random_bit);
-        let mut value = outcome.value;
-        if self.noise.measurement_flip > 0.0
-            && self.rng.random::<f64>() < self.noise.measurement_flip
-        {
-            value = !value;
-        }
-        value
-    }
-
-    /// Measure a qubit ideally (no measurement-flip noise).
-    pub fn measure_ideal(&mut self, q: usize) -> MeasurementOutcome {
-        let random_bit = self.rng.random::<bool>();
-        self.tableau.measure_with(q, random_bit)
+        self.tableau.measure_with(q, random_bit).value
     }
 
     /// True if the given Pauli string stabilizes the current state.
@@ -221,51 +124,14 @@ mod tests {
     }
 
     #[test]
-    fn full_noise_flips_measurements() {
-        // With p = 1 depolarizing noise on every gate, the |0> -> H -> H -> |0>
-        // round trip will almost surely be disturbed across many seeds.
-        let mut disturbed = 0;
-        for seed in 0..50 {
-            let mut sim = StabilizerSimulator::with_noise(1, seed, GateNoise::uniform(1.0));
-            sim.apply(CliffordGate::H(0));
-            sim.apply(CliffordGate::H(0));
-            if sim.measure(0) {
-                disturbed += 1;
-            }
-        }
-        assert!(disturbed > 10, "noise had almost no effect: {disturbed}");
-    }
-
-    #[test]
-    fn ideal_application_ignores_noise() {
-        for seed in 0..20 {
-            let mut sim = StabilizerSimulator::with_noise(1, seed, GateNoise::uniform(1.0));
-            sim.apply_ideal(CliffordGate::H(0));
-            sim.apply_ideal(CliffordGate::H(0));
-            let m = sim.measure_ideal(0);
-            assert!(!m.value);
-        }
-    }
-
-    #[test]
-    fn measurement_flip_noise_changes_reported_value() {
-        let noise = GateNoise {
-            single_qubit: DepolarizingChannel::new(0.0),
-            two_qubit: TwoQubitDepolarizing::new(0.0),
-            measurement_flip: 1.0,
-            preparation_flip: 0.0,
-        };
-        let mut sim = StabilizerSimulator::with_noise(1, 3, noise);
-        // State is |0>, but the detector always lies.
-        assert!(sim.measure(0));
-    }
-
-    #[test]
     fn seeded_runs_are_reproducible() {
+        // Random outcomes (four |+> measurements, each after a PrepZ reset
+        // that draws its own bit) depend only on the seed.
         let run = |seed| {
-            let mut sim = StabilizerSimulator::with_noise(4, seed, GateNoise::uniform(0.2));
+            let mut sim = StabilizerSimulator::with_seed(4, seed);
             let mut bits = Vec::new();
             for q in 0..4 {
+                sim.apply(CliffordGate::PrepZ(q));
                 sim.apply(CliffordGate::H(q));
             }
             for q in 0..4 {
@@ -274,5 +140,7 @@ mod tests {
             bits
         };
         assert_eq!(run(99), run(99));
+        let outcomes: std::collections::BTreeSet<Vec<bool>> = (0..16).map(run).collect();
+        assert!(outcomes.len() > 1, "measurements ignore the seed");
     }
 }

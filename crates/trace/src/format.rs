@@ -52,18 +52,6 @@ impl Trace {
         self.qubits.len()
     }
 
-    /// The declared qubit names, in declaration (= id) order.
-    #[must_use]
-    pub fn qubit_names(&self) -> &[String] {
-        &self.qubits
-    }
-
-    /// The name of qubit `id`. Panics when `id` was never declared.
-    #[must_use]
-    pub fn qubit_name(&self, id: QubitId) -> &str {
-        &self.qubits[id]
-    }
-
     /// The instruction stream, in program order.
     #[must_use]
     pub fn ops(&self) -> &[Gate] {
@@ -617,7 +605,6 @@ mod tests {
         let t = small();
         assert_eq!(t.len(), 5);
         assert_eq!(t.qubit_count(), 3);
-        assert_eq!(t.qubit_name(2), "spare");
         let counts = t.counts();
         assert_eq!(counts.single_qubit_clifford, 1);
         assert_eq!(counts.t_like, 1);

@@ -107,26 +107,6 @@ impl TraceTraffic {
         }
     }
 
-    /// Total channel requests across all layers.
-    #[must_use]
-    pub fn request_count(&self) -> usize {
-        self.layers
-            .iter()
-            .map(|l| l.iter().map(|g| g.requests.len()).sum::<usize>())
-            .sum()
-    }
-
-    /// Total EPR pairs demanded across all layers.
-    #[must_use]
-    pub fn total_pairs(&self) -> usize {
-        self.layers
-            .iter()
-            .flat_map(|l| l.iter())
-            .flat_map(|g| g.requests.iter())
-            .map(|r| r.pairs)
-            .sum()
-    }
-
     /// Number of hazard layers that issue at least one request.
     #[must_use]
     pub fn comm_layers(&self) -> usize {
@@ -343,8 +323,14 @@ mod tests {
         let traffic = TraceTraffic::lower(&trace, &mesh, &placement);
         let plan = schedule_trace(&traffic, &mesh);
         assert_eq!(plan.layer_windows.len(), traffic.layers.len());
-        assert_eq!(plan.requests, traffic.request_count());
-        assert_eq!(plan.pairs, traffic.total_pairs());
+        let requests: Vec<_> = traffic
+            .layers
+            .iter()
+            .flatten()
+            .flat_map(|g| &g.requests)
+            .collect();
+        assert_eq!(plan.requests, requests.len());
+        assert_eq!(plan.pairs, requests.iter().map(|r| r.pairs).sum::<usize>());
         assert!(plan.total_windows > 0);
         assert!(plan.weighted_utilization > 0.0 && plan.weighted_utilization <= 1.0);
 

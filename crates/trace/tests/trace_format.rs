@@ -87,11 +87,11 @@ proptest! {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let trace = random_clifford_t(qubits, ops, &mut rng);
         let text = trace.render();
-        let first_qubit = trace.qubit_name(0).to_owned();
         // Line index (0-based) of the first instruction: two headers
         // plus one declaration per qubit.
         let first_op_index = 2 + trace.qubit_count();
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let first_qubit = lines[2].strip_prefix("qubit ").expect("first declaration").to_owned();
         let corrupted = match kind {
             // Unknown mnemonic on an instruction line.
             0 => {

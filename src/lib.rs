@@ -9,8 +9,8 @@
 //!
 //! | module | underlying crate | contents |
 //! |---|---|---|
-//! | [`physical`] | `qla-physical` | ion-trap technology model (Table 1), QCCD cell grid, ballistic channels |
-//! | [`stabilizer`] | `qla-stabilizer` | CHP tableau simulator, Pauli frames, noise channels |
+//! | [`physical`] | `qla-physical` | ion-trap technology model (Table 1), QCCD cell coordinates, ballistic channels |
+//! | [`stabilizer`] | `qla-stabilizer` | CHP tableau simulator, Pauli frames |
 //! | [`circuit`] | `qla-circuit` | gate-level circuit IR, scheduling, Toffoli decomposition |
 //! | [`qec`] | `qla-qec` | Steane [[7,1,3]], recursion, EC latency (Eq. 1), threshold (Eq. 2) |
 //! | [`layout`] | `qla-layout` | logical-qubit tiles, chip floorplan, ballistic routing, area model |
@@ -21,7 +21,7 @@
 //! | [`obs`] | `qla-obs` | deterministic tracing: recorder trait, event logs, Perfetto/timeline exporters, metrics |
 //! | [`report`] | `qla-report` | typed experiment reports, deterministic text/JSON/CSV renderers |
 //! | [`serve`] | `qla-serve` | newline-delimited-JSON evaluation service: result cache, admission control, service stats |
-//! | [`core`] | `qla-core` | ARQ simulator, Fig. 7 Monte-Carlo, the QLA machine, `MachineBuilder`, the `Experiment` API |
+//! | [`core`] | `qla-core` | Fig. 7 Monte-Carlo, the QLA machine and its `MachineSpec`, the `Experiment` API |
 //! | [`shor`] | `qla-shor` | QCLA, fault-tolerant Toffoli, modular exponentiation, Table 2 |
 //! | [`trace`] | `qla-trace` | logical-ISA instruction traces: text format, program generators, scheduler/sim replay |
 //!

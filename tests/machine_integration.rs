@@ -64,7 +64,7 @@ fn ballistic_baseline_loses_to_teleportation_at_chip_scale() {
     // the chip accumulates far more error than the teleported alternative's
     // end-to-end infidelity budget.
     let machine = QlaMachine::with_logical_qubits(10_000);
-    let tech = machine.config.tech;
+    let tech = machine.tech;
     let from = LogicalQubitId(0);
     let to = LogicalQubitId(machine.logical_qubits() - 1);
     let route = qla::layout::BallisticRoute::between_qubits(&machine.floorplan, from, to);
@@ -81,7 +81,7 @@ fn ballistic_baseline_loses_to_teleportation_at_chip_scale() {
 fn structural_and_published_ecc_latencies_agree_to_a_small_factor() {
     let machine = QlaMachine::with_logical_qubits(64);
     let structural = machine.structural_ecc_latencies();
-    let published = machine.config.ecc;
+    let published = machine.ecc;
     let r1 = structural.level1.as_secs() / published.level1.as_secs();
     let r2 = structural.level2.as_secs() / published.level2.as_secs();
     assert!(r1 > 0.15 && r1 < 6.0, "level-1 ratio {r1}");

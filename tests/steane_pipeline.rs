@@ -28,7 +28,7 @@ fn every_single_error_is_corrected_end_to_end() {
 
             // Refresh the ancilla block and run the Z-type extraction.
             for q in 7..14 {
-                sim.apply_ideal(CliffordGate::PrepZ(q));
+                sim.apply(CliffordGate::PrepZ(q));
             }
             let measured = run_clifford(&mut sim, &extraction_circuit(ErrorType::Z)).unwrap();
             let syndrome = syndrome_from_measurements(&code, ErrorType::Z, &measured);
