@@ -44,6 +44,7 @@ impl Json {
     /// Returns a message naming the byte offset of the first problem.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -106,6 +107,7 @@ impl Json {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -273,13 +275,17 @@ impl Parser<'_> {
                     return Err(format!("raw control byte {b:#04x} in string"));
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).expect("input was a str");
-                    let c = s.chars().next().expect("peeked a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote, backslash or
+                    // control byte. Both ends of the run sit next to ASCII
+                    // bytes, so it is whole UTF-8 scalars of the input str.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -320,10 +326,7 @@ impl Parser<'_> {
                 return Err(format!("expected exponent digits at byte {}", self.pos));
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number spans ASCII bytes")
-            .to_string();
-        Ok(Json::Num(raw))
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
     }
 }
 
@@ -357,8 +360,16 @@ mod tests {
 
     #[test]
     fn string_escapes_unescape() {
-        let json = Json::parse(r#""a\nb\t\"c\"A""#).unwrap();
-        assert_eq!(json.as_str(), Some("a\nb\t\"c\"A"));
+        let json = Json::parse(r#""a\nb\t\"c\"\u0041\u00e9\/""#).unwrap();
+        assert_eq!(json.as_str(), Some("a\nb\t\"c\"Aé/"));
+
+        // A line just under 1 MiB of ASCII, multibyte scalars and escapes
+        // round-trips through the response-side escaper.
+        let unit = "plain ASCII, é∑😀 multibyte, \"quoted\" \\ tab\t nl\n ctl\u{1};";
+        let text = unit.repeat((1 << 20) / (qla_report::json_escape(unit).len() + 1));
+        let line = qla_report::json_escape(&text);
+        assert!((1_000_000..1 << 20).contains(&line.len()), "{}", line.len());
+        assert_eq!(Json::parse(&line).unwrap().as_str(), Some(text.as_str()));
     }
 
     #[test]

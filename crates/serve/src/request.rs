@@ -14,7 +14,9 @@
 //!   acknowledging.
 //!
 //! Unknown fields are rejected loudly: a typo'd `"trails": 999` must never
-//! silently run with the default budget.
+//! silently run with the default budget. The transport answers a line
+//! longer than 1 MiB, or one that is not UTF-8, with a `bad-request` error
+//! before it reaches [`parse_command`].
 
 use crate::json::Json;
 use qla_core::MachineSpec;

@@ -8,11 +8,58 @@
 //! clean, which the CI soak job checks by grepping the server log for
 //! panics after `wait`.
 
-use crate::service::Service;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use crate::service::{LineResponse, Service};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// The longest request line served: its bytes before the newline. A longer
+/// line is answered with a `bad-request` error, and the reader discards
+/// the rest of it without buffering it.
+const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read the next request line from `reader` and answer it, skipping blank
+/// lines. Returns `None` at end of input. A line longer than
+/// [`MAX_LINE_BYTES`] or not valid UTF-8 is a `bad-request` error, and the
+/// following line is still read.
+///
+/// # Errors
+/// Propagates I/O errors from the reader.
+fn next_response(
+    service: &Service,
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> std::io::Result<Option<LineResponse>> {
+    loop {
+        buf.clear();
+        let mut capped = reader.by_ref().take(MAX_LINE_BYTES as u64 + 1);
+        if capped.read_until(b'\n', buf)? == 0 {
+            return Ok(None);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE_BYTES {
+            reader.skip_until(b'\n')?;
+            return Ok(Some(service.bad_request(&format!(
+                "request line longer than {MAX_LINE_BYTES} bytes"
+            ))));
+        }
+        match std::str::from_utf8(buf) {
+            Err(e) => {
+                return Ok(Some(service.bad_request(&format!(
+                    "request line is not valid UTF-8 (byte {})",
+                    e.valid_up_to()
+                ))))
+            }
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => return Ok(Some(service.handle_line(line))),
+        }
+    }
+}
 
 /// Serve every line of `input`, writing one response line each to
 /// `output`, until end-of-input or a `shutdown` command. This is `--once`
@@ -26,14 +73,10 @@ pub fn serve_once(
     input: impl std::io::Read,
     output: impl Write,
 ) -> std::io::Result<()> {
-    let reader = BufReader::new(input);
+    let mut reader = BufReader::new(input);
     let mut writer = BufWriter::new(output);
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = service.handle_line(&line);
+    let mut buf = Vec::new();
+    while let Some(response) = next_response(service, &mut reader, &mut buf)? {
         writer.write_all(response.body.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
@@ -85,14 +128,10 @@ fn handle_connection(service: &Service, stream: TcpStream) -> bool {
     let Ok(reader_stream) = stream.try_clone() else {
         return false;
     };
-    let reader = BufReader::new(reader_stream);
+    let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = service.handle_line(&line);
+    let mut buf = Vec::new();
+    while let Ok(Some(response)) = next_response(service, &mut reader, &mut buf) {
         if writer.write_all(response.body.as_bytes()).is_err()
             || writer.write_all(b"\n").is_err()
             || writer.flush().is_err()
@@ -119,12 +158,20 @@ pub fn replay(addr: &str, input: impl std::io::Read, output: impl Write) -> std:
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     let mut out = BufWriter::new(output);
-    for line in BufReader::new(input).lines() {
-        let line = line?;
-        if line.trim().is_empty() {
+    let mut input = BufReader::new(input);
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            break;
+        }
+        // Lines go out as raw bytes, so the server sees (and answers) a
+        // line that is not UTF-8; blank lines get no answer, so skip them.
+        let line = line.strip_suffix(b"\n").unwrap_or(&line);
+        if std::str::from_utf8(line).is_ok_and(|text| text.trim().is_empty()) {
             continue;
         }
-        writer.write_all(line.as_bytes())?;
+        writer.write_all(line)?;
         writer.write_all(b"\n")?;
         writer.flush()?;
         let mut response = String::new();
@@ -180,24 +227,57 @@ mod tests {
         )
     }
 
+    /// Two lines no request may be: one that is not UTF-8, and one of
+    /// 2 MiB, twice the line cap. Each must get a typed error and leave
+    /// the reader on the next line.
+    fn hostile_lines() -> Vec<u8> {
+        let mut lines = b"\xff\xfe{\"cmd\": \"stats\"}\r\n".to_vec();
+        lines.extend_from_slice(b"{\"cmd\": \"stats\", \"x\": \"");
+        lines.resize(2 << 20, b'a');
+        lines.extend_from_slice(b"\"}\n");
+        lines
+    }
+
+    fn assert_hostile_lines_answered(lines: &[&str]) {
+        assert_eq!(
+            lines[0],
+            "{\"status\":\"error\",\"error\":\"bad-request\",\
+             \"detail\":\"request line is not valid UTF-8 (byte 0)\"}"
+        );
+        assert_eq!(
+            lines[1],
+            "{\"status\":\"error\",\"error\":\"bad-request\",\
+             \"detail\":\"request line longer than 1048576 bytes\"}"
+        );
+    }
+
     #[test]
     fn serve_once_answers_each_line_and_stops_at_shutdown() {
         let service = test_service();
-        let input = concat!(
-            "{\"experiment\": \"echo\"}\n",
-            "\n",
-            "{\"cmd\": \"stats\"}\n",
-            "{\"cmd\": \"shutdown\"}\n",
-            "{\"experiment\": \"echo\"}\n", // after shutdown: unanswered
+        let mut input = b"{\"experiment\": \"echo\"}\n\n".to_vec();
+        input.extend(hostile_lines());
+        input.extend_from_slice(
+            concat!(
+                "{\"cmd\": \"stats\"}\n",
+                "{\"cmd\": \"shutdown\"}\n",
+                "{\"experiment\": \"echo\"}\n", // after shutdown: unanswered
+            )
+            .as_bytes(),
         );
         let mut output = Vec::new();
-        serve_once(&service, input.as_bytes(), &mut output).unwrap();
+        serve_once(&service, input.as_slice(), &mut output).unwrap();
         let text = String::from_utf8(output).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3, "echo, stats, shutdown ack: {text}");
+        assert_eq!(
+            lines.len(),
+            5,
+            "echo, two errors, stats, shutdown ack: {text}"
+        );
         assert!(lines[0].contains("\"status\":\"ok\""));
-        assert!(lines[1].contains("\"requests\":1"));
-        assert_eq!(lines[2], "{\"status\":\"ok\",\"shutdown\":true}");
+        assert_hostile_lines_answered(&lines[1..3]);
+        assert!(lines[3].contains("\"requests\":1"));
+        assert!(lines[3].contains("\"errors\":2"));
+        assert_eq!(lines[4], "{\"status\":\"ok\",\"shutdown\":true}");
     }
 
     #[test]
@@ -222,6 +302,16 @@ mod tests {
                 first, second,
                 "cold and warm replays must be byte-identical"
             );
+
+            let mut hostile = hostile_lines();
+            hostile.extend_from_slice(b"{\"cmd\": \"stats\"}\n");
+            let mut answers = Vec::new();
+            replay(&addr, hostile.as_slice(), &mut answers).unwrap();
+            let answers = String::from_utf8(answers).unwrap();
+            let lines: Vec<&str> = answers.lines().collect();
+            assert_eq!(lines.len(), 3, "two errors, then stats: {answers}");
+            assert_hostile_lines_answered(&lines[..2]);
+            assert!(lines[2].contains("\"errors\":2"));
 
             let mut bye = Vec::new();
             replay(&addr, "{\"cmd\": \"shutdown\"}\n".as_bytes(), &mut bye).unwrap();

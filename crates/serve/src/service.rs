@@ -174,13 +174,7 @@ impl Service {
     /// Serve one protocol line (the TCP and `--once` path).
     pub fn handle_line(&self, line: &str) -> LineResponse {
         match parse_command(line) {
-            Err(detail) => {
-                self.stats.errors.fetch_add(1, Ordering::SeqCst);
-                LineResponse {
-                    body: error_response("bad-request", &detail),
-                    shutdown: false,
-                }
-            }
+            Err(detail) => self.bad_request(&detail),
             Ok(Command::Stats) => {
                 self.stats.stats_requests.fetch_add(1, Ordering::SeqCst);
                 LineResponse {
@@ -202,6 +196,16 @@ impl Service {
                     shutdown: false,
                 }
             }
+        }
+    }
+
+    /// Answer a line that is not a request with a `bad-request` error, and
+    /// count it in `errors`.
+    pub(crate) fn bad_request(&self, detail: &str) -> LineResponse {
+        self.stats.errors.fetch_add(1, Ordering::SeqCst);
+        LineResponse {
+            body: error_response("bad-request", detail),
+            shutdown: false,
         }
     }
 

@@ -26,9 +26,9 @@
 //!
 //! * [`time::SimTime`] — integer-nanosecond clock (float clocks would tie
 //!   byte-reproducibility to last-ulp behaviour).
-//! * [`queue::EventQueue`] — binary-heap future-event list with stable
-//!   `(time, sequence)` tie-breaking: runs are byte-reproducible under the
-//!   repository's determinism CI.
+//! * [`queue::EventQueue`] — future-event list of FIFO buckets keyed by
+//!   exact instant, popping in `(time, push order)` order: runs are
+//!   byte-reproducible under the repository's determinism CI.
 //! * [`engine`] — the actors: EPR links as window-paced multi-channel FIFO
 //!   queues of run-length `(request, count)` jobs, one per edge of the
 //!   dense [`qla_sched::Topology`], ancilla factories, admission control,
