@@ -21,18 +21,16 @@
 //! so every experiment — and every report's scenario header — sees the
 //! same machine.
 
+use crate::experiments::sim_support::machine_mesh;
 use crate::experiments::trace_replay::TraceFileReplay;
 use crate::registry;
-use qla_core::{DynExperiment, Executor, ExperimentContext, MachineSpec};
+use qla_core::{DynExperiment, Executor, ExperimentContext, MachineSpec, DEFAULT_SEED};
 use qla_obs::export::{chrome_trace, text_timeline};
 use qla_obs::{metrics_rows, EventLog};
 use qla_report::{row, Column, Format, Report};
 use qla_trace::Trace;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
-
-/// Seed used when the caller does not pass `--seed` (the paper's year).
-pub const DEFAULT_SEED: u64 = 2005;
 
 /// Environment variable supplying the default `--jobs` value.
 pub const JOBS_ENV: &str = "QLA_JOBS";
@@ -205,12 +203,7 @@ impl CliArgs {
             (Some(_), Some(_)) => {
                 return Err("--profile and --spec are mutually exclusive".to_string())
             }
-            (Some(name), None) => MachineSpec::builtin(name).ok_or_else(|| {
-                format!(
-                    "unknown profile '{name}'; built-ins: {}",
-                    qla_core::BUILTIN_PROFILES.join(", ")
-                )
-            })?,
+            (Some(name), None) => MachineSpec::named(name)?,
             (None, Some(path)) => {
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read spec {}: {e}", path.display()))?;
@@ -297,13 +290,19 @@ fn check_dir(flag: &str, value: &str) -> Result<PathBuf, String> {
 /// Parse a job count from `source` (a flag name or environment variable).
 /// `auto` means "size to the machine"; zero is rejected — there is no "no
 /// threads" mode, only sequential (`1`).
-fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
+pub(crate) fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
     if value == "auto" {
         return Ok(Executor::available_parallelism().jobs());
     }
+    parse_positive(source, value)
+}
+
+/// Parse a count of at least 1 from `source` (a flag name or environment
+/// variable).
+pub(crate) fn parse_positive(source: &str, value: &str) -> Result<usize, String> {
     match value.parse::<usize>() {
         Ok(0) => Err(format!("{source} must be at least 1 (got 0)")),
-        Ok(jobs) => Ok(jobs),
+        Ok(n) => Ok(n),
         Err(_) => Err(format!("bad {source} value '{value}'")),
     }
 }
@@ -314,14 +313,16 @@ fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
 /// With `--trace FILE` (repeatable, `trace-replay` only) the built-in
 /// programs are replaced by the named trace files ([`TraceFileReplay`]):
 /// each is loaded and parsed up front, and any problem — an unreadable
-/// file, or a malformed trace — aborts the run with the file (and, for
-/// parse errors, the 1-based line) named in the message before any
+/// file, a malformed trace, or one declaring more logical qubits than the
+/// active machine's mesh has sites — aborts the run with the file (and,
+/// for parse errors, the 1-based line) named in the message before any
 /// simulation starts.
 ///
 /// # Errors
 /// Returns a message when the experiment is unknown, a `--trace` file is
-/// unreadable or malformed (or given to an experiment other than
-/// `trace-replay`), or an output file cannot be written.
+/// unreadable, malformed or too wide for the mesh (or given to an
+/// experiment other than `trace-replay`), or an output file cannot be
+/// written.
 pub fn run_experiment(name: &str, args: &CliArgs) -> Result<Report, String> {
     let registered = registry::find(name).ok_or_else(|| {
         format!(
@@ -329,21 +330,50 @@ pub fn run_experiment(name: &str, args: &CliArgs) -> Result<Report, String> {
             registry::names().join(", ")
         )
     })?;
-    let traces;
-    let files;
-    let experiment: &dyn DynExperiment = if args.traces.is_empty() {
-        registered.as_ref()
-    } else if name == "trace-replay" {
-        traces = load_traces(&args.traces)?;
-        files = TraceFileReplay { traces: &traces };
-        &files
-    } else {
+    if !args.traces.is_empty() && name != "trace-replay" {
         return Err(format!(
             "--trace only applies to the trace-replay experiment, not '{name}'"
         ));
+    }
+    let traces = load_traces(&args.traces)?;
+    let files = TraceFileReplay { traces: &traces };
+    let experiment: &dyn DynExperiment = if traces.is_empty() {
+        registered.as_ref()
+    } else {
+        &files
     };
     let ctx = args.parallel_context(experiment.default_trials())?;
+    check_traces_fit(&args.traces, &traces, &ctx)?;
     run_one(experiment, &ctx, args)
+}
+
+/// Refuse a trace that declares more logical qubits than the active
+/// machine's mesh has sites, naming the file, before any replay starts.
+///
+/// # Errors
+/// Returns `<path>: trace declares N logical qubits, but the '<spec>'
+/// machine's mesh has only M sites` for the first trace that does not fit.
+fn check_traces_fit(
+    paths: &[PathBuf],
+    traces: &[Trace],
+    ctx: &ExperimentContext,
+) -> Result<(), String> {
+    if traces.is_empty() {
+        return Ok(());
+    }
+    let sites = machine_mesh(&ctx.machine()).node_count();
+    for (path, trace) in paths.iter().zip(traces) {
+        if trace.qubit_count() > sites {
+            return Err(format!(
+                "{}: trace declares {} logical qubits, but the '{}' machine's mesh has \
+                 only {sites} sites",
+                path.display(),
+                trace.qubit_count(),
+                ctx.spec.name
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Run one resolved experiment and emit its outputs: the report always;

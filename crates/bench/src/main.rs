@@ -151,13 +151,10 @@ fn profiles() {
 }
 
 fn render_profile(name: &str) {
-    let Some(spec) = MachineSpec::builtin(name) else {
-        fail(&format!(
-            "unknown profile '{name}'; built-ins: {}",
-            qla_core::BUILTIN_PROFILES.join(", ")
-        ));
-    };
-    print!("{}", spec.render());
+    match MachineSpec::named(name) {
+        Ok(spec) => print!("{}", spec.render()),
+        Err(message) => fail(&message),
+    }
 }
 
 fn run_all(args: &CliArgs) {

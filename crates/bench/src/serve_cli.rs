@@ -18,6 +18,7 @@
 //! so the soak job needs no netcat. The service clock is selected by the
 //! `QLA_SERVE_CLOCK` environment variable (see [`qla_serve::ServiceClock`]).
 
+use crate::cli::{parse_jobs, parse_positive};
 use crate::registry;
 use qla_serve::{replay, serve, serve_once, ServeConfig, Service, ServiceClock};
 use std::net::TcpListener;
@@ -100,11 +101,7 @@ impl ServeArgs {
                 }
                 "--jobs" => {
                     let v = iter.next().ok_or("--jobs needs a value")?;
-                    parsed.jobs = if v == "auto" {
-                        qla_core::Executor::available_parallelism().jobs()
-                    } else {
-                        parse_positive("--jobs", &v)?
-                    };
+                    parsed.jobs = parse_jobs("--jobs", &v)?;
                 }
                 other => {
                     return Err(format!("unknown serve argument '{other}'\n{SERVE_USAGE}"));
@@ -128,14 +125,6 @@ impl ServeArgs {
             jobs: self.jobs,
             clock: ServiceClock::from_env()?,
         })
-    }
-}
-
-fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
-    match value.parse::<usize>() {
-        Ok(0) => Err(format!("{flag} must be at least 1 (got 0)")),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("bad {flag} value '{value}'")),
     }
 }
 

@@ -24,7 +24,7 @@ use qla_core::{DynExperiment, Executor, ExperimentContext};
 use qla_report::Format;
 use std::path::Path;
 
-/// The default CLI seed (`qla_bench::cli::DEFAULT_SEED`), hard-coded here so
+/// The default CLI seed (`qla_core::DEFAULT_SEED`), hard-coded here so
 /// a drive-by change to the default breaks a test instead of silently
 /// re-baselining the goldens.
 const GOLDEN_SEED: u64 = 2005;

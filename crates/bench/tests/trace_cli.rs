@@ -98,6 +98,26 @@ fn a_malformed_trace_surfaces_the_typed_line_anchored_error() {
 }
 
 #[test]
+fn a_trace_wider_than_the_mesh_fails_typed_naming_file_qubits_and_sites() {
+    let dir = std::env::temp_dir().join("qla-trace-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let wide = dir.join("wide.trace");
+    let mut text = "format_version = 1\nname = wide\n".to_string();
+    for q in 0..1000 {
+        text.push_str(&format!("qubit q{q}\n"));
+    }
+    text.push_str("cnot q0 q999\n");
+    std::fs::write(&wide, text).unwrap();
+    let cli = args(&["--trace", wide.to_str().unwrap()]);
+    let err = cli::run_experiment("trace-replay", &cli).expect_err("1000 qubits on 407 sites");
+    assert!(err.contains("wide.trace"), "{err}");
+    assert!(
+        err.contains("trace declares 1000 logical qubits, but the 'expected' machine's mesh has only 407 sites"),
+        "{err}"
+    );
+}
+
+#[test]
 fn trace_flag_is_rejected_outside_trace_replay() {
     let sample = sample_str();
     let cli = args(&["--trace", &sample]);

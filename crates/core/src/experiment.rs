@@ -21,6 +21,10 @@ use qla_report::Report;
 use rand_chacha::ChaCha8Rng;
 use serde::Serialize;
 
+/// Seed used when a caller names none (the paper's year): the `qla-bench`
+/// CLI's `--seed` default and a serve request's `seed` default.
+pub const DEFAULT_SEED: u64 = 2005;
+
 /// Shared run parameters every experiment receives.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentContext {

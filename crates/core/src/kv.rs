@@ -1,6 +1,5 @@
-//! The one `key = value` scanner behind the workspace's line-oriented text
-//! formats: machine specs ([`MachineSpec`](crate::MachineSpec)) and fault
-//! plans (`qla-faults`).
+//! The one `key = value` scanner behind the machine-spec text format
+//! ([`MachineSpec`](crate::MachineSpec)).
 //!
 //! The grammar is one `key = value` pair per line. `#` starts a comment
 //! that runs to the end of the line, blank lines are ignored, and keys and
@@ -9,8 +8,7 @@
 //! malformed value is an error, never a default — and then calls
 //! [`Fields::finish`], which rejects whatever is left. Every [`KvError`]
 //! except [`KvError::MissingKey`] names the 1-based line to blame, and
-//! each format maps it onto its own error type (`spec line N: …`,
-//! `fault plan line N: …`).
+//! the spec maps it onto its own error type (`spec line N: …`).
 
 use std::collections::HashMap;
 

@@ -22,8 +22,8 @@
 //!   behind `--profile`/`--spec`, and [`MachineSpec::machine`], which builds
 //!   the [`QlaMachine`]; the active spec rides on every
 //!   [`ExperimentContext`].
-//! * [`kv`] — the one `key = value` scanner behind the spec text format
-//!   and the `qla-faults` fault-plan format, with line-anchored errors.
+//! * [`kv`] — the one `key = value` scanner behind the spec text format,
+//!   with line-anchored errors.
 //! * [`hash`] / [`cache`] — stable content hashing (FNV-1a 64 +
 //!   SplitMix64) and a deterministic [`LruCache`], the substrate of the
 //!   `qla-serve` result cache: byte-determinism makes content-addressed
@@ -46,7 +46,7 @@ pub mod stats;
 
 pub use cache::LruCache;
 pub use executor::Executor;
-pub use experiment::{DynExperiment, Experiment, ExperimentContext};
+pub use experiment::{DynExperiment, Experiment, ExperimentContext, DEFAULT_SEED};
 pub use hash::{content_hash, fnv1a64, mix64};
 pub use machine::QlaMachine;
 pub use montecarlo::{ThresholdExperiment, ThresholdPoint};

@@ -497,6 +497,21 @@ impl MachineSpec {
         }
     }
 
+    /// Look up a built-in profile by name, for `--profile` and a serve
+    /// request's `"profile"`.
+    ///
+    /// # Errors
+    /// Returns `unknown profile '<name>'; built-ins: …`, listing
+    /// [`BUILTIN_PROFILES`].
+    pub fn named(name: &str) -> Result<MachineSpec, String> {
+        MachineSpec::builtin(name).ok_or_else(|| {
+            format!(
+                "unknown profile '{name}'; built-ins: {}",
+                BUILTIN_PROFILES.join(", ")
+            )
+        })
+    }
+
     /// Every built-in profile, in [`BUILTIN_PROFILES`] order.
     #[must_use]
     pub fn builtins() -> Vec<MachineSpec> {

@@ -7,12 +7,9 @@
 //! tier falls behind, and ancilla factories that lose capacity to
 //! recalibration. This crate turns those stories into data:
 //!
-//! * [`FaultPlan`] — a declarative, human-readable scenario (which edges
-//!   degrade, by how much, when, for how long; how much factory capacity
-//!   survives) with a canonical `key = value` text form whose
-//!   [`FaultPlan::render`]/[`FaultPlan::parse`] pair is a byte-exact
-//!   fixed point, mirroring the `MachineSpec` idiom. Plans compile
-//!   against a concrete mesh and [`qla_sim::SimConfig`] into a
+//! * [`FaultPlan`] — a declarative scenario (which edges degrade, by how
+//!   much, when, for how long; how much factory capacity survives). Plans
+//!   compile against a concrete mesh and [`qla_sim::SimConfig`] into a
 //!   [`qla_sim::FaultTimeline`] the engine replays deterministically.
 //! * [`TrafficMatrix`] — the four classic interconnect traffic shapes
 //!   (uniform, hot-spot, nearest-neighbour, all-to-all) generated with
@@ -30,8 +27,7 @@
 //!
 //! Degrade the only edge of a two-node mesh to a single EPR channel for
 //! the first two error-correction windows and watch the backlog drain
-//! slower than on the healthy machine — then round-trip the scenario
-//! through its text form:
+//! slower than on the healthy machine:
 //!
 //! ```
 //! use qla_faults::FaultPlan;
@@ -72,11 +68,6 @@
 //! // 8 pairs over 4 channels: two healthy rounds. Over 1 channel: eight.
 //! assert_eq!(healthy.makespan, SimTime::from_nanos(200));
 //! assert_eq!(faulted.makespan, SimTime::from_nanos(800));
-//!
-//! // The text form is canonical: parse ∘ render is the identity.
-//! let text = plan.render();
-//! assert_eq!(FaultPlan::parse(&text).unwrap(), plan);
-//! assert!(text.contains("channel_fault.0 = 0 1 1 0 2"));
 //! ```
 
 #![warn(missing_docs)]
@@ -85,7 +76,5 @@
 pub mod plan;
 pub mod traffic;
 
-pub use plan::{
-    windows, ChannelFaultSpec, FactoryFaultSpec, FaultError, FaultPlan, FORMAT_VERSION,
-};
+pub use plan::{windows, ChannelFaultSpec, FactoryFaultSpec, FaultError, FaultPlan};
 pub use traffic::{matrix_requests, symmetric_tenant_items, tenant_quotas, TrafficMatrix};

@@ -1,4 +1,4 @@
-//! Declarative fault plans and their byte-stable text format.
+//! Declarative fault plans.
 //!
 //! A [`FaultPlan`] names *what* breaks in ECC-window units — per-edge
 //! channel degradations/outages and ancilla-factory capacity loss, each
@@ -7,21 +7,11 @@
 //! nanosecond [`FaultTimeline`] against a concrete mesh and
 //! [`SimConfig`], checking every edge and capacity against the hardware
 //! it is supposed to degrade.
-//!
-//! The text format is the `key = value` grammar of machine specs, read by
-//! the same scanner (`qla_core::kv`): [`FaultPlan::render`] is the
-//! canonical byte-stable form, and [`FaultPlan::parse`] maps every
-//! malformed input to a typed, line-anchored [`FaultError`] — a typo in a
-//! scenario file must never silently weaken the fault it describes.
 
-use qla_core::kv::{Fields, KvError};
 use qla_core::FaultSpec;
 use qla_sched::{Edge, Mesh};
 use qla_sim::{ChannelFault, FactoryFault, FaultTimeline, SimConfig, SimTime};
 use serde::Serialize;
-
-/// The version this build renders and reads.
-pub const FORMAT_VERSION: u32 = 1;
 
 /// One declared channel fault: the edge `(a, b)` keeps `channels`
 /// surviving channels during `[onset, onset + duration)` windows.
@@ -54,7 +44,7 @@ pub struct FactoryFaultSpec {
 /// A declarative, machine-independent fault scenario.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct FaultPlan {
-    /// Scenario name (single line, no `#`).
+    /// Scenario name.
     pub name: String,
     /// Declared channel faults.
     pub channel_faults: Vec<ChannelFaultSpec>,
@@ -62,92 +52,18 @@ pub struct FaultPlan {
     pub factory_faults: Vec<FactoryFaultSpec>,
 }
 
-/// Everything that can be wrong with a fault-plan text or its
-/// compilation against a machine, with 1-based line anchors where a line
-/// is to blame.
+/// Why a plan cannot be compiled: it violates an invariant (a zero
+/// duration, a self-loop edge) or does not fit the machine it is compiled
+/// against.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultError {
-    /// A line matched no rule of the grammar.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// The `format_version` header is not one this build understands.
-    UnsupportedVersion {
-        /// The version string found.
-        found: String,
-    },
-    /// A required key was absent.
-    MissingKey {
-        /// The missing key.
-        key: String,
-    },
-    /// A key outside the format (or past the declared fault counts).
-    UnknownKey {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognised key.
-        key: String,
-    },
-    /// The same key given twice.
-    DuplicateKey {
-        /// Line of the second occurrence.
-        line: usize,
-        /// The duplicated key.
-        key: String,
-        /// Line of the first occurrence.
-        first_line: usize,
-    },
-    /// A value that does not parse as what the key demands.
-    BadValue {
-        /// 1-based line number.
-        line: usize,
-        /// The key whose value is malformed.
-        key: String,
-        /// The offending value text.
-        value: String,
-        /// What the key demands.
-        expected: &'static str,
-    },
-    /// A structurally valid plan that violates an invariant (an empty
-    /// name, a zero duration, a self-loop edge) or does not fit the
-    /// machine it is compiled against.
+    /// What is wrong with the plan.
     Invalid(String),
 }
 
 impl core::fmt::Display for FaultError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
-            FaultError::Syntax { line, message } => write!(f, "fault plan line {line}: {message}"),
-            FaultError::UnsupportedVersion { found } => write!(
-                f,
-                "unsupported fault plan format_version '{found}' (this build reads version {FORMAT_VERSION})"
-            ),
-            FaultError::MissingKey { key } => {
-                write!(f, "fault plan is missing the '{key} = ...' line")
-            }
-            FaultError::UnknownKey { line, key } => {
-                write!(f, "fault plan line {line}: unknown key '{key}'")
-            }
-            FaultError::DuplicateKey {
-                line,
-                key,
-                first_line,
-            } => write!(
-                f,
-                "fault plan line {line}: key '{key}' already given on line {first_line}"
-            ),
-            FaultError::BadValue {
-                line,
-                key,
-                value,
-                expected,
-            } => write!(
-                f,
-                "fault plan line {line}: key '{key}' expects {expected}, got '{value}'"
-            ),
             FaultError::Invalid(message) => write!(f, "invalid fault plan: {message}"),
         }
     }
@@ -253,18 +169,9 @@ impl FaultPlan {
     /// Check the plan's machine-independent invariants.
     ///
     /// # Errors
-    /// Returns [`FaultError::Invalid`] on an empty/multi-line/`#`-bearing
-    /// name, a self-loop edge, or a zero fault duration.
+    /// Returns [`FaultError::Invalid`] on a self-loop edge or a zero fault
+    /// duration.
     pub fn validate(&self) -> Result<(), FaultError> {
-        if self.name.is_empty() {
-            return Err(FaultError::Invalid("name must not be empty".to_owned()));
-        }
-        if self.name.contains('\n') || self.name.contains('#') || self.name.trim() != self.name {
-            return Err(FaultError::Invalid(format!(
-                "name must be a single trimmed line without '#' (got {:?})",
-                self.name
-            )));
-        }
         for (i, fault) in self.channel_faults.iter().enumerate() {
             if fault.a == fault.b {
                 return Err(FaultError::Invalid(format!(
@@ -344,144 +251,6 @@ impl FaultPlan {
         }
         Ok(timeline)
     }
-
-    /// Render the plan in the canonical text format. Byte-stable, and
-    /// [`FaultPlan::parse`]s back to an equal value — the fixed point the
-    /// property tests pin.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut line = |key: &str, value: String| {
-            out.push_str(key);
-            out.push_str(" = ");
-            out.push_str(&value);
-            out.push('\n');
-        };
-        line("format_version", FORMAT_VERSION.to_string());
-        line("name", self.name.clone());
-        line("channel_faults", self.channel_faults.len().to_string());
-        for (i, fault) in self.channel_faults.iter().enumerate() {
-            line(
-                &format!("channel_fault.{i}"),
-                format!(
-                    "{} {} {} {} {}",
-                    fault.a, fault.b, fault.channels, fault.onset_windows, fault.duration_windows
-                ),
-            );
-        }
-        line("factory_faults", self.factory_faults.len().to_string());
-        for (i, fault) in self.factory_faults.iter().enumerate() {
-            line(
-                &format!("factory_fault.{i}"),
-                format!(
-                    "{} {} {}",
-                    fault.capacity, fault.onset_windows, fault.duration_windows
-                ),
-            );
-        }
-        out
-    }
-
-    /// Parse a plan from the text format (the shared `qla_core::kv`
-    /// grammar). Every key is required exactly once; unknown keys,
-    /// duplicates, omissions, and malformed values are all loud, typed,
-    /// line-anchored errors.
-    ///
-    /// # Errors
-    /// Returns the first problem found as a [`FaultError`].
-    pub fn parse(text: &str) -> Result<FaultPlan, FaultError> {
-        let mut fields = Fields::scan(text)?;
-        let version = fields.take("format_version")?;
-        if version.value != FORMAT_VERSION.to_string() {
-            return Err(FaultError::UnsupportedVersion {
-                found: version.value.to_owned(),
-            });
-        }
-        let name = fields.take("name")?.value.to_owned();
-        // The declared counts come from untrusted text, so nothing is
-        // sized by them: a count past the fault lines actually present
-        // ends on the first missing `channel_fault.K`.
-        let mut channel_faults = Vec::new();
-        for i in 0..count(&mut fields, "channel_faults")? {
-            let [a, b, channels, onset_windows, duration_windows] = fields.value(
-                &format!("channel_fault.{i}"),
-                "five space-separated integers: a b channels onset_windows duration_windows",
-                ints,
-            )?;
-            channel_faults.push(ChannelFaultSpec {
-                a,
-                b,
-                channels,
-                onset_windows,
-                duration_windows,
-            });
-        }
-        let mut factory_faults = Vec::new();
-        for i in 0..count(&mut fields, "factory_faults")? {
-            let [capacity, onset_windows, duration_windows] = fields.value(
-                &format!("factory_fault.{i}"),
-                "three space-separated integers: capacity onset_windows duration_windows",
-                ints,
-            )?;
-            factory_faults.push(FactoryFaultSpec {
-                capacity,
-                onset_windows,
-                duration_windows,
-            });
-        }
-        fields.finish()?;
-        let plan = FaultPlan {
-            name,
-            channel_faults,
-            factory_faults,
-        };
-        plan.validate()?;
-        Ok(plan)
-    }
-}
-
-fn count(fields: &mut Fields<'_>, key: &str) -> Result<usize, KvError> {
-    fields.value(key, "a non-negative integer count", |v| v.parse().ok())
-}
-
-/// Exactly `N` space-separated non-negative integers, or `None`.
-fn ints<const N: usize>(value: &str) -> Option<[usize; N]> {
-    let mut parts = value.split_whitespace();
-    let mut out = [0; N];
-    for slot in &mut out {
-        *slot = parts.next()?.parse().ok()?;
-    }
-    parts.next().is_none().then_some(out)
-}
-
-impl From<KvError> for FaultError {
-    fn from(e: KvError) -> Self {
-        match e {
-            KvError::Syntax { line, message } => FaultError::Syntax { line, message },
-            KvError::DuplicateKey {
-                line,
-                key,
-                first_line,
-            } => FaultError::DuplicateKey {
-                line,
-                key,
-                first_line,
-            },
-            KvError::MissingKey { key } => FaultError::MissingKey { key },
-            KvError::UnknownKey { line, key } => FaultError::UnknownKey { line, key },
-            KvError::BadValue {
-                line,
-                key,
-                value,
-                expected,
-            } => FaultError::BadValue {
-                line,
-                key,
-                value,
-                expected,
-            },
-        }
-    }
 }
 
 /// Convert a window-count horizon into the absolute [`SimTime`] instant
@@ -534,15 +303,6 @@ mod tests {
                 duration_windows: 3,
             }],
         }
-    }
-
-    #[test]
-    fn render_parse_is_a_fixed_point() {
-        let plan = sample();
-        let text = plan.render();
-        let parsed = FaultPlan::parse(&text).expect("rendered plans parse");
-        assert_eq!(parsed, plan);
-        assert_eq!(parsed.render(), text);
     }
 
     #[test]
@@ -610,59 +370,27 @@ mod tests {
     }
 
     #[test]
-    fn malformed_texts_fail_with_typed_line_anchored_errors() {
-        let text = sample().render();
-        let bad = text.replace("format_version = 1", "format_version = 9");
-        assert_eq!(
-            FaultPlan::parse(&bad).unwrap_err(),
-            FaultError::UnsupportedVersion {
-                found: "9".to_owned()
-            }
+    fn compile_rejects_self_loops_and_zero_durations() {
+        let mesh = Mesh::new(4, 4, 2);
+        let reject = |plan: &FaultPlan, expected: &str| {
+            let err = plan.compile(&mesh, &cfg()).expect_err(expected);
+            assert_eq!(err, FaultError::Invalid(expected.to_owned()));
+            assert_eq!(err.to_string(), format!("invalid fault plan: {expected}"));
+        };
+        let mut plan = sample();
+        plan.channel_faults[1].b = 1;
+        reject(&plan, "channel_fault.1 is a self-loop on node 1");
+        let mut plan = sample();
+        plan.channel_faults[0].duration_windows = 0;
+        reject(&plan, "channel_fault.0 has zero duration");
+        let mut plan = sample();
+        plan.factory_faults[0].duration_windows = 0;
+        reject(&plan, "factory_fault.0 has zero duration");
+        let mut plan = sample();
+        plan.factory_faults[0].capacity = 13;
+        reject(
+            &plan,
+            "factory_fault.0 keeps 13 slots but the factory only has 12",
         );
-        let bad = format!("{text}mystery = 1\n");
-        assert!(matches!(
-            FaultPlan::parse(&bad).unwrap_err(),
-            FaultError::UnknownKey { key, .. } if key == "mystery"
-        ));
-        let bad = text.replace("channel_fault.0 = 0 1 1 2 3", "channel_fault.0 = 0 1 1 2");
-        assert!(matches!(
-            FaultPlan::parse(&bad).unwrap_err(),
-            FaultError::BadValue { key, .. } if key == "channel_fault.0"
-        ));
-        let err = FaultPlan::parse("no equals sign").unwrap_err();
-        assert!(matches!(err, FaultError::Syntax { line: 1, .. }), "{err}");
-
-        // A malformed value names its line.
-        let bad = text.replace("factory_faults = 1", "factory_faults = two");
-        let line = 1 + text
-            .lines()
-            .position(|l| l == "factory_faults = 1")
-            .unwrap();
-        assert!(matches!(
-            FaultPlan::parse(&bad).unwrap_err(),
-            FaultError::BadValue { line: l, key, .. } if l == line && key == "factory_faults"
-        ));
-
-        // Of several unknown keys, the one on the earliest line is named.
-        let bad = format!("{text}zzz = 1\naaa = 2\n");
-        assert_eq!(
-            FaultPlan::parse(&bad).unwrap_err(),
-            FaultError::UnknownKey {
-                line: text.lines().count() + 1,
-                key: "zzz".to_owned()
-            }
-        );
-
-        // Declared counts far beyond the lines present (or beyond any
-        // allocation) end on the first missing fault line.
-        for huge in ["100000000000", "18446744073709551615"] {
-            let bad = text.replace("channel_faults = 2", &format!("channel_faults = {huge}"));
-            assert_eq!(
-                FaultPlan::parse(&bad).unwrap_err(),
-                FaultError::MissingKey {
-                    key: "channel_fault.2".to_owned()
-                }
-            );
-        }
     }
 }

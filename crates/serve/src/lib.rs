@@ -37,10 +37,12 @@
 //!
 //! # Admission control
 //!
-//! At most [`ServeConfig::max_in_flight`] run requests are served
-//! concurrently (default 64, mirroring the simulator's
-//! `sweep.sim.max_in_flight` queue bound); the rest are shed with a typed
-//! `overloaded` error rather than queued without bound.
+//! At most [`ServeConfig::max_in_flight`] run requests are in flight at
+//! once (default 64, mirroring the simulator's `sweep.sim.max_in_flight`
+//! queue bound); the rest are shed with a typed `overloaded` error rather
+//! than queued without bound. A TCP line and a `serve-load` burst take the
+//! same path through the [`Service`] (see [`service`]), so both are
+//! admitted, looked up, evaluated and counted by the same code.
 //!
 //! # Worked example (`--once` mode)
 //!
@@ -101,7 +103,7 @@ pub mod stats;
 
 pub use clock::{ServiceClock, CLOCK_ENV};
 pub use json::Json;
-pub use request::{parse_command, Command, RunRequest, DEFAULT_SEED};
+pub use request::{parse_command, Command, RunRequest};
 pub use server::{replay, serve, serve_once};
 pub use service::{ExperimentLookup, LineResponse, Outcome, ServeConfig, ServedRequest, Service};
-pub use stats::{ServiceStats, StatsSnapshot};
+pub use stats::StatsSnapshot;

@@ -6,9 +6,9 @@
 //!   "spec": "<rendered spec text>", "seed": N, "trials": N, "format":
 //!   "text|json|csv"}` — evaluate one registered experiment under one
 //!   machine scenario. `profile` and `spec` are mutually exclusive
-//!   (default: the `expected` paper design point); `seed` defaults to the
-//!   CLI's 2005; `trials` defaults to the experiment's own budget;
-//!   `format` defaults to `json`.
+//!   (default: the `expected` paper design point); `seed` defaults to
+//!   [`qla_core::DEFAULT_SEED`], as on the CLI; `trials` defaults to the
+//!   experiment's own budget; `format` defaults to `json`.
 //! * **stats**: `{"cmd": "stats"}` — the service counters.
 //! * **shutdown**: `{"cmd": "shutdown"}` — stop the server after
 //!   acknowledging.
@@ -19,12 +19,8 @@
 //! before it reaches [`parse_command`].
 
 use crate::json::Json;
-use qla_core::MachineSpec;
+use qla_core::{MachineSpec, DEFAULT_SEED};
 use qla_report::Format;
-
-/// Seed used when a request does not carry one (the paper's year — the
-/// same default as the `qla-bench` CLI).
-pub const DEFAULT_SEED: u64 = 2005;
 
 /// A parsed protocol command.
 #[derive(Debug, Clone, PartialEq)]
@@ -147,12 +143,7 @@ fn parse_run(json: &Json) -> Result<RunRequest, String> {
             let name = profile
                 .as_str()
                 .ok_or("profile must be a string".to_string())?;
-            MachineSpec::builtin(name).ok_or_else(|| {
-                format!(
-                    "unknown profile \"{name}\"; built-ins: {}",
-                    qla_core::BUILTIN_PROFILES.join(", ")
-                )
-            })?
+            MachineSpec::named(name)?
         }
         (None, Some(spec)) => {
             let text = spec

@@ -324,4 +324,98 @@ mod tests {
         assert_eq!(snap.requests, 6);
         assert!(snap.hits >= 2, "second replay must hit the cache");
     }
+
+    /// Send one line on `stream` and read its one-line answer.
+    fn call(stream: &mut BufReader<TcpStream>, line: &str) -> String {
+        // One write per line: a split write waits out delayed ACKs.
+        stream
+            .get_mut()
+            .write_all(format!("{line}\n").as_bytes())
+            .unwrap();
+        let mut answer = String::new();
+        stream.read_line(&mut answer).unwrap();
+        answer
+    }
+
+    #[test]
+    fn concurrent_stats_lines_are_never_torn() {
+        const CLIENTS: u64 = 4;
+        const REQUESTS: u64 = 300;
+        const MAX_IN_FLIGHT: u64 = 2;
+        let service = Service::new(
+            Box::new(|name| (name == "echo").then(|| Box::new(Echo) as Box<dyn DynExperiment>)),
+            ServeConfig {
+                cache_capacity: 3,
+                max_in_flight: MAX_IN_FLIGHT as usize,
+                ..ServeConfig::default()
+            },
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let connect = || BufReader::new(TcpStream::connect(addr).unwrap());
+        let done = AtomicBool::new(false);
+        // Threads report instead of asserting, so a failure still reaches
+        // the shutdown below rather than leaving the server running.
+        let (polled, answered) = std::thread::scope(|scope| {
+            let server = scope.spawn(|| serve(&service, &listener));
+            let poller = scope.spawn(|| {
+                let mut stream = connect();
+                let (mut polls, mut bad) = (0u64, Vec::new());
+                while polls == 0 || !done.load(Ordering::SeqCst) {
+                    let line = call(&mut stream, "{\"cmd\": \"stats\"}");
+                    let stats = crate::Json::parse(line.trim_end()).unwrap();
+                    let count = |name: &str| stats.field(name).and_then(|v| v.as_u64()).unwrap();
+                    if count("hits") + count("misses") != count("requests")
+                        || count("in_flight") > MAX_IN_FLIGHT
+                    {
+                        bad.push(line);
+                    }
+                    polls += 1;
+                }
+                (polls, bad)
+            });
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    scope.spawn(move || {
+                        let mut stream = connect();
+                        (0..REQUESTS)
+                            .map(|i| {
+                                let seed = (client + i) % 5;
+                                let line =
+                                    format!("{{\"experiment\": \"echo\", \"seed\": {seed}}}");
+                                call(&mut stream, &line)
+                            })
+                            .filter(|answer| {
+                                !answer.contains("\"status\":\"ok\"")
+                                    && !answer.contains("\"error\":\"overloaded\"")
+                            })
+                            .collect::<Vec<String>>()
+                    })
+                })
+                .collect();
+            let answered: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
+            done.store(true, Ordering::SeqCst);
+            let polled = poller.join();
+            let mut bye = Vec::new();
+            replay(
+                &addr.to_string(),
+                "{\"cmd\": \"shutdown\"}\n".as_bytes(),
+                &mut bye,
+            )
+            .unwrap();
+            server.join().unwrap().unwrap();
+            (polled, answered)
+        });
+        let (polls, torn) = polled.unwrap();
+        assert!(polls > 0);
+        assert!(torn.is_empty(), "{} bad stats lines: {torn:?}", torn.len());
+        for unexpected in answered {
+            assert_eq!(unexpected.unwrap(), Vec::<String>::new());
+        }
+        let snap = service.stats();
+        assert_eq!(snap.requests + snap.shed, CLIENTS * REQUESTS);
+        assert_eq!(snap.hits + snap.misses, snap.requests);
+        assert_eq!(snap.in_flight, 0);
+        assert!(snap.peak_in_flight <= MAX_IN_FLIGHT);
+    }
 }

@@ -1,16 +1,35 @@
-//! The evaluation service: cache, admission control, batch execution.
+//! The evaluation service: one request pipeline with two callers.
 //!
 //! A [`Service`] owns the LRU result cache, the counters and the experiment
-//! lookup, and serves two entry points:
+//! lookup. Every run request goes through the same three phases:
 //!
-//! * [`Service::handle_line`] — one request at a time, for the TCP server
-//!   and `--once` mode. Admission control is the live in-flight gauge.
-//! * [`Service::handle_burst`] — a batch of concurrent requests, for the
-//!   in-process load generator and benches. The burst is served in three
-//!   deterministic phases (sequential admission + cache lookup, parallel
-//!   miss evaluation through an [`Executor`], sequential insertion +
-//!   response) so the responses, the cache state and every counter are a
-//!   pure function of the request sequence — independent of thread count.
+//! 1. **Admit and look up**, in line order under the service lock. A
+//!    request is shed with an `overloaded` error when
+//!    [`ServeConfig::max_in_flight`] requests are already in flight.
+//!    Otherwise it takes an in-flight slot and is answered from the cache,
+//!    follows an earlier miss of the same batch, or becomes a miss.
+//! 2. **Evaluate the misses**, without the lock, through an [`Executor`]:
+//!    several misses share its workers, and a lone miss gets all of them.
+//! 3. **Insert and respond**, in line order under the lock. Each miss is
+//!    cached, each admitted request is counted, and its slot is released
+//!    as its response is built.
+//!
+//! Two callers feed the pipeline:
+//!
+//! * [`Service::handle_line`] serves one protocol line, for the TCP server
+//!   and `--once` mode. A run request is a batch of one, evaluated on the
+//!   [`ServeConfig::jobs`] pool; `stats` and `shutdown` are answered
+//!   directly.
+//! * [`Service::handle_burst`] serves a batch of concurrent requests, for
+//!   the `serve-load` experiment. With nothing else in flight, the
+//!   responses, the cache state and every counter are a pure function of
+//!   the request sequence, independent of thread count.
+//!
+//! Malformed lines and unknown experiments are errors before admission, so
+//! they never take a slot. The counters ([`StatsSnapshot`]) and the
+//! service-time samples sit with the cache under the one lock: a request's
+//! accounting is one critical section, and a `stats` line always shows
+//! `hits + misses == requests`.
 //!
 //! The cache is keyed by the [`content_hash`] of the canonical request (see
 //! [`RunRequest::canonical_key`]); each entry also stores the canonical
@@ -22,12 +41,11 @@
 
 use crate::clock::ServiceClock;
 use crate::request::{parse_command, Command, RunRequest};
-use crate::stats::{ServiceStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use qla_core::{content_hash, DynExperiment, Executor, ExperimentContext, LruCache};
-use qla_obs::Recorder;
+use qla_obs::{Noop, Recorder};
 use qla_report::{json_escape, Format, Report};
-use std::sync::atomic::Ordering;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Resolves a registry name to an experiment. Injected by the binary (the
 /// registry lives in `qla-bench`, which depends on this crate — a closure
@@ -119,32 +137,59 @@ impl CachedResult {
     }
 }
 
+/// Everything the service lock guards: the cache, the counters, and the
+/// service-time samples the counters' percentiles summarise.
+struct State {
+    cache: LruCache<u64, CachedResult>,
+    stats: StatsSnapshot,
+    hit_ns: Vec<u64>,
+    miss_ns: Vec<u64>,
+}
+
+impl State {
+    /// Count an admitted request as served and release its slot.
+    fn answered(&mut self, served: &ServedRequest) {
+        let stats = &mut self.stats;
+        stats.requests += 1;
+        stats.service_ns += served.service_ns;
+        if served.outcome == Outcome::Hit {
+            stats.hits += 1;
+            self.hit_ns.push(served.service_ns);
+        } else {
+            stats.misses += 1;
+            self.miss_ns.push(served.service_ns);
+        }
+        stats.leave();
+    }
+}
+
 /// The evaluation service. See the module docs.
 pub struct Service {
     lookup: ExperimentLookup,
     config: ServeConfig,
-    cache: Mutex<LruCache<u64, CachedResult>>,
-    stats: ServiceStats,
+    state: Mutex<State>,
 }
 
-/// Phase-1 verdict for one burst line.
-enum Plan {
-    /// Response fully determined in phase 1.
-    Ready(ServedRequest),
-    /// Cache miss: evaluate in phase 2 (index into the job list).
-    Evaluate(usize),
-    /// Duplicate of an earlier miss in the same burst: resolve from the
-    /// cache in phase 3, after the first occurrence lands. Boxed like
-    /// [`Command::Run`] to keep the enum small.
-    Follow { key: u64, req: Box<RunRequest> },
-}
-
-/// One phase-2 evaluation job.
-struct EvalJob {
+/// A run request resolved against the registry, ready for admission.
+struct Job {
     req: RunRequest,
     trials: usize,
     key: u64,
     canonical: String,
+}
+
+/// Phase-1 verdict for one line.
+enum Plan {
+    /// Answered without a slot: an error or a shed.
+    Done(ServedRequest),
+    /// A cache hit, answered in phase 1; its slot is released and it is
+    /// counted in phase 3.
+    Hit(ServedRequest),
+    /// A miss: evaluate job `index` in phase 2.
+    Evaluate(usize),
+    /// A duplicate of the miss `job` earlier in the same batch, answered
+    /// in `format` from its result in phase 3.
+    Follow { job: usize, format: Format },
 }
 
 impl Service {
@@ -154,8 +199,12 @@ impl Service {
         Service {
             lookup,
             config,
-            cache: Mutex::new(LruCache::new(config.cache_capacity)),
-            stats: ServiceStats::default(),
+            state: Mutex::new(State {
+                cache: LruCache::new(config.cache_capacity),
+                stats: StatsSnapshot::default(),
+                hit_ns: Vec::new(),
+                miss_ns: Vec::new(),
+            }),
         }
     }
 
@@ -168,79 +217,52 @@ impl Service {
     /// A snapshot of the service counters.
     #[must_use]
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        let state = self.state();
+        let (stats, hit_ns, miss_ns) = (state.stats, state.hit_ns.clone(), state.miss_ns.clone());
+        drop(state);
+        stats.with_percentiles(hit_ns, miss_ns)
     }
 
     /// Serve one protocol line (the TCP and `--once` path).
     pub fn handle_line(&self, line: &str) -> LineResponse {
-        match parse_command(line) {
-            Err(detail) => self.bad_request(&detail),
+        let body = match parse_command(line) {
+            Err(detail) => return self.bad_request(&detail),
             Ok(Command::Stats) => {
-                self.stats.stats_requests.fetch_add(1, Ordering::SeqCst);
-                LineResponse {
-                    body: self.stats.snapshot().render_json(),
-                    shutdown: false,
-                }
+                self.state().stats.stats_requests += 1;
+                self.stats().render_json()
             }
             Ok(Command::Shutdown) => {
-                self.stats.shutdown_requests.fetch_add(1, Ordering::SeqCst);
-                LineResponse {
+                self.state().stats.shutdown_requests += 1;
+                return LineResponse {
                     body: "{\"status\":\"ok\",\"shutdown\":true}".to_string(),
                     shutdown: true,
-                }
+                };
             }
             Ok(Command::Run(req)) => {
-                let served = self.serve_run(*req);
-                LineResponse {
-                    body: served.response,
-                    shutdown: false,
-                }
+                let executor = Executor::from_jobs(self.config.jobs);
+                let mut served = self.serve_runs(vec![Ok(*req)], &executor, &mut Noop);
+                served.pop().expect("one response per request").response
             }
+        };
+        LineResponse {
+            body,
+            shutdown: false,
         }
     }
 
     /// Answer a line that is not a request with a `bad-request` error, and
     /// count it in `errors`.
     pub(crate) fn bad_request(&self, detail: &str) -> LineResponse {
-        self.stats.errors.fetch_add(1, Ordering::SeqCst);
+        self.state().stats.errors += 1;
         LineResponse {
             body: error_response("bad-request", detail),
             shutdown: false,
         }
     }
 
-    /// Serve one admitted-or-shed run request against the live gauge.
-    fn serve_run(&self, req: RunRequest) -> ServedRequest {
-        let depth = self.stats.enter();
-        if depth > self.config.max_in_flight as u64 {
-            self.stats.leave();
-            return self.shed(&req);
-        }
-        let served = match self.prepare(&req) {
-            Err(served) => served,
-            Ok((trials, key, canonical)) => {
-                if let Some(served) = self.try_hit(&req, key, &canonical) {
-                    served
-                } else {
-                    let clock = self.config.clock;
-                    let ((report, rendered), service_ns) =
-                        clock.time(clock.miss_cost_ns(trials), || {
-                            let report =
-                                self.evaluate(&req, trials, Executor::from_jobs(self.config.jobs));
-                            let rendered = report.render(req.format);
-                            (report, rendered)
-                        });
-                    self.finish_miss(&req, key, canonical, report, rendered, service_ns)
-                }
-            }
-        };
-        self.stats.leave();
-        served
-    }
-
-    /// Serve a batch of concurrent requests deterministically, returning
-    /// one [`ServedRequest`] per line in order. `executor` spreads cache
-    /// misses over worker threads; every other phase is sequential, so the
+    /// Serve a batch of concurrent requests, returning one
+    /// [`ServedRequest`] per line in order. `executor` spreads cache misses
+    /// over worker threads; every other phase is sequential, so the
     /// outputs and counters never depend on the thread count.
     ///
     /// Only run requests are meaningful in a burst; `stats`/`shutdown`
@@ -256,229 +278,189 @@ impl Service {
         executor: &Executor,
         rec: &mut dyn Recorder,
     ) -> Vec<ServedRequest> {
-        let base = self.stats.service_ns.load(Ordering::SeqCst);
-        // Phase 1: parse, admit, and look up sequentially in line order.
-        let mut plans: Vec<Plan> = Vec::with_capacity(lines.len());
-        let mut jobs: Vec<EvalJob> = Vec::new();
-        let mut admitted: usize = 0;
-        {
-            let mut cache = self.cache.lock().expect("cache lock poisoned");
-            for line in lines {
-                let req = match parse_command(line) {
-                    Err(detail) => {
-                        self.stats.errors.fetch_add(1, Ordering::SeqCst);
-                        plans.push(Plan::Ready(ServedRequest {
-                            response: error_response("bad-request", &detail),
-                            outcome: Outcome::Error,
-                            service_ns: 0,
-                        }));
-                        continue;
-                    }
-                    Ok(Command::Run(req)) => *req,
-                    Ok(_) => {
-                        self.stats.errors.fetch_add(1, Ordering::SeqCst);
-                        plans.push(Plan::Ready(ServedRequest {
-                            response: error_response(
-                                "bad-request",
-                                "only run requests are allowed in a burst",
-                            ),
-                            outcome: Outcome::Error,
-                            service_ns: 0,
-                        }));
-                        continue;
-                    }
-                };
-                if admitted == self.config.max_in_flight {
-                    plans.push(Plan::Ready(self.shed(&req)));
+        let requests = lines
+            .iter()
+            .map(|line| match parse_command(line)? {
+                Command::Run(req) => Ok(*req),
+                _ => Err("only run requests are allowed in a burst".to_string()),
+            })
+            .collect();
+        self.serve_runs(requests, executor, rec)
+    }
+
+    /// The pipeline (see the module docs) over parsed run requests, or the
+    /// `bad-request` detail of lines that are not one.
+    fn serve_runs(
+        &self,
+        requests: Vec<Result<RunRequest, String>>,
+        executor: &Executor,
+        rec: &mut dyn Recorder,
+    ) -> Vec<ServedRequest> {
+        let clock = self.config.clock;
+        // Resolve each request against the registry before taking the
+        // lock: what cannot be served is an error at any load.
+        let resolved: Vec<Result<Job, String>> = requests
+            .into_iter()
+            .map(|request| self.resolve(request))
+            .collect();
+
+        // Phase 1: admit and look up, in line order.
+        let mut state = self.state();
+        let base = state.stats.service_ns;
+        let mut jobs: Vec<Job> = Vec::new();
+        let mut plans = Vec::with_capacity(resolved.len());
+        for job in resolved {
+            let job = match job {
+                Err(response) => {
+                    state.stats.errors += 1;
+                    plans.push(Plan::Done(ServedRequest {
+                        response,
+                        outcome: Outcome::Error,
+                        service_ns: 0,
+                    }));
                     continue;
                 }
-                admitted += 1;
-                let depth = self.stats.enter();
-                debug_assert!(depth <= self.config.max_in_flight as u64);
-                let (trials, key, canonical) = match self.prepare(&req) {
-                    Err(served) => {
-                        self.stats.leave();
-                        admitted -= 1;
-                        plans.push(Plan::Ready(served));
-                        continue;
-                    }
-                    Ok(resolved) => resolved,
-                };
-                let hit = match cache.get_mut(&key) {
-                    Some(entry) if entry.canonical == canonical => {
-                        let format = req.format;
-                        Some(self.hit_response(&req, || entry.rendered_for(format)))
-                    }
-                    _ => None,
-                };
-                if let Some(served) = hit {
-                    plans.push(Plan::Ready(served));
-                    // Hits are served synchronously within this phase, so
-                    // they exit the gauge immediately (but still consumed an
-                    // admission slot for the burst).
-                    self.stats.leave();
-                } else if jobs
-                    .iter()
-                    .any(|j| j.key == key && j.canonical == canonical)
-                {
-                    plans.push(Plan::Follow {
-                        key,
-                        req: Box::new(req),
-                    });
-                } else {
-                    plans.push(Plan::Evaluate(jobs.len()));
-                    jobs.push(EvalJob {
-                        req,
-                        trials,
-                        key,
-                        canonical,
-                    });
-                }
+                Ok(job) => job,
+            };
+            if state.stats.in_flight >= self.config.max_in_flight as u64 {
+                state.stats.shed += 1;
+                plans.push(Plan::Done(self.shed(&job.req)));
+                continue;
             }
+            state.stats.enter();
+            let format = job.req.format;
+            let plan = match state.cache.get_mut(&job.key) {
+                Some(entry) if entry.canonical == job.canonical => {
+                    let (rendered, service_ns) =
+                        clock.time(clock.hit_cost_ns(), || entry.rendered_for(format));
+                    Plan::Hit(ServedRequest {
+                        response: ok_response(&job.req.experiment, format, &rendered),
+                        outcome: Outcome::Hit,
+                        service_ns,
+                    })
+                }
+                _ => match jobs
+                    .iter()
+                    .position(|j| j.key == job.key && j.canonical == job.canonical)
+                {
+                    Some(first) => Plan::Follow { job: first, format },
+                    None => {
+                        jobs.push(job);
+                        Plan::Evaluate(jobs.len() - 1)
+                    }
+                },
+            };
+            plans.push(plan);
         }
+        drop(state);
 
-        // Phase 2: evaluate the misses in parallel; results come back in
-        // job order regardless of scheduling.
-        let clock = self.config.clock;
-        let results: Vec<((Report, String), u64)> = executor.map(&jobs, |_, job| {
-            clock.time(clock.miss_cost_ns(job.trials), || {
-                let report = self.evaluate(&job.req, job.trials, Executor::SEQUENTIAL);
-                let rendered = report.render(job.req.format);
-                (report, rendered)
-            })
-        });
+        // Phase 2: evaluate the misses without the lock; results come back
+        // in job order regardless of scheduling.
+        let results: Vec<((Report, String), u64)> = match jobs.as_slice() {
+            [job] => vec![self.evaluate(job, *executor)],
+            _ => executor.map(&jobs, |_, job| self.evaluate(job, Executor::SEQUENTIAL)),
+        };
 
-        // Phase 3: insert and respond sequentially in line order.
+        // Phase 3: insert and respond, in line order.
+        let mut state = self.state();
         let mut responses = Vec::with_capacity(plans.len());
         for plan in plans {
-            match plan {
-                Plan::Ready(served) => responses.push(served),
+            let served = match plan {
+                Plan::Done(served) => {
+                    responses.push(served);
+                    continue;
+                }
+                Plan::Hit(served) => served,
                 Plan::Evaluate(index) => {
                     let job = &jobs[index];
                     let ((report, rendered), service_ns) = &results[index];
-                    responses.push(self.finish_miss(
-                        &job.req,
-                        job.key,
-                        job.canonical.clone(),
-                        report.clone(),
-                        rendered.clone(),
-                        *service_ns,
-                    ));
-                    self.stats.leave();
+                    let entry = CachedResult {
+                        canonical: job.canonical.clone(),
+                        report: report.clone(),
+                        rendered: vec![(job.req.format, rendered.clone())],
+                    };
+                    if state.cache.insert(job.key, entry).is_some() {
+                        state.stats.evictions += 1;
+                    }
+                    ServedRequest {
+                        response: ok_response(&job.req.experiment, job.req.format, rendered),
+                        outcome: Outcome::Miss,
+                        service_ns: *service_ns,
+                    }
                 }
-                Plan::Follow { key, req } => {
-                    let mut cache = self.cache.lock().expect("cache lock poisoned");
-                    let entry = cache
-                        .get_mut(&key)
-                        .expect("followed key was inserted this burst");
-                    let format = req.format;
-                    let served = self.hit_response(&req, || entry.rendered_for(format));
-                    drop(cache);
-                    responses.push(served);
-                    self.stats.leave();
+                Plan::Follow { job: index, format } => {
+                    let job = &jobs[index];
+                    let (rendered, service_ns) = clock.time(clock.hit_cost_ns(), || {
+                        match state.cache.get_mut(&job.key) {
+                            Some(entry) if entry.canonical == job.canonical => {
+                                entry.rendered_for(format)
+                            }
+                            // Evicted again by a later miss of this batch.
+                            _ => {
+                                let ((report, _), _) = &results[index];
+                                report.render(format)
+                            }
+                        }
+                    });
+                    ServedRequest {
+                        response: ok_response(&job.req.experiment, format, &rendered),
+                        outcome: Outcome::Hit,
+                        service_ns,
+                    }
                 }
-            }
+            };
+            state.answered(&served);
+            responses.push(served);
         }
+        drop(state);
         if rec.enabled() {
             record_burst(rec, base, &responses);
         }
         responses
     }
 
+    /// The service lock.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service lock poisoned")
+    }
+
     /// Resolve the experiment and canonical key, or build the error reply.
-    fn prepare(&self, req: &RunRequest) -> Result<(usize, u64, String), ServedRequest> {
+    fn resolve(&self, request: Result<RunRequest, String>) -> Result<Job, String> {
+        let req = request.map_err(|detail| error_response("bad-request", &detail))?;
         let Some(experiment) = (self.lookup)(&req.experiment) else {
-            self.stats.errors.fetch_add(1, Ordering::SeqCst);
-            return Err(ServedRequest {
-                response: error_response(
-                    "unknown-experiment",
-                    &format!("no experiment named \"{}\"", req.experiment),
-                ),
-                outcome: Outcome::Error,
-                service_ns: 0,
-            });
+            return Err(error_response(
+                "unknown-experiment",
+                &format!("no experiment named \"{}\"", req.experiment),
+            ));
         };
         let trials = req.trials.unwrap_or_else(|| experiment.default_trials());
         let canonical = req.canonical_key(trials);
         let key = content_hash(canonical.as_bytes());
-        Ok((trials, key, canonical))
-    }
-
-    /// Answer from the cache if possible (the single-request path).
-    fn try_hit(&self, req: &RunRequest, key: u64, canonical: &str) -> Option<ServedRequest> {
-        let mut cache = self.cache.lock().expect("cache lock poisoned");
-        let entry = match cache.get_mut(&key) {
-            Some(entry) if entry.canonical == canonical => entry,
-            _ => return None,
-        };
-        let format = req.format;
-        Some(self.hit_response(req, || entry.rendered_for(format)))
-    }
-
-    /// Account a cache hit: time the (memoised) rendering lookup and wrap
-    /// it in the response envelope.
-    fn hit_response(&self, req: &RunRequest, rendered: impl FnOnce() -> String) -> ServedRequest {
-        let clock = self.config.clock;
-        let (rendered, service_ns) = clock.time(clock.hit_cost_ns(), rendered);
-        self.stats.requests.fetch_add(1, Ordering::SeqCst);
-        self.stats.hits.fetch_add(1, Ordering::SeqCst);
-        self.stats
-            .service_ns
-            .fetch_add(service_ns, Ordering::SeqCst);
-        self.stats.record_hit_ns(service_ns);
-        ServedRequest {
-            response: ok_response(&req.experiment, req.format, &rendered),
-            outcome: Outcome::Hit,
-            service_ns,
-        }
-    }
-
-    /// Run the experiment for a cache miss.
-    fn evaluate(&self, req: &RunRequest, trials: usize, executor: Executor) -> Report {
-        let experiment = (self.lookup)(&req.experiment).expect("resolved in prepare");
-        let ctx = ExperimentContext::new(trials, req.seed)
-            .with_spec(req.spec.clone())
-            .with_executor(executor);
-        experiment.run_report(&ctx)
-    }
-
-    /// Insert a freshly computed (and already rendered) report and build
-    /// its response.
-    fn finish_miss(
-        &self,
-        req: &RunRequest,
-        key: u64,
-        canonical: String,
-        report: Report,
-        rendered: String,
-        service_ns: u64,
-    ) -> ServedRequest {
-        let entry = CachedResult {
+        Ok(Job {
+            req,
+            trials,
+            key,
             canonical,
-            report,
-            rendered: vec![(req.format, rendered.clone())],
-        };
-        let mut cache = self.cache.lock().expect("cache lock poisoned");
-        if cache.insert(key, entry).is_some() {
-            self.stats.evictions.fetch_add(1, Ordering::SeqCst);
-        }
-        drop(cache);
-        self.stats.requests.fetch_add(1, Ordering::SeqCst);
-        self.stats.misses.fetch_add(1, Ordering::SeqCst);
-        self.stats
-            .service_ns
-            .fetch_add(service_ns, Ordering::SeqCst);
-        self.stats.record_miss_ns(service_ns);
-        ServedRequest {
-            response: ok_response(&req.experiment, req.format, &rendered),
-            outcome: Outcome::Miss,
-            service_ns,
-        }
+        })
     }
 
-    /// Account and build an `overloaded` rejection.
+    /// Run and render the experiment for a cache miss, charging its
+    /// service time.
+    fn evaluate(&self, job: &Job, executor: Executor) -> ((Report, String), u64) {
+        let clock = self.config.clock;
+        clock.time(clock.miss_cost_ns(job.trials), || {
+            let experiment = (self.lookup)(&job.req.experiment).expect("resolved before admission");
+            let ctx = ExperimentContext::new(job.trials, job.req.seed)
+                .with_spec(job.req.spec.clone())
+                .with_executor(executor);
+            let report = experiment.run_report(&ctx);
+            let rendered = report.render(job.req.format);
+            (report, rendered)
+        })
+    }
+
+    /// Build an `overloaded` rejection.
     fn shed(&self, req: &RunRequest) -> ServedRequest {
-        self.stats.shed.fetch_add(1, Ordering::SeqCst);
         ServedRequest {
             response: error_response(
                 "overloaded",
@@ -559,6 +541,7 @@ mod tests {
     use qla_core::Experiment;
     use qla_obs::Noop;
     use qla_report::Column;
+    use std::sync::Arc;
 
     /// A deterministic toy experiment: one seed-and-trials-dependent value.
     struct Echo;
@@ -595,6 +578,57 @@ mod tests {
 
     fn service(config: ServeConfig) -> Service {
         Service::new(lookup(), config)
+    }
+
+    /// A gate the test opens once; [`Held`] waits on it.
+    type Gate = (Mutex<bool>, std::sync::Condvar);
+
+    fn open(gate: &Gate) {
+        *gate.0.lock().unwrap() = true;
+        gate.1.notify_all();
+    }
+
+    /// A toy experiment that blocks in `run` until its gate opens, so a
+    /// test can hold an in-flight slot for as long as it likes.
+    struct Held(Arc<Gate>);
+
+    impl Experiment for Held {
+        type Output = u64;
+        fn name(&self) -> &'static str {
+            "held"
+        }
+        fn title(&self) -> &'static str {
+            "Held"
+        }
+        fn description(&self) -> &'static str {
+            "blocks until released"
+        }
+        fn default_trials(&self) -> usize {
+            1
+        }
+        fn run(&self, _ctx: &ExperimentContext) -> u64 {
+            let (open, wake) = &*self.0;
+            let _open = wake.wait_while(open.lock().unwrap(), |open| !*open);
+            0
+        }
+        fn report(&self, _ctx: &ExperimentContext, output: &u64) -> Report {
+            let mut r = Report::new("held", "Held").with_column(Column::new("value"));
+            r.push_row(qla_report::row![*output]);
+            r
+        }
+    }
+
+    /// A service over `echo` plus a `held` experiment behind `gate`.
+    fn gated_service(config: ServeConfig, gate: &Arc<Gate>) -> Service {
+        let gate = Arc::clone(gate);
+        Service::new(
+            Box::new(move |name| match name {
+                "echo" => Some(Box::new(Echo) as Box<dyn DynExperiment>),
+                "held" => Some(Box::new(Held(Arc::clone(&gate))) as Box<dyn DynExperiment>),
+                _ => None,
+            }),
+            config,
+        )
     }
 
     #[test]
@@ -821,5 +855,94 @@ mod tests {
             crate::clock::VIRTUAL_MISS_BASE_NS + 100 * crate::clock::VIRTUAL_MISS_PER_TRIAL_NS
         );
         assert_eq!(served[1].service_ns, crate::clock::VIRTUAL_HIT_NS);
+    }
+
+    #[test]
+    fn one_line_bursts_serve_exactly_like_handle_line() {
+        // A seeded mix: duplicate echo requests in two formats (hits, and
+        // evictions from a 2-entry cache), bad JSON, and an unknown
+        // experiment.
+        let lines: Vec<String> = (0..60u64)
+            .map(|i| {
+                let draw = qla_core::mix64(0x5eed + i);
+                match draw % 8 {
+                    0 => "{".to_string(),
+                    1 => r#"{"experiment": "nope"}"#.to_string(),
+                    _ => format!(
+                        "{{\"experiment\": \"echo\", \"seed\": {}, \"format\": \"{}\"}}",
+                        (draw >> 8) % 4,
+                        ["json", "text"][((draw >> 16) % 2) as usize]
+                    ),
+                }
+            })
+            .collect();
+        let config = ServeConfig {
+            cache_capacity: 2,
+            max_in_flight: 1,
+            ..ServeConfig::default()
+        };
+        let run = |via_burst: bool| -> (Vec<String>, StatsSnapshot) {
+            let gate = Arc::new(Gate::default());
+            let svc = gated_service(config, &gate);
+            let serve = |line: &str| -> String {
+                if via_burst {
+                    let mut served =
+                        svc.handle_burst(&[line.to_string()], &Executor::SEQUENTIAL, &mut Noop);
+                    served.remove(0).response
+                } else {
+                    svc.handle_line(line).body
+                }
+            };
+            let mut bodies: Vec<String> = lines[..20].iter().map(|l| serve(l)).collect();
+            std::thread::scope(|scope| {
+                // A held request takes the only slot: every run request
+                // of the middle third is shed, errors stay errors.
+                let held = scope.spawn(|| serve(r#"{"experiment": "held"}"#));
+                while svc.stats().in_flight == 0 {
+                    std::thread::yield_now();
+                }
+                bodies.extend(lines[20..40].iter().map(|l| serve(l)));
+                open(&gate);
+                bodies.push(held.join().unwrap());
+            });
+            bodies.extend(lines[40..].iter().map(|l| serve(l)));
+            (bodies, svc.stats())
+        };
+        let (line_bodies, line_stats) = run(false);
+        let (burst_bodies, burst_stats) = run(true);
+        assert_eq!(line_bodies, burst_bodies);
+        assert_eq!(line_stats, burst_stats);
+        let snap = line_stats;
+        assert!(snap.hits > 0 && snap.misses > 0, "{snap:?}");
+        assert!(
+            snap.evictions > 0 && snap.shed > 0 && snap.errors > 0,
+            "{snap:?}"
+        );
+        assert_eq!(snap.hits + snap.misses, snap.requests);
+        assert_eq!((snap.in_flight, snap.peak_in_flight), (0, 1));
+        assert_eq!(
+            line_bodies
+                .iter()
+                .filter(|b| b.contains("\"error\":\"overloaded\""))
+                .count() as u64,
+            snap.shed
+        );
+    }
+
+    #[test]
+    fn burst_follows_survive_an_eviction_by_a_later_miss() {
+        let svc = service(ServeConfig {
+            cache_capacity: 1,
+            ..ServeConfig::default()
+        });
+        let lines: Vec<String> = [1, 2, 1]
+            .iter()
+            .map(|seed| format!("{{\"experiment\": \"echo\", \"seed\": {seed}}}"))
+            .collect();
+        let served = svc.handle_burst(&lines, &Executor::SEQUENTIAL, &mut Noop);
+        let outcomes: Vec<Outcome> = served.iter().map(|s| s.outcome).collect();
+        assert_eq!(outcomes, vec![Outcome::Miss, Outcome::Miss, Outcome::Hit]);
+        assert_eq!(served[0].response, served[2].response);
+        assert_eq!(svc.stats().evictions, 1);
     }
 }

@@ -1,72 +1,41 @@
 //! Service counters, surfaced by the `stats` protocol command.
 //!
-//! All counters are atomics so connection threads update them without a
-//! lock; the snapshot is a single JSON line with a fixed key order so soak
-//! scripts can parse it with nothing fancier than `grep`. Beyond the plain
-//! counters, the stats carry per-endpoint request counts (`stats`,
-//! `shutdown`) and per-class service-time samples, summarised at snapshot
-//! time into nearest-rank percentiles through the shared
-//! [`qla_core::stats`] helper.
+//! [`StatsSnapshot`] is the one counter struct. The service keeps it beside
+//! its cache and the per-class service-time samples under one lock, so each
+//! request is counted in one critical section and a snapshot never shows a
+//! half-counted request. The percentile fields are filled from the samples
+//! when the snapshot is read, as nearest-rank percentiles through the
+//! shared [`qla_core::stats`] helper. The `stats` line is a single JSON
+//! line with a fixed key order, so soak scripts can parse it with nothing
+//! fancier than `grep`.
 
 use qla_core::stats::percentile_u64;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
-/// Live counters for one [`Service`](crate::Service).
-#[derive(Debug, Default)]
-pub struct ServiceStats {
-    /// Run requests accepted (admitted past the queue bound).
-    pub requests: AtomicU64,
-    /// Accepted requests answered from the cache.
-    pub hits: AtomicU64,
-    /// Accepted requests that evaluated an experiment.
-    pub misses: AtomicU64,
-    /// Run requests shed by admission control.
-    pub shed: AtomicU64,
-    /// Requests rejected as malformed (bad JSON, unknown experiment, …).
-    pub errors: AtomicU64,
-    /// Cache entries evicted by capacity pressure.
-    pub evictions: AtomicU64,
-    /// Run requests currently being served.
-    pub in_flight: AtomicU64,
-    /// High-water mark of `in_flight` (the observed queue depth).
-    pub peak_in_flight: AtomicU64,
-    /// Total charged service time of accepted requests, nanoseconds.
-    pub service_ns: AtomicU64,
-    /// `stats` protocol commands served.
-    pub stats_requests: AtomicU64,
-    /// `shutdown` protocol commands served.
-    pub shutdown_requests: AtomicU64,
-    /// Charged service-time samples of cache hits, nanoseconds.
-    hit_ns: Mutex<Vec<u64>>,
-    /// Charged service-time samples of cache misses, nanoseconds.
-    miss_ns: Mutex<Vec<u64>>,
-}
-
-/// A point-in-time copy of every counter.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Every service counter, plus the service-time percentiles at the moment
+/// it was read.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
-    /// Run requests accepted.
+    /// Run requests accepted (admitted past the queue bound) and served.
     pub requests: u64,
-    /// Cache hits.
+    /// Accepted requests answered from the cache.
     pub hits: u64,
-    /// Cache misses.
+    /// Accepted requests that evaluated an experiment.
     pub misses: u64,
-    /// Requests shed by admission control.
+    /// Run requests shed by admission control.
     pub shed: u64,
-    /// Malformed or unservable requests.
+    /// Requests rejected as malformed (bad JSON, unknown experiment, …).
     pub errors: u64,
-    /// Cache evictions.
+    /// Cache entries evicted by capacity pressure.
     pub evictions: u64,
-    /// Requests currently in flight.
+    /// Run requests currently admitted and not yet answered.
     pub in_flight: u64,
-    /// High-water mark of in-flight requests.
+    /// High-water mark of `in_flight` (the observed queue depth).
     pub peak_in_flight: u64,
-    /// Total charged service time, nanoseconds.
+    /// Total charged service time of accepted requests, nanoseconds.
     pub service_ns: u64,
-    /// `stats` commands served.
+    /// `stats` protocol commands served.
     pub stats_requests: u64,
-    /// `shutdown` commands served.
+    /// `shutdown` protocol commands served.
     pub shutdown_requests: u64,
     /// Median hit service time, ns (0 with no hit samples).
     pub hit_p50_ns: u64,
@@ -78,63 +47,34 @@ pub struct StatsSnapshot {
     pub miss_p99_ns: u64,
 }
 
-impl ServiceStats {
+impl StatsSnapshot {
     /// Enter one request into the in-flight gauge, maintaining the peak.
-    /// Returns the depth *including* this request.
-    pub fn enter(&self) -> u64 {
-        let depth = self.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak_in_flight.fetch_max(depth, Ordering::SeqCst);
-        depth
+    pub(crate) fn enter(&mut self) {
+        self.in_flight += 1;
+        self.peak_in_flight = self.peak_in_flight.max(self.in_flight);
     }
 
     /// Leave the in-flight gauge.
-    pub fn leave(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    pub(crate) fn leave(&mut self) {
+        self.in_flight -= 1;
     }
 
-    /// Record one cache hit's charged service time.
-    pub fn record_hit_ns(&self, ns: u64) {
-        self.hit_ns.lock().expect("hit samples poisoned").push(ns);
-    }
-
-    /// Record one cache miss's charged service time.
-    pub fn record_miss_ns(&self, ns: u64) {
-        self.miss_ns.lock().expect("miss samples poisoned").push(ns);
-    }
-
-    /// Copy every counter and summarise the service-time samples.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let summarise = |samples: &Mutex<Vec<u64>>| -> (u64, u64) {
-            let mut ns = samples.lock().expect("samples poisoned").clone();
+    /// These counters with the percentile fields summarising the hit and
+    /// miss service-time samples.
+    #[must_use]
+    pub(crate) fn with_percentiles(mut self, hit_ns: Vec<u64>, miss_ns: Vec<u64>) -> Self {
+        let summarise = |mut ns: Vec<u64>| -> (u64, u64) {
             if ns.is_empty() {
                 return (0, 0);
             }
             ns.sort_unstable();
             (percentile_u64(&ns, 50), percentile_u64(&ns, 99))
         };
-        let (hit_p50_ns, hit_p99_ns) = summarise(&self.hit_ns);
-        let (miss_p50_ns, miss_p99_ns) = summarise(&self.miss_ns);
-        StatsSnapshot {
-            requests: self.requests.load(Ordering::SeqCst),
-            hits: self.hits.load(Ordering::SeqCst),
-            misses: self.misses.load(Ordering::SeqCst),
-            shed: self.shed.load(Ordering::SeqCst),
-            errors: self.errors.load(Ordering::SeqCst),
-            evictions: self.evictions.load(Ordering::SeqCst),
-            in_flight: self.in_flight.load(Ordering::SeqCst),
-            peak_in_flight: self.peak_in_flight.load(Ordering::SeqCst),
-            service_ns: self.service_ns.load(Ordering::SeqCst),
-            stats_requests: self.stats_requests.load(Ordering::SeqCst),
-            shutdown_requests: self.shutdown_requests.load(Ordering::SeqCst),
-            hit_p50_ns,
-            hit_p99_ns,
-            miss_p50_ns,
-            miss_p99_ns,
-        }
+        (self.hit_p50_ns, self.hit_p99_ns) = summarise(hit_ns);
+        (self.miss_p50_ns, self.miss_p99_ns) = summarise(miss_ns);
+        self
     }
-}
 
-impl StatsSnapshot {
     /// The cache hit rate over accepted requests (0 when none were served).
     #[must_use]
     pub fn hit_rate(&self) -> f64 {
@@ -182,32 +122,30 @@ mod tests {
 
     #[test]
     fn enter_leave_tracks_depth_and_peak() {
-        let stats = ServiceStats::default();
-        assert_eq!(stats.enter(), 1);
-        assert_eq!(stats.enter(), 2);
+        let mut stats = StatsSnapshot::default();
+        stats.enter();
+        stats.enter();
+        assert_eq!(stats.in_flight, 2);
         stats.leave();
-        assert_eq!(stats.enter(), 2);
+        stats.enter();
         stats.leave();
         stats.leave();
-        let snap = stats.snapshot();
-        assert_eq!(snap.in_flight, 0);
-        assert_eq!(snap.peak_in_flight, 2);
+        assert_eq!(stats.in_flight, 0);
+        assert_eq!(stats.peak_in_flight, 2);
     }
 
     #[test]
     fn snapshot_renders_one_fixed_order_line() {
-        let stats = ServiceStats::default();
-        stats.requests.store(10, Ordering::SeqCst);
-        stats.hits.store(6, Ordering::SeqCst);
-        stats.misses.store(4, Ordering::SeqCst);
-        stats.service_ns.store(1234, Ordering::SeqCst);
-        stats.stats_requests.store(2, Ordering::SeqCst);
-        stats.shutdown_requests.store(1, Ordering::SeqCst);
-        stats.record_hit_ns(30);
-        stats.record_hit_ns(10);
-        stats.record_hit_ns(20);
-        stats.record_miss_ns(500);
-        let snap = stats.snapshot();
+        let snap = StatsSnapshot {
+            requests: 10,
+            hits: 6,
+            misses: 4,
+            service_ns: 1234,
+            stats_requests: 2,
+            shutdown_requests: 1,
+            ..StatsSnapshot::default()
+        }
+        .with_percentiles(vec![30, 10, 20], vec![500]);
         assert_eq!(
             snap.render_json(),
             "{\"status\":\"ok\",\"requests\":10,\"hits\":6,\"misses\":4,\
@@ -222,7 +160,7 @@ mod tests {
 
     #[test]
     fn empty_samples_render_zero_percentiles() {
-        let snap = ServiceStats::default().snapshot();
+        let snap = StatsSnapshot::default().with_percentiles(Vec::new(), Vec::new());
         assert_eq!(snap.hit_rate(), 0.0);
         assert_eq!(
             (
