@@ -7,20 +7,19 @@
 //! out mid-run — purification tiers falling behind, factory slots lost to
 //! recalibration — how far do the sojourn tails and the makespan move,
 //! and does the machine recover once capacity returns? Each (profile,
-//! severity) point compiles a declarative [`qla_faults::FaultPlan`]
-//! against the profile's mesh and replays the *same* seeded Toffoli
-//! stream through `qla-sim`, so within a profile the rows differ only in
-//! the injected faults.
+//! severity) point turns the spec's `sweep.fault.*` section into the
+//! profile's fault timeline at that severity
+//! ([`qla_faults::severity_timeline`]) and replays the *same* seeded
+//! Toffoli stream through `qla-sim`, so within a profile the rows differ
+//! only in the injected faults.
 
 use crate::experiments::round2;
-use crate::experiments::sim_support::{machine_mesh, sim_config};
+use crate::experiments::sim_support::{machine_mesh, SteadyState};
 use qla_core::{Experiment, ExperimentContext, MachineSpec, BUILTIN_PROFILES};
-use qla_faults::FaultPlan;
+use qla_faults::severity_timeline;
 use qla_obs::EventLog;
 use qla_report::{row, Column, Report};
-use qla_sim::{
-    simulate_observed, toffoli_arrivals, toffoli_work_items, LatencySummary, TrafficParams,
-};
+use qla_sim::{simulate_observed, SimTime};
 use serde::Serialize;
 
 /// The cross-profile fault-severity sweep. Severities, fault geometry and
@@ -34,7 +33,7 @@ pub struct FaultSweepRow {
     pub profile: String,
     /// Fault severity (0 = healthy, 1 = full outage of the faulted slice).
     pub severity: f64,
-    /// Mesh edges the plan degrades at this severity.
+    /// Mesh edges the fault timeline degrades at this severity.
     pub degraded_edges: usize,
     /// Gates the arrival stream offered over the whole horizon.
     pub offered_toffolis: usize,
@@ -81,75 +80,45 @@ impl Experiment for FaultSweep {
     }
 
     fn run_observed(&self, ctx: &ExperimentContext) -> (FaultSweepOutput, Vec<EventLog>) {
-        let sim = ctx.spec.sweep.sim.clone();
-        let fault = ctx.spec.sweep.fault.clone();
-        let horizon = sim.warmup_windows + sim.measure_windows;
+        let sim = &ctx.spec.sweep.sim;
+        let fault = &ctx.spec.sweep.fault;
 
         // Profile-major point grid. The traffic RNG is derived from the
         // *profile* index, so every severity of a profile replays the
         // byte-identical arrival stream and the rows isolate the fault.
         let specs = MachineSpec::builtins();
-        let points: Vec<(usize, MachineSpec, f64)> = specs
+        let points: Vec<(usize, &MachineSpec, f64)> = specs
             .iter()
             .enumerate()
-            .flat_map(|(p, spec)| {
-                fault
-                    .severities
-                    .iter()
-                    .map(move |&severity| (p, spec.clone(), severity))
-            })
+            .flat_map(|(p, spec)| fault.severities.iter().map(move |&s| (p, spec, s)))
             .collect();
 
         let (rows, logs) = ctx
             .executor
             .map_indices_observed(points.len(), &ctx.obs(), |i, log| {
-                let (profile_idx, spec, severity) = &points[i];
+                let (profile_idx, spec, severity) = points[i];
                 log.set_label(format!("{}-severity-{severity}", spec.name));
                 let machine = spec.machine().expect("built-in profiles are valid");
                 let mesh = machine_mesh(&machine);
-                let cfg = sim_config(&machine, &sim, None);
-                let warm_start = cfg.window * sim.warmup_windows as u64;
-                let measure_end = cfg.window * horizon as u64;
-                let cfg = qla_sim::SimConfig {
-                    measure: Some((warm_start, measure_end)),
-                    ..cfg
-                };
-
-                let mut rng = ctx.rng_for_point(*profile_idx as u64);
-                let arrivals = toffoli_arrivals(
+                let steady = SteadyState::new(&machine, sim);
+                let cfg = &steady.cfg;
+                let items = steady.toffoli_stream(
                     &mesh,
-                    horizon,
-                    &TrafficParams {
-                        offered_load: fault.traffic_offered_load,
-                        burst_factor: sim.burst_factor,
-                        window: cfg.window,
-                    },
-                    &mut rng,
+                    fault.traffic_offered_load,
+                    &mut ctx.rng_for_point(profile_idx as u64),
                 );
-                let items = toffoli_work_items(&mesh, &arrivals);
-
-                let plan = FaultPlan::for_severity(&fault, &mesh, &cfg, *severity);
-                let timeline = plan
-                    .compile(&mesh, &cfg)
-                    .expect("plans derived from a validated spec compile");
-                let out = simulate_observed(&mesh, &cfg, &items, &timeline, log);
-
-                let sojourns: Vec<qla_sim::SimTime> = out
-                    .items
-                    .iter()
-                    .filter(|item| item.arrival >= warm_start)
-                    .map(|item| item.completion.saturating_since(item.arrival))
-                    .collect();
-                let sojourn = LatencySummary::of(&sojourns);
+                let timeline = severity_timeline(fault, &mesh, cfg, severity);
+                let out = simulate_observed(&mesh, cfg, &items, &timeline, log);
+                let sojourn = steady.sojourn_summary(&out);
 
                 FaultSweepRow {
                     profile: spec.name.clone(),
-                    severity: *severity,
-                    degraded_edges: plan.channel_faults.len(),
+                    severity,
+                    degraded_edges: timeline.channel_faults.len(),
                     offered_toffolis: items.len(),
-                    channel_utilization: out.channel_utilization(&cfg),
-                    p50_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p50_ns).as_millis_f64(),
-                    p99_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
+                    channel_utilization: out.channel_utilization(cfg),
+                    p50_sojourn_ms: SimTime::from_nanos(sojourn.p50_ns).as_millis_f64(),
+                    p99_sojourn_ms: SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
                     makespan_windows: out.windows_used(cfg.window),
                 }
             });

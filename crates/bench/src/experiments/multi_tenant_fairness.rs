@@ -18,7 +18,7 @@ use qla_core::{Experiment, ExperimentContext};
 use qla_faults::{symmetric_tenant_items, tenant_quotas};
 use qla_obs::Noop;
 use qla_report::{jains_index, row, Column, Report};
-use qla_sim::{simulate_observed, FaultTimeline, LatencySummary};
+use qla_sim::{mean_nanos, simulate_observed, sorted_nanos, FaultTimeline, LatencySummary};
 use serde::Serialize;
 
 /// The quota-skew sweep. Tenant count, base quota and the skew grid come
@@ -80,39 +80,32 @@ impl Experiment for MultiTenantFairness {
 
     fn run(&self, ctx: &ExperimentContext) -> FairnessOutput {
         let machine = ctx.machine();
-        let sim = ctx.spec.sweep.sim.clone();
-        let fault = ctx.spec.sweep.fault.clone();
+        let sim = &ctx.spec.sweep.sim;
+        let fault = &ctx.spec.sweep.fault;
         let mesh = machine_mesh(&machine);
 
         // The workload is RNG-free and shared verbatim by every skew
         // point: each tenant submits `tenant_quota` single-teleport items
         // (one logical ancilla each) at the start of every window, on its
         // own interior mesh row.
+        let base = sim_config(&machine, sim, None);
+        let items = symmetric_tenant_items(
+            &mesh,
+            fault.tenants,
+            sim.measure_windows,
+            fault.tenant_quota,
+            base.window,
+        );
+        // Only the per-tenant quotas may bind: the global admission limit
+        // and the ancilla factory are provisioned for the whole workload
+        // at once.
+        let cfg = qla_sim::SimConfig {
+            max_in_flight: items.len().max(1),
+            ancilla_capacity: items.len().max(1),
+            ..base
+        };
         let rows = ctx.executor.map_indices(fault.quota_skews.len(), |i| {
             let skew = fault.quota_skews[i];
-            let base = sim_config(&machine, &sim, None);
-            let items = symmetric_tenant_items(
-                &mesh,
-                fault.tenants,
-                sim.measure_windows,
-                fault.tenant_quota,
-                base.window,
-            );
-            let items: Vec<qla_sim::WorkItem> = items
-                .into_iter()
-                .map(|item| qla_sim::WorkItem {
-                    ancillas: 1,
-                    ..item
-                })
-                .collect();
-            // Only the per-tenant quotas may bind: the global admission
-            // limit and the ancilla factory are provisioned for the whole
-            // workload at once.
-            let cfg = qla_sim::SimConfig {
-                max_in_flight: items.len().max(1),
-                ancilla_capacity: items.len().max(1),
-                ..base
-            };
             let quotas = tenant_quotas(fault.tenant_quota, fault.tenants, skew);
             let min_quota = quotas.iter().copied().min().unwrap_or(0);
             let timeline = FaultTimeline {
@@ -124,14 +117,7 @@ impl Experiment for MultiTenantFairness {
             let per_tenant = out.sojourns_by_tenant(fault.tenants);
             let means_ms: Vec<f64> = per_tenant
                 .iter()
-                .map(|sojourns| {
-                    let total: u128 = sojourns.iter().map(|s| u128::from(s.nanos())).sum();
-                    if sojourns.is_empty() {
-                        0.0
-                    } else {
-                        total as f64 / sojourns.len() as f64 / 1e6
-                    }
-                })
+                .map(|sojourns| mean_nanos(&sorted_nanos(sojourns)) / 1e6)
                 .collect();
             let sojourn = LatencySummary::of(&out.sojourns());
 

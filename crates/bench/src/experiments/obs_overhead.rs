@@ -11,13 +11,11 @@
 //! executable form of the layer's core promise: tracing observes the
 //! simulation, it never steers it.
 
-use crate::experiments::sim_support::{machine_mesh, sim_config};
+use crate::experiments::sim_support::{machine_mesh, SteadyState};
 use qla_core::{Experiment, ExperimentContext};
 use qla_obs::{EventLog, Noop, ObsConfig, ObsDetail};
 use qla_report::{row, Column, Report};
-use qla_sim::{
-    simulate_observed, toffoli_arrivals, toffoli_work_items, FaultTimeline, TrafficParams,
-};
+use qla_sim::{simulate_observed, FaultTimeline};
 use serde::Serialize;
 
 /// The recording-overhead study.
@@ -80,30 +78,18 @@ impl Experiment for ObsOverhead {
 
     fn run(&self, ctx: &ExperimentContext) -> ObsOverheadOutput {
         let machine = ctx.machine();
-        let sim = ctx.spec.sweep.sim.clone();
+        let sim = &ctx.spec.sweep.sim;
         let sample_every = ctx.spec.sweep.obs.sample_every;
         let mesh = machine_mesh(&machine);
-        let horizon = sim.warmup_windows + sim.measure_windows;
         // The middle offered load of the sweep: busy enough that every
         // track records, without turning the artefact into a soak.
         let offered_load = sim.offered_loads[sim.offered_loads.len() / 2];
-        let cfg = sim_config(&machine, &sim, None);
-
-        let mut rng = ctx.rng_for_point(0);
-        let arrivals = toffoli_arrivals(
-            &mesh,
-            horizon,
-            &TrafficParams {
-                offered_load,
-                burst_factor: sim.burst_factor,
-                window: cfg.window,
-            },
-            &mut rng,
-        );
-        let items = toffoli_work_items(&mesh, &arrivals);
+        let steady = SteadyState::new(&machine, sim);
+        let cfg = &steady.cfg;
+        let items = steady.toffoli_stream(&mesh, offered_load, &mut ctx.rng_for_point(0));
         let faults = FaultTimeline::default();
 
-        let baseline = simulate_observed(&mesh, &cfg, &items, &faults, &mut Noop);
+        let baseline = simulate_observed(&mesh, cfg, &items, &faults, &mut Noop);
         let mut rows = vec![ObsOverheadRow {
             mode: "off".to_string(),
             sim_events: baseline.events,
@@ -119,7 +105,7 @@ impl Experiment for ObsOverhead {
                 sample_every,
             };
             let mut log = EventLog::for_point(config, mode);
-            let out = simulate_observed(&mesh, &cfg, &items, &faults, &mut log);
+            let out = simulate_observed(&mesh, cfg, &items, &faults, &mut log);
             assert_eq!(
                 out, baseline,
                 "recording ({mode}) perturbed the simulation outcome"

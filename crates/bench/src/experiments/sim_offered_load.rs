@@ -13,14 +13,11 @@
 //! gates.
 
 use crate::experiments::round2;
-use crate::experiments::sim_support::{machine_mesh, sim_config};
+use crate::experiments::sim_support::{machine_mesh, SteadyState};
 use qla_core::{Experiment, ExperimentContext};
 use qla_obs::EventLog;
 use qla_report::{row, Column, Report};
-use qla_sim::{
-    simulate_observed, toffoli_arrivals, toffoli_work_items, FaultTimeline, LatencySummary,
-    TrafficParams,
-};
+use qla_sim::{simulate_observed, FaultTimeline, LatencySummary, SimTime};
 use serde::Serialize;
 
 /// The offered-load sweep. Loads, burstiness, queue depths and horizons
@@ -91,71 +88,49 @@ impl Experiment for SimOfferedLoad {
 
     fn run_observed(&self, ctx: &ExperimentContext) -> (OfferedLoadOutput, Vec<EventLog>) {
         let machine = ctx.machine();
-        let sim = ctx.spec.sweep.sim.clone();
+        let sim = &ctx.spec.sweep.sim;
         let mesh = machine_mesh(&machine);
-        let horizon = sim.warmup_windows + sim.measure_windows;
-        let loads = sim.offered_loads.clone();
+        let steady = SteadyState::new(&machine, sim);
+        let cfg = &steady.cfg;
 
         // Every load point replays an independently seeded stream, so the
         // points can be evaluated concurrently (or re-run singly) without
         // changing a byte; index order keeps the row order of the spec.
-        let (rows, logs) = ctx
-            .executor
-            .map_indices_observed(loads.len(), &ctx.obs(), |i, log| {
-                let offered_load = loads[i];
-                log.set_label(format!("offered-load-{offered_load}"));
-                let cfg = sim_config(&machine, &sim, None);
-                let warm_start = cfg.window * sim.warmup_windows as u64;
-                let measure_end = cfg.window * horizon as u64;
-                let cfg = qla_sim::SimConfig {
-                    measure: Some((warm_start, measure_end)),
-                    ..cfg
-                };
-                let mut rng = ctx.rng_for_point(i as u64);
-                let arrivals = toffoli_arrivals(
-                    &mesh,
-                    horizon,
-                    &TrafficParams {
+        let (rows, logs) =
+            ctx.executor
+                .map_indices_observed(sim.offered_loads.len(), &ctx.obs(), |i, log| {
+                    let offered_load = sim.offered_loads[i];
+                    log.set_label(format!("offered-load-{offered_load}"));
+                    let items = steady.toffoli_stream(
+                        &mesh,
                         offered_load,
-                        burst_factor: sim.burst_factor,
-                        window: cfg.window,
-                    },
-                    &mut rng,
-                );
-                let items = toffoli_work_items(&mesh, &arrivals);
-                let out = simulate_observed(&mesh, &cfg, &items, &FaultTimeline::default(), log);
+                        &mut ctx.rng_for_point(i as u64),
+                    );
+                    let out = simulate_observed(&mesh, cfg, &items, &FaultTimeline::default(), log);
 
-                // Statistics cover the gates that arrived after warm-up.
-                let sojourns: Vec<qla_sim::SimTime> = out
-                    .items
-                    .iter()
-                    .filter(|item| item.arrival >= warm_start)
-                    .map(|item| item.completion.saturating_since(item.arrival))
-                    .collect();
-                let sojourn = LatencySummary::of(&sojourns);
-                let delays: Vec<qla_sim::SimTime> = out
-                    .requests
-                    .iter()
-                    .filter(|r| out.items[r.item].arrival >= warm_start)
-                    .map(|r| {
-                        r.completion
-                            .saturating_since(cfg.uncontended_completion(r.release, r.pairs))
-                    })
-                    .collect();
-                let delay = LatencySummary::of(&delays);
+                    // Statistics cover the gates that arrived after warm-up.
+                    let sojourn = steady.sojourn_summary(&out);
+                    let delays: Vec<SimTime> = steady
+                        .measured_requests(&out)
+                        .map(|r| {
+                            r.completion
+                                .saturating_since(cfg.uncontended_completion(r.release, r.pairs))
+                        })
+                        .collect();
+                    let delay = LatencySummary::of(&delays);
 
-                OfferedLoadRow {
-                    offered_load,
-                    offered_toffolis: items.len(),
-                    channel_utilization: out.channel_utilization(&cfg),
-                    factory_utilization: out.factory_utilization(&cfg),
-                    mean_queue_delay_ms: delay.mean_ms(),
-                    p50_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p50_ns).as_millis_f64(),
-                    p99_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
-                    makespan_windows: out.windows_used(cfg.window),
-                    events: out.events,
-                }
-            });
+                    OfferedLoadRow {
+                        offered_load,
+                        offered_toffolis: items.len(),
+                        channel_utilization: out.channel_utilization(cfg),
+                        factory_utilization: out.factory_utilization(cfg),
+                        mean_queue_delay_ms: delay.mean_ms(),
+                        p50_sojourn_ms: SimTime::from_nanos(sojourn.p50_ns).as_millis_f64(),
+                        p99_sojourn_ms: SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
+                        makespan_windows: out.windows_used(cfg.window),
+                        events: out.events,
+                    }
+                });
         (
             OfferedLoadOutput {
                 rows,

@@ -11,13 +11,11 @@
 //! delivered, including ancilla-factory waiting).
 
 use crate::experiments::round2;
-use crate::experiments::sim_support::{machine_mesh, sim_config};
+use crate::experiments::sim_support::{machine_mesh, SteadyState};
+use qla_core::stats::percentile_u64;
 use qla_core::{Experiment, ExperimentContext};
 use qla_report::{row, Column, Report};
-use qla_sim::{
-    mean_nanos, percentile, simulate, sorted_nanos, toffoli_arrivals, toffoli_work_items, SimTime,
-    TrafficParams,
-};
+use qla_sim::{mean_nanos, simulate, sorted_nanos, SimTime};
 use serde::Serialize;
 
 /// The tail-latency distribution study.
@@ -64,7 +62,11 @@ fn ladder(samples: &[SimTime]) -> TailQuantiles {
     let mut quantiles_ms: Vec<(String, f64)> = QUANTILES
         .iter()
         .map(|&(label, q)| {
-            let v = if ns.is_empty() { 0 } else { percentile(&ns, q) };
+            let v = if ns.is_empty() {
+                0
+            } else {
+                percentile_u64(&ns, q)
+            };
             (label.to_string(), v as f64 / 1e6)
         })
         .collect();
@@ -105,48 +107,22 @@ impl Experiment for SimTailLatency {
 
     fn run(&self, ctx: &ExperimentContext) -> TailLatencyOutput {
         let machine = ctx.machine();
-        let sim = ctx.spec.sweep.sim.clone();
+        let sim = &ctx.spec.sweep.sim;
         let mesh = machine_mesh(&machine);
-        let horizon = sim.warmup_windows + sim.measure_windows;
-        let base = sim_config(&machine, &sim, None);
-        let warm_start = base.window * sim.warmup_windows as u64;
-        let measure_end = base.window * horizon as u64;
-        let cfg = qla_sim::SimConfig {
-            measure: Some((warm_start, measure_end)),
-            ..base
-        };
-        let mut rng = ctx.rng_for_point(0);
-        let arrivals = toffoli_arrivals(
-            &mesh,
-            horizon,
-            &TrafficParams {
-                offered_load: sim.tail_offered_load,
-                burst_factor: sim.burst_factor,
-                window: cfg.window,
-            },
-            &mut rng,
-        );
-        let items = toffoli_work_items(&mesh, &arrivals);
-        let out = simulate(&mesh, &cfg, &items);
+        let steady = SteadyState::new(&machine, sim);
+        let items = steady.toffoli_stream(&mesh, sim.tail_offered_load, &mut ctx.rng_for_point(0));
+        let out = simulate(&mesh, &steady.cfg, &items);
 
-        let request_sojourns: Vec<SimTime> = out
-            .requests
-            .iter()
-            .filter(|r| out.items[r.item].arrival >= warm_start)
+        let request_sojourns: Vec<SimTime> = steady
+            .measured_requests(&out)
             .map(|r| r.completion.saturating_since(r.release))
-            .collect();
-        let toffoli_sojourns: Vec<SimTime> = out
-            .items
-            .iter()
-            .filter(|item| item.arrival >= warm_start)
-            .map(|item| item.completion.saturating_since(item.arrival))
             .collect();
 
         TailLatencyOutput {
             offered_load: sim.tail_offered_load,
             requests: ladder(&request_sojourns),
-            toffolis: ladder(&toffoli_sojourns),
-            channel_utilization: out.channel_utilization(&cfg),
+            toffolis: ladder(&steady.sojourns(&out)),
+            channel_utilization: out.channel_utilization(&steady.cfg),
         }
     }
 

@@ -11,11 +11,11 @@
 //! nothing but the *shape* of the traffic.
 
 use crate::experiments::round2;
-use crate::experiments::sim_support::{machine_mesh, sim_config};
+use crate::experiments::sim_support::{machine_mesh, SteadyState};
 use qla_core::{Experiment, ExperimentContext};
 use qla_faults::{matrix_requests, TrafficMatrix};
 use qla_report::{row, Column, Report};
-use qla_sim::{simulate, LatencySummary, TrafficParams, WorkItem};
+use qla_sim::{simulate, RequestOutcome, SimTime, WorkItem};
 use serde::Serialize;
 
 /// The traffic-matrix study. Load and hot-spot sizing come from the
@@ -78,50 +78,31 @@ impl Experiment for TrafficMatrixStudy {
 
     fn run(&self, ctx: &ExperimentContext) -> TrafficMatrixOutput {
         let machine = ctx.machine();
-        let sim = ctx.spec.sweep.sim.clone();
-        let fault = ctx.spec.sweep.fault.clone();
+        let fault = &ctx.spec.sweep.fault;
         let mesh = machine_mesh(&machine);
-        let horizon = sim.warmup_windows + sim.measure_windows;
+        let steady = SteadyState::new(&machine, &ctx.spec.sweep.sim);
+        let cfg = &steady.cfg;
 
         // One independently seeded stream per matrix: index-derived seeds
         // keep the rows byte-identical at every job count.
         let rows = ctx.executor.map_indices(TrafficMatrix::ALL.len(), |i| {
             let matrix = TrafficMatrix::ALL[i];
-            let cfg = sim_config(&machine, &sim, None);
-            let warm_start = cfg.window * sim.warmup_windows as u64;
-            let measure_end = cfg.window * horizon as u64;
-            let cfg = qla_sim::SimConfig {
-                measure: Some((warm_start, measure_end)),
-                ..cfg
-            };
-            let mut rng = ctx.rng_for_point(i as u64);
             let requests = matrix_requests(
                 &mesh,
-                horizon,
-                &TrafficParams {
-                    offered_load: fault.matrix_offered_load,
-                    burst_factor: sim.burst_factor,
-                    window: cfg.window,
-                },
+                steady.horizon,
+                &steady.traffic(fault.matrix_offered_load),
                 matrix,
                 fault.hotspot_fraction,
-                &mut rng,
+                &mut ctx.rng_for_point(i as u64),
             );
             let items: Vec<WorkItem> = requests
                 .iter()
                 .map(|&(arrival, r)| WorkItem::request(arrival, r))
                 .collect();
-            let out = simulate(&mesh, &cfg, &items);
+            let out = simulate(&mesh, cfg, &items);
 
-            let sojourns: Vec<qla_sim::SimTime> = out
-                .items
-                .iter()
-                .filter(|item| item.arrival >= warm_start)
-                .map(|item| item.completion.saturating_since(item.arrival))
-                .collect();
-            let sojourn = LatencySummary::of(&sojourns);
-            let routed: Vec<&qla_sim::RequestOutcome> =
-                out.requests.iter().filter(|r| r.hops > 0).collect();
+            let sojourn = steady.sojourn_summary(&out);
+            let routed: Vec<&RequestOutcome> = out.requests.iter().filter(|r| r.hops > 0).collect();
             let mean_hops = if routed.is_empty() {
                 0.0
             } else {
@@ -132,9 +113,9 @@ impl Experiment for TrafficMatrixStudy {
                 matrix: matrix.name().to_string(),
                 requests: requests.len(),
                 mean_hops,
-                channel_utilization: out.channel_utilization(&cfg),
-                p50_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p50_ns).as_millis_f64(),
-                p99_sojourn_ms: qla_sim::SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
+                channel_utilization: out.channel_utilization(cfg),
+                p50_sojourn_ms: SimTime::from_nanos(sojourn.p50_ns).as_millis_f64(),
+                p99_sojourn_ms: SimTime::from_nanos(sojourn.p99_ns).as_millis_f64(),
                 makespan_windows: out.windows_used(cfg.window),
             }
         });

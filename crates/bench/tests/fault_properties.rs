@@ -1,23 +1,21 @@
 //! Acceptance properties of the fault-injection subsystem, pinned at the
 //! experiment level:
 //!
-//! * a zero-fault timeline (default or compiled from a healthy
-//!   [`FaultPlan`]) reproduces the registered `sim-offered-load`
+//! * a zero-fault timeline (the default, or the spec's fault scenario at
+//!   severity 0) reproduces the registered `sim-offered-load`
 //!   experiment's engine outcomes *exactly* — same streams, same
 //!   `SimOutcome`, bit for bit;
 //! * the registered `multi-tenant-fairness` experiment reports Jain's
 //!   index exactly 1.0 under equal quotas and strictly below 1.0 for
 //!   every skewed quota table.
 
-use qla_bench::experiments::sim_support::{machine_mesh, sim_config};
+use qla_bench::experiments::sim_support::{machine_mesh, SteadyState};
 use qla_bench::experiments::MultiTenantFairness;
 use qla_bench::registry;
 use qla_core::{Experiment, ExperimentContext};
-use qla_faults::FaultPlan;
+use qla_faults::severity_timeline;
 use qla_obs::Noop;
-use qla_sim::{
-    simulate, simulate_observed, toffoli_arrivals, toffoli_work_items, FaultTimeline, TrafficParams,
-};
+use qla_sim::{simulate, simulate_observed, FaultTimeline};
 
 /// Same seed the golden reports are pinned at.
 const GOLDEN_SEED: u64 = 2005;
@@ -30,48 +28,29 @@ fn zero_fault_timelines_reproduce_the_offered_load_numbers_exactly() {
     // plain engine and the faulted engine carrying no faults.
     let ctx = ExperimentContext::new(1, GOLDEN_SEED);
     let machine = ctx.machine();
-    let sim = ctx.spec.sweep.sim.clone();
+    let sim = &ctx.spec.sweep.sim;
     let mesh = machine_mesh(&machine);
-    let horizon = sim.warmup_windows + sim.measure_windows;
+    let steady = SteadyState::new(&machine, sim);
+    let cfg = &steady.cfg;
     assert!(
         !sim.offered_loads.is_empty(),
         "spec sweeps at least one offered load"
     );
 
     for (i, &offered_load) in sim.offered_loads.iter().enumerate() {
-        let cfg = sim_config(&machine, &sim, None);
-        let warm_start = cfg.window * sim.warmup_windows as u64;
-        let measure_end = cfg.window * horizon as u64;
-        let cfg = qla_sim::SimConfig {
-            measure: Some((warm_start, measure_end)),
-            ..cfg
-        };
-        let mut rng = ctx.rng_for_point(i as u64);
-        let arrivals = toffoli_arrivals(
-            &mesh,
-            horizon,
-            &TrafficParams {
-                offered_load,
-                burst_factor: sim.burst_factor,
-                window: cfg.window,
-            },
-            &mut rng,
-        );
-        let items = toffoli_work_items(&mesh, &arrivals);
+        let items = steady.toffoli_stream(&mesh, offered_load, &mut ctx.rng_for_point(i as u64));
 
-        let baseline = simulate(&mesh, &cfg, &items);
+        let baseline = simulate(&mesh, cfg, &items);
         assert_eq!(
             baseline,
-            simulate_observed(&mesh, &cfg, &items, &FaultTimeline::default(), &mut Noop),
+            simulate_observed(&mesh, cfg, &items, &FaultTimeline::default(), &mut Noop),
             "offered load {offered_load}: the default timeline changed the outcome"
         );
-        let healthy = FaultPlan::healthy("healthy")
-            .compile(&mesh, &cfg)
-            .expect("healthy plans compile against any mesh");
+        let healthy = severity_timeline(&ctx.spec.sweep.fault, &mesh, cfg, 0.0);
         assert_eq!(
             baseline,
-            simulate_observed(&mesh, &cfg, &items, &healthy, &mut Noop),
-            "offered load {offered_load}: a compiled healthy plan changed the outcome"
+            simulate_observed(&mesh, cfg, &items, &healthy, &mut Noop),
+            "offered load {offered_load}: the severity-0 timeline changed the outcome"
         );
     }
 }

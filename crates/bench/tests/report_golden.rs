@@ -45,6 +45,31 @@ fn assert_golden(fixture: &str, actual: &str, golden: &str) {
     );
 }
 
+/// Pin the JSON and text renderings of the registry experiment `$name`,
+/// run at the golden seed and `$trials` trials (default: its own default
+/// budget), against `golden/$name.json` and `golden/$name.txt`.
+macro_rules! assert_report_golden {
+    ($name:literal) => {{
+        let trials = registry::find($name).unwrap().default_trials();
+        assert_report_golden!($name, trials)
+    }};
+    ($name:literal, $trials:expr) => {{
+        let report = registry::find($name)
+            .unwrap()
+            .run_report(&ExperimentContext::new($trials, GOLDEN_SEED));
+        assert_golden(
+            concat!($name, ".json"),
+            &report.render(Format::Json),
+            include_str!(concat!("golden/", $name, ".json")),
+        );
+        assert_golden(
+            concat!($name, ".txt"),
+            &report.render(Format::Text),
+            include_str!(concat!("golden/", $name, ".txt")),
+        );
+    }};
+}
+
 fn render(name: &str, trials: usize, seed: u64, format: Format) -> String {
     let experiment = registry::find(name).unwrap_or_else(|| panic!("{name} not registered"));
     let ctx = ExperimentContext::new(trials, seed);
@@ -53,36 +78,12 @@ fn render(name: &str, trials: usize, seed: u64, format: Format) -> String {
 
 #[test]
 fn table1_json_and_text_are_byte_stable() {
-    let e = registry::find("table1").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "table1.json",
-        &report.render(Format::Json),
-        include_str!("golden/table1.json"),
-    );
-    assert_golden(
-        "table1.txt",
-        &report.render(Format::Text),
-        include_str!("golden/table1.txt"),
-    );
+    assert_report_golden!("table1");
 }
 
 #[test]
 fn recursion_analysis_json_and_text_are_byte_stable() {
-    let e = registry::find("recursion-analysis").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "recursion-analysis.json",
-        &report.render(Format::Json),
-        include_str!("golden/recursion-analysis.json"),
-    );
-    assert_golden(
-        "recursion-analysis.txt",
-        &report.render(Format::Text),
-        include_str!("golden/recursion-analysis.txt"),
-    );
+    assert_report_golden!("recursion-analysis");
 }
 
 /// Trial budget of the committed `fig7-threshold` fixtures: small enough to
@@ -99,26 +100,7 @@ fn fig7_threshold_json_and_text_are_byte_stable() {
     // fixture is pinned for the x86_64-linux toolchain CI runs on;
     // regenerate it (command in the module doc) if another platform's
     // libm ever disagrees.
-    assert_golden(
-        "fig7-threshold.json",
-        &render(
-            "fig7-threshold",
-            FIG7_GOLDEN_TRIALS,
-            GOLDEN_SEED,
-            Format::Json,
-        ),
-        include_str!("golden/fig7-threshold.json"),
-    );
-    assert_golden(
-        "fig7-threshold.txt",
-        &render(
-            "fig7-threshold",
-            FIG7_GOLDEN_TRIALS,
-            GOLDEN_SEED,
-            Format::Text,
-        ),
-        include_str!("golden/fig7-threshold.txt"),
-    );
+    assert_report_golden!("fig7-threshold", FIG7_GOLDEN_TRIALS);
 }
 
 #[test]
@@ -126,19 +108,7 @@ fn sim_vs_analytic_json_and_text_are_byte_stable() {
     // Pure integer-time discrete-event simulation plus the greedy
     // scheduler: no RNG, no libm — these bytes are stable on every
     // platform, not just the CI toolchain.
-    let e = registry::find("sim-vs-analytic").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "sim-vs-analytic.json",
-        &report.render(Format::Json),
-        include_str!("golden/sim-vs-analytic.json"),
-    );
-    assert_golden(
-        "sim-vs-analytic.txt",
-        &report.render(Format::Text),
-        include_str!("golden/sim-vs-analytic.txt"),
-    );
+    assert_report_golden!("sim-vs-analytic");
 }
 
 #[test]
@@ -147,19 +117,15 @@ fn sim_offered_load_json_and_text_are_byte_stable() {
     // draws (no transcendental functions), and the engine runs on integer
     // nanoseconds, so the fixture is platform-stable like the sim-vs-
     // analytic one.
-    let e = registry::find("sim-offered-load").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "sim-offered-load.json",
-        &report.render(Format::Json),
-        include_str!("golden/sim-offered-load.json"),
-    );
-    assert_golden(
-        "sim-offered-load.txt",
-        &report.render(Format::Text),
-        include_str!("golden/sim-offered-load.txt"),
-    );
+    assert_report_golden!("sim-offered-load");
+}
+
+#[test]
+fn sim_tail_latency_json_and_text_are_byte_stable() {
+    // The same arrival pacing and integer-nanosecond engine as the
+    // offered-load fixture, summarised as nearest-rank quantiles (integer
+    // order statistics): platform-stable like the other sim fixtures.
+    assert_report_golden!("sim-tail-latency");
 }
 
 #[test]
@@ -171,38 +137,14 @@ fn trace_replay_json_and_text_are_byte_stable() {
     // are platform-stable like the sim fixtures. (The rendered sojourn and
     // utilisation cells divide integers into f64, which is correctly
     // rounded everywhere.)
-    let e = registry::find("trace-replay").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "trace-replay.json",
-        &report.render(Format::Json),
-        include_str!("golden/trace-replay.json"),
-    );
-    assert_golden(
-        "trace-replay.txt",
-        &report.render(Format::Text),
-        include_str!("golden/trace-replay.txt"),
-    );
+    assert_report_golden!("trace-replay");
 }
 
 #[test]
 fn trace_scaling_json_and_text_are_byte_stable() {
     // Platform-stable for the same reasons as the trace-replay fixture;
     // this sweep is RNG-free entirely (adder and modexp programs only).
-    let e = registry::find("trace-scaling").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "trace-scaling.json",
-        &report.render(Format::Json),
-        include_str!("golden/trace-scaling.json"),
-    );
-    assert_golden(
-        "trace-scaling.txt",
-        &report.render(Format::Text),
-        include_str!("golden/trace-scaling.txt"),
-    );
+    assert_report_golden!("trace-scaling");
 }
 
 #[test]
@@ -210,57 +152,21 @@ fn fault_sweep_json_and_text_are_byte_stable() {
     // Same stability argument as sim-offered-load: ChaCha8 arrival streams
     // built from multiply/add arithmetic, fault timelines compiled onto
     // integer window boundaries, and an integer-nanosecond engine.
-    let e = registry::find("fault-sweep").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "fault-sweep.json",
-        &report.render(Format::Json),
-        include_str!("golden/fault-sweep.json"),
-    );
-    assert_golden(
-        "fault-sweep.txt",
-        &report.render(Format::Text),
-        include_str!("golden/fault-sweep.txt"),
-    );
+    assert_report_golden!("fault-sweep");
 }
 
 #[test]
 fn traffic_matrix_json_and_text_are_byte_stable() {
     // Endpoint draws are uniform integer ranges on ChaCha8; routing and
     // the engine are pure integer work, so platform-stable as above.
-    let e = registry::find("traffic-matrix").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "traffic-matrix.json",
-        &report.render(Format::Json),
-        include_str!("golden/traffic-matrix.json"),
-    );
-    assert_golden(
-        "traffic-matrix.txt",
-        &report.render(Format::Text),
-        include_str!("golden/traffic-matrix.txt"),
-    );
+    assert_report_golden!("traffic-matrix");
 }
 
 #[test]
 fn multi_tenant_fairness_json_and_text_are_byte_stable() {
     // The tenant workload is RNG-free; quotas and the engine are integer
     // work, and Jain's index at skew 1 takes the exact bit-equal fast path.
-    let e = registry::find("multi-tenant-fairness").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "multi-tenant-fairness.json",
-        &report.render(Format::Json),
-        include_str!("golden/multi-tenant-fairness.json"),
-    );
-    assert_golden(
-        "multi-tenant-fairness.txt",
-        &report.render(Format::Text),
-        include_str!("golden/multi-tenant-fairness.txt"),
-    );
+    assert_report_golden!("multi-tenant-fairness");
 }
 
 /// Trial budget of the committed `serve-load` fixtures (the *inner* request
@@ -272,19 +178,7 @@ const SERVE_LOAD_GOLDEN_TRIALS: usize = 6;
 
 #[test]
 fn serve_load_json_and_text_are_byte_stable() {
-    let e = registry::find("serve-load").unwrap();
-    let ctx = ExperimentContext::new(SERVE_LOAD_GOLDEN_TRIALS, GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "serve-load.json",
-        &report.render(Format::Json),
-        include_str!("golden/serve-load.json"),
-    );
-    assert_golden(
-        "serve-load.txt",
-        &report.render(Format::Text),
-        include_str!("golden/serve-load.txt"),
-    );
+    assert_report_golden!("serve-load", SERVE_LOAD_GOLDEN_TRIALS);
 }
 
 #[test]
@@ -293,19 +187,7 @@ fn obs_overhead_json_and_text_are_byte_stable() {
     // through the integer-nanosecond engine: platform-stable like the sim
     // fixtures. This golden pins the recording-off identity as rendered
     // output — the `outcome identical` column is asserted true in-run.
-    let e = registry::find("obs-overhead").unwrap();
-    let ctx = ExperimentContext::new(e.default_trials(), GOLDEN_SEED);
-    let report = e.run_report(&ctx);
-    assert_golden(
-        "obs-overhead.json",
-        &report.render(Format::Json),
-        include_str!("golden/obs-overhead.json"),
-    );
-    assert_golden(
-        "obs-overhead.txt",
-        &report.render(Format::Text),
-        include_str!("golden/obs-overhead.txt"),
-    );
+    assert_report_golden!("obs-overhead");
 }
 
 #[test]

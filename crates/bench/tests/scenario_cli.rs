@@ -112,3 +112,41 @@ fn describe_metadata_is_exposed_for_every_experiment() {
         assert!(info.default_trials > 0);
     }
 }
+
+#[test]
+fn spans_past_the_simulator_clock_fail_typed_with_exit_2() {
+    // 10^14 windows of fault onset, or of warm-up, overflow the
+    // simulator's u64 nanosecond clock.
+    let dir = std::env::temp_dir().join("qla-scenario-cli-overflow");
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut onset = MachineSpec::expected();
+    onset.sweep.fault.onset_windows = 100_000_000_000_000;
+    let mut warmup = MachineSpec::expected();
+    warmup.sweep.sim.warmup_windows = 100_000_000_000_000;
+    for (experiment, spec, message) in [
+        (
+            "fault-sweep",
+            onset,
+            "sweep.fault.onset_windows + sweep.fault.duration_windows (100000000000006 windows) \
+             overflows the simulator's u64 nanosecond clock",
+        ),
+        (
+            "sim-tail-latency",
+            warmup,
+            "sweep.sim.warmup_windows + sweep.sim.measure_windows (100000000000016 windows) \
+             overflows the simulator's u64 nanosecond clock",
+        ),
+    ] {
+        let path = dir.join(format!("{experiment}.spec"));
+        std::fs::write(&path, spec.render()).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qla-bench"))
+            .args(["run", experiment, "--spec"])
+            .arg(&path)
+            .output()
+            .expect("qla-bench starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{experiment}: {stderr}");
+        assert!(stderr.contains(message), "{experiment}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{experiment}: {stderr}");
+    }
+}

@@ -103,3 +103,36 @@ proptest! {
         prop_assert_eq!(stats.misses, 1);
     }
 }
+
+#[test]
+fn an_inline_spec_past_the_simulator_clock_is_a_bad_request_and_serving_goes_on() {
+    // 10^14 windows of fault onset overflow the simulator's u64
+    // nanosecond clock: the spec is refused before `fault-sweep` runs,
+    // and the next line is still answered.
+    let mut spec = qla_core::MachineSpec::expected();
+    spec.sweep.fault.onset_windows = 100_000_000_000_000;
+    let inline = qla_report::json_escape(&spec.render());
+    let responses = serve_lines(
+        &service(),
+        &format!(
+            "{{\"experiment\": \"fault-sweep\", \"spec\": {inline}}}\n\
+             {{\"experiment\": \"table1\"}}\n"
+        ),
+    );
+    assert_eq!(responses.len(), 2, "{responses:?}");
+    assert!(
+        responses[0].starts_with("{\"status\":\"error\",\"error\":\"bad-request\""),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[0].contains("overflows the simulator's u64 nanosecond clock"),
+        "{}",
+        responses[0]
+    );
+    assert!(
+        responses[1].starts_with("{\"status\":\"ok\""),
+        "{}",
+        responses[1]
+    );
+}

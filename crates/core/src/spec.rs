@@ -47,6 +47,7 @@ use qla_physical::{TechnologyParams, Time};
 use qla_qec::EccLatencies;
 use qla_report::Scenario;
 use serde::Serialize;
+use std::sync::OnceLock;
 
 /// Average ballistic-movement distance (cells) accompanying one transversal
 /// two-qubit gate — the paper's block-communication distance `r ≈ 12`, used
@@ -613,7 +614,50 @@ impl MachineSpec {
                 s.distance_max_cells, s.distance_step_cells
             )));
         }
+        // The simulator's clock is u64 nanoseconds. A steady-state run
+        // spans warmup + measure windows and a fault ends onset + duration
+        // windows in; `fault-sweep` runs both sections on every built-in
+        // machine as well, so both spans must fit at the longest of those
+        // ECC windows (the built-ins' longest is computed once per process).
+        static LONGEST_BUILTIN: OnceLock<u64> = OnceLock::new();
+        let longest_builtin = *LONGEST_BUILTIN.get_or_init(|| {
+            let windows = MachineSpec::builtins()
+                .iter()
+                .map(MachineSpec::ecc_window_ns)
+                .max();
+            windows.unwrap_or(0)
+        });
+        let window_ns = self.ecc_window_ns().max(longest_builtin);
+        for (keys, first, second) in [
+            (
+                "sweep.sim.warmup_windows + sweep.sim.measure_windows",
+                s.sim.warmup_windows,
+                s.sim.measure_windows,
+            ),
+            (
+                "sweep.fault.onset_windows + sweep.fault.duration_windows",
+                s.fault.onset_windows,
+                s.fault.duration_windows,
+            ),
+        ] {
+            let windows = first as u128 + second as u128;
+            if windows * u128::from(window_ns) > u128::from(u64::MAX) {
+                return Err(SpecError::Invalid(format!(
+                    "{keys} ({windows} windows) overflows the simulator's u64 nanosecond \
+                     clock at a {window_ns} ns ECC window"
+                )));
+            }
+        }
         Ok(())
+    }
+
+    /// The pacing ECC window of this spec's machine in whole nanoseconds,
+    /// rounded like the simulator's clock; 0 for an unsupported recursion
+    /// level.
+    fn ecc_window_ns(&self) -> u64 {
+        self.ecc_latencies()
+            .window_for_level(self.recursion_level)
+            .map_or(0, |window| window.as_nanos().round() as u64)
     }
 
     /// Render the spec in the deterministic text format: the version line,
@@ -1190,6 +1234,33 @@ mod tests {
     }
 
     #[test]
+    fn validate_bounds_spans_by_the_longest_builtin_ecc_window() {
+        // `fault-sweep` runs the active spec's sim and fault sections on
+        // every built-in machine, so a span that fits the expected
+        // machine's own window can still overflow a slower machine's.
+        let longest = MachineSpec::builtins()
+            .iter()
+            .map(MachineSpec::ecc_window_ns)
+            .max()
+            .unwrap();
+        let fitting = u64::MAX / longest;
+        assert!(
+            u128::from(MachineSpec::expected().ecc_window_ns()) * u128::from(fitting + 1)
+                <= u128::from(u64::MAX)
+        );
+        let mut spec = MachineSpec::expected();
+        spec.sweep.fault.onset_windows = fitting as usize - spec.sweep.fault.duration_windows;
+        spec.validate()
+            .expect("the longest span that fits validates");
+        spec.sweep.fault.onset_windows += 1;
+        let err = spec.validate().unwrap_err().to_string();
+        assert!(
+            err.ends_with(&format!("at a {longest} ns ECC window")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn validate_rejects_out_of_range_fields() {
         // The machine fields: validate() and machine() both refuse them with
         // an error that names the key.
@@ -1223,207 +1294,114 @@ mod tests {
             }
         }
 
-        let mut spec = MachineSpec::expected();
-        spec.sweep.component_rates.clear();
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("component_rates"));
+        // Every other range and cross-field rule refuses with an error that
+        // names the key.
+        let sweep_cases = [
+            (
+                "component_rates",
+                broken(|s| s.sweep.component_rates.clear()),
+            ),
+            (
+                "threshold_scan_lo",
+                broken(|s| {
+                    s.sweep.threshold_scan_lo = 0.5;
+                    s.sweep.threshold_scan_hi = 0.1;
+                }),
+            ),
+            (
+                "sim.offered_loads",
+                broken(|s| s.sweep.sim.offered_loads = vec![0.5, -1.0]),
+            ),
+            (
+                "at most 10000",
+                broken(|s| s.sweep.sim.offered_loads = vec![MAX_OFFERED_LOAD * 2.0]),
+            ),
+            (
+                "tail_offered_load",
+                broken(|s| s.sweep.sim.tail_offered_load = f64::INFINITY),
+            ),
+            ("burst_factor", broken(|s| s.sweep.sim.burst_factor = 0.5)),
+            (
+                "contended_requests",
+                broken(|s| s.sweep.sim.contended_requests = 1),
+            ),
+            (
+                "measure_windows",
+                broken(|s| s.sweep.sim.measure_windows = 0),
+            ),
+            ("trace.adder_bits", broken(|s| s.sweep.trace.adder_bits = 0)),
+            (
+                "trace.modexp_bits",
+                broken(|s| s.sweep.trace.modexp_bits = 3),
+            ),
+            (
+                "modexp_multiplier_calls",
+                broken(|s| s.sweep.trace.modexp_multiplier_calls = 0),
+            ),
+            ("random_qubits", broken(|s| s.sweep.trace.random_qubits = 2)),
+            (
+                "random_ops",
+                broken(|s| s.sweep.trace.random_ops = MAX_TRACE_OPS + 1),
+            ),
+            (
+                "scaling_adder_bits",
+                broken(|s| s.sweep.trace.scaling_adder_bits.clear()),
+            ),
+            (
+                "scaling_modexp_bits",
+                broken(|s| s.sweep.trace.scaling_modexp_bits = vec![8, MAX_TRACE_BITS + 1]),
+            ),
+            (
+                "fault.severities",
+                broken(|s| s.sweep.fault.severities = vec![0.5, 1.5]),
+            ),
+            (
+                "degraded_edge_fraction",
+                broken(|s| s.sweep.fault.degraded_edge_fraction = 0.0),
+            ),
+            (
+                "duration_windows",
+                broken(|s| s.sweep.fault.duration_windows = 0),
+            ),
+            (
+                "matrix_offered_load",
+                broken(|s| s.sweep.fault.matrix_offered_load = -2.0),
+            ),
+            (
+                "hotspot_fraction",
+                broken(|s| s.sweep.fault.hotspot_fraction = 1.25),
+            ),
+            ("fault.tenants", broken(|s| s.sweep.fault.tenants = 0)),
+            (
+                "quota_skews",
+                broken(|s| s.sweep.fault.quota_skews = vec![1.0, 0.5]),
+            ),
+            ("obs.sample_every", broken(|s| s.sweep.obs.sample_every = 0)),
+            (
+                "tech.fail.double_gate",
+                broken(|s| s.tech.failures.double_gate = 1.5),
+            ),
+            (
+                "fault.duration_windows (100000000000006 windows) overflows",
+                broken(|s| s.sweep.fault.onset_windows = 100_000_000_000_000),
+            ),
+            (
+                "sim.measure_windows (100000000000016 windows) overflows",
+                broken(|s| s.sweep.sim.warmup_windows = 100_000_000_000_000),
+            ),
+        ];
+        for (key, spec) in sweep_cases {
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(key), "{key}: {err}");
+        }
 
-        let mut spec = MachineSpec::expected();
-        spec.sweep.threshold_scan_lo = 0.5;
-        spec.sweep.threshold_scan_hi = 0.1;
-        assert!(spec
+        assert!(broken(|s| s.name = "two\nlines".to_string())
             .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("threshold_scan_lo"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.sim.offered_loads = vec![0.5, -1.0];
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("sim.offered_loads"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.sim.offered_loads = vec![MAX_OFFERED_LOAD * 2.0];
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("at most 10000"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.sim.tail_offered_load = f64::INFINITY;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("tail_offered_load"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.sim.burst_factor = 0.5;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("burst_factor"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.sim.contended_requests = 1;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("contended_requests"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.sim.measure_windows = 0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("measure_windows"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.adder_bits = 0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("trace.adder_bits"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.modexp_bits = 3;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("trace.modexp_bits"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.modexp_multiplier_calls = 0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("modexp_multiplier_calls"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.random_qubits = 2;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("random_qubits"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.random_ops = MAX_TRACE_OPS + 1;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("random_ops"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.scaling_adder_bits.clear();
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("scaling_adder_bits"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.trace.scaling_modexp_bits = vec![8, MAX_TRACE_BITS + 1];
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("scaling_modexp_bits"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.severities = vec![0.5, 1.5];
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("fault.severities"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.degraded_edge_fraction = 0.0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("degraded_edge_fraction"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.duration_windows = 0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("duration_windows"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.matrix_offered_load = -2.0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("matrix_offered_load"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.hotspot_fraction = 1.25;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("hotspot_fraction"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.tenants = 0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("fault.tenants"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.fault.quota_skews = vec![1.0, 0.5];
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("quota_skews"));
-
-        let mut spec = MachineSpec::expected();
-        spec.sweep.obs.sample_every = 0;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("obs.sample_every"));
-
-        let mut spec = MachineSpec::expected();
-        spec.tech.failures.double_gate = 1.5;
-        assert!(spec
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("tech.fail.double_gate"));
-
-        let mut spec = MachineSpec::expected();
-        spec.name = "two\nlines".to_string();
-        assert!(spec.validate().is_err());
+            .is_err());
 
         // Padding would be trimmed away by parse(), breaking the
         // render→parse round trip, so validation refuses it up front.
-        let mut spec = MachineSpec::expected();
-        spec.description = " padded ".to_string();
+        let spec = broken(|s| s.description = " padded ".to_string());
         assert!(spec
             .validate()
             .unwrap_err()

@@ -1,4 +1,4 @@
-//! # `qla-faults` — declarative fault injection and multi-tenant scenarios
+//! # `qla-faults` — fault injection and multi-tenant scenarios
 //!
 //! The deterministic simulator in `qla-sim` answers "how does the QLA
 //! interconnect behave under load?" — but only for a *healthy* machine.
@@ -7,13 +7,14 @@
 //! tier falls behind, and ancilla factories that lose capacity to
 //! recalibration. This crate turns those stories into data:
 //!
-//! * [`FaultPlan`] — a declarative scenario (which edges degrade, by how
-//!   much, when, for how long; how much factory capacity survives). Plans
-//!   compile against a concrete mesh and [`qla_sim::SimConfig`] into a
-//!   [`qla_sim::FaultTimeline`] the engine replays deterministically.
+//! * [`severity_timeline`] — the spec's `sweep.fault.*` scenario
+//!   ([`qla_core::FaultSpec`]: which fraction of the edges degrade, when,
+//!   for how long, how much factory capacity is lost) at one severity, as
+//!   the [`qla_sim::FaultTimeline`] the engine replays deterministically
+//!   on a concrete mesh and [`qla_sim::SimConfig`].
 //! * [`TrafficMatrix`] — the four classic interconnect traffic shapes
-//!   (uniform, hot-spot, nearest-neighbour, all-to-all) generated with
-//!   the exact arrival pacing of the uniform offered-load studies.
+//!   (uniform, hot-spot, nearest-neighbour, all-to-all) paced by
+//!   [`qla_sim::paced_arrivals`], like the uniform offered-load studies.
 //! * [`symmetric_tenant_items`] / [`tenant_quotas`] — perfectly
 //!   symmetric multi-tenant streams on edge-disjoint mesh rows, so that
 //!   per-tenant admission quotas are the *only* source of unfairness a
@@ -30,7 +31,8 @@
 //! slower than on the healthy machine:
 //!
 //! ```
-//! use qla_faults::FaultPlan;
+//! use qla_core::FaultSpec;
+//! use qla_faults::severity_timeline;
 //! use qla_sched::{CommRequest, Mesh};
 //! use qla_obs::Noop;
 //! use qla_sim::{simulate, simulate_observed, SimConfig, SimTime, WorkItem};
@@ -58,9 +60,15 @@
 //!     .collect();
 //!
 //! // A brown-out: the edge keeps only 1 of its 4 channels for windows
-//! // [0, 2): severity 0.75, all edges, onset 0, duration 2.
-//! let plan = FaultPlan::degraded("brownout", &mesh, &cfg, 0.75, 1.0, 0, 2);
-//! let timeline = plan.compile(&mesh, &cfg).unwrap();
+//! // [0, 2): severity 0.75 of all edges, no factory loss.
+//! let brownout = FaultSpec {
+//!     degraded_edge_fraction: 1.0,
+//!     onset_windows: 0,
+//!     duration_windows: 2,
+//!     factory_loss: 0.0,
+//!     ..FaultSpec::paper()
+//! };
+//! let timeline = severity_timeline(&brownout, &mesh, &cfg, 0.75);
 //!
 //! let healthy = simulate(&mesh, &cfg, &items);
 //! let faulted = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
@@ -76,5 +84,5 @@
 pub mod plan;
 pub mod traffic;
 
-pub use plan::{windows, ChannelFaultSpec, FactoryFaultSpec, FaultError, FaultPlan};
+pub use plan::severity_timeline;
 pub use traffic::{matrix_requests, symmetric_tenant_items, tenant_quotas, TrafficMatrix};

@@ -10,8 +10,8 @@
 //! quota, so Jain's fairness index isolates the scheduler's behaviour
 //! from workload noise.
 
-use qla_sched::{CommRequest, Mesh};
-use qla_sim::{SimTime, TrafficParams, WorkItem, TELEPORT_PAIRS};
+use qla_sched::{CommRequest, Mesh, PAIRS_PER_LOGICAL_TELEPORT};
+use qla_sim::{paced_arrivals, SimTime, TrafficParams, WorkItem};
 use rand::Rng;
 
 /// The four canonical traffic shapes of interconnect studies.
@@ -49,19 +49,19 @@ impl TrafficMatrix {
 }
 
 /// Generate a bursty stream of logical-teleport requests
-/// ([`TELEPORT_PAIRS`] pairs each) over `horizon_windows` windows with
-/// endpoints drawn from `matrix`. The arrival process is identical to the
-/// uniform studies' (`qla_sim::toffoli_arrivals` pacing), so matrices
-/// differ *only* in where the traffic goes.
+/// ([`PAIRS_PER_LOGICAL_TELEPORT`] pairs each) over `horizon_windows` windows with
+/// endpoints drawn from `matrix`. The arrivals come from
+/// [`qla_sim::paced_arrivals`], the pacer of the uniform studies' Toffoli
+/// streams, so matrices differ *only* in where the traffic goes.
 ///
 /// `hotspot_fraction` sizes the [`TrafficMatrix::HotSpot`] destination
 /// set: the first `max(1, round(fraction · nodes))` node ids (a corner
 /// block of the row-major grid).
 ///
 /// # Panics
-/// Panics on a non-positive offered load, a burst factor below 1, a
-/// `hotspot_fraction` outside `(0, 1]`, or a mesh with fewer than two
-/// nodes (the matrices need somewhere to send traffic).
+/// Panics on a `hotspot_fraction` outside `(0, 1]`, a mesh with fewer
+/// than two nodes (the matrices need somewhere to send traffic), or the
+/// [`qla_sim::paced_arrivals`] parameter errors.
 #[must_use]
 pub fn matrix_requests<R: Rng + ?Sized>(
     mesh: &Mesh,
@@ -72,66 +72,33 @@ pub fn matrix_requests<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<(SimTime, CommRequest)> {
     assert!(
-        params.offered_load.is_finite() && params.offered_load > 0.0,
-        "offered_load must be positive, got {}",
-        params.offered_load
-    );
-    assert!(
-        params.burst_factor.is_finite() && params.burst_factor >= 1.0,
-        "burst_factor must be at least 1, got {}",
-        params.burst_factor
-    );
-    assert!(
         hotspot_fraction > 0.0 && hotspot_fraction <= 1.0,
         "hotspot_fraction must lie in (0, 1], got {hotspot_fraction}"
     );
     let nodes = mesh.node_count();
     assert!(nodes >= 2, "traffic matrices need at least two nodes");
     let hotspot = ((hotspot_fraction * nodes as f64).round() as usize).clamp(1, nodes);
-    let burst = (params.burst_factor.round() as usize).max(1);
-    let mean_gap_ns = params.window.nanos() as f64 / params.offered_load;
-    let horizon = params.window * horizon_windows as u64;
-
-    let mut requests = Vec::new();
-    let mut t = SimTime::ZERO;
-    loop {
-        let jitter = 0.5 + rng.random::<f64>();
-        // Clamped to one nanosecond exactly like the uniform stream: an
-        // astronomical load degenerates to back-to-back arrivals, never
-        // to a zero gap that would stall the loop.
-        let gap = ((burst as f64 * mean_gap_ns * jitter) as u64).max(1);
-        t += SimTime::from_nanos(gap);
-        if t >= horizon {
-            break;
+    paced_arrivals(horizon_windows, params, rng, |rng| {
+        let (from, to) = match matrix {
+            TrafficMatrix::Uniform => (rng.random_range(0..nodes), rng.random_range(0..nodes)),
+            TrafficMatrix::HotSpot => (rng.random_range(0..nodes), rng.random_range(0..hotspot)),
+            TrafficMatrix::NearestNeighbour => {
+                let from = rng.random_range(0..nodes);
+                let neighbours = mesh.neighbours(from);
+                (from, neighbours[rng.random_range(0..neighbours.len())])
+            }
+            TrafficMatrix::AllToAll => {
+                let from = rng.random_range(0..nodes);
+                let to = (from + 1 + rng.random_range(0..nodes - 1)) % nodes;
+                (from, to)
+            }
+        };
+        CommRequest {
+            from,
+            to,
+            pairs: PAIRS_PER_LOGICAL_TELEPORT,
         }
-        for _ in 0..burst {
-            let (from, to) = match matrix {
-                TrafficMatrix::Uniform => (rng.random_range(0..nodes), rng.random_range(0..nodes)),
-                TrafficMatrix::HotSpot => {
-                    (rng.random_range(0..nodes), rng.random_range(0..hotspot))
-                }
-                TrafficMatrix::NearestNeighbour => {
-                    let from = rng.random_range(0..nodes);
-                    let neighbours = mesh.neighbours(from);
-                    (from, neighbours[rng.random_range(0..neighbours.len())])
-                }
-                TrafficMatrix::AllToAll => {
-                    let from = rng.random_range(0..nodes);
-                    let to = (from + 1 + rng.random_range(0..nodes - 1)) % nodes;
-                    (from, to)
-                }
-            };
-            requests.push((
-                t,
-                CommRequest {
-                    from,
-                    to,
-                    pairs: TELEPORT_PAIRS,
-                },
-            ));
-        }
-    }
-    requests
+    })
 }
 
 /// The per-tenant admission quotas of a skewed population: tenant 0 keeps
@@ -163,7 +130,8 @@ pub fn tenant_quotas(base: usize, tenants: usize, skew: f64) -> Vec<usize> {
 }
 
 /// Exactly symmetric multi-tenant work: every tenant submits the same
-/// burst of `burst` single-teleport items at the start of each of
+/// burst of `burst` single-teleport items, each drawing one logical
+/// ancilla, at the start of each of
 /// `windows` windows, routed along its own *private interior row* of the
 /// mesh (same columns, same timings for all tenants). Rows are interior
 /// and pairwise distinct, and a breadth-first shortest path between
@@ -205,11 +173,11 @@ pub fn symmetric_tenant_items(
             for _ in 0..burst {
                 items.push(WorkItem {
                     arrival,
-                    ancillas: 0,
+                    ancillas: 1,
                     requests: vec![CommRequest {
                         from,
                         to,
-                        pairs: TELEPORT_PAIRS,
+                        pairs: PAIRS_PER_LOGICAL_TELEPORT,
                     }],
                     tenant,
                 });
@@ -243,7 +211,7 @@ mod tests {
             assert!(!requests.is_empty(), "{}", matrix.name());
             for &(t, r) in &requests {
                 assert!(t < SimTime::from_nanos(20_000));
-                assert_eq!(r.pairs, TELEPORT_PAIRS);
+                assert_eq!(r.pairs, PAIRS_PER_LOGICAL_TELEPORT);
                 assert!(r.from < nodes && r.to < nodes);
                 match matrix {
                     TrafficMatrix::HotSpot => assert!(r.to < hotspot),

@@ -1,15 +1,16 @@
-//! Property tests for compiled fault timelines against the engine: a
+//! Property tests for severity fault timelines against the engine: a
 //! degraded channel can only push the sojourn tail up, a degraded run is
 //! deterministic and unperturbed by recording, and once the outage window
 //! passes the machine serves late arrivals exactly like a healthy one.
 
 use proptest::prelude::*;
-use qla_faults::{windows, FaultPlan};
+use qla_core::FaultSpec;
+use qla_faults::severity_timeline;
 use qla_obs::{EventLog, Noop, ObsConfig};
 use qla_sched::Mesh;
 use qla_sim::{
-    simulate, simulate_observed, toffoli_arrivals, toffoli_work_items, LatencySummary, SimConfig,
-    SimTime, TrafficParams, WorkItem,
+    simulate, simulate_observed, toffoli_stream, LatencySummary, SimConfig, SimTime, TrafficParams,
+    WorkItem,
 };
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -27,11 +28,22 @@ fn cfg() -> SimConfig {
     }
 }
 
+/// Half of the edges degrade over windows `[1, 5)`; the factory is spared.
+fn brownout() -> FaultSpec {
+    FaultSpec {
+        degraded_edge_fraction: 0.5,
+        onset_windows: 1,
+        duration_windows: 4,
+        factory_loss: 0.0,
+        ..FaultSpec::paper()
+    }
+}
+
 /// A bursty 8-window Toffoli stream plus one straggler arriving long
 /// after every fault has cleared and every queue has drained.
 fn workload(mesh: &Mesh, cfg: &SimConfig, seed: u64) -> Vec<WorkItem> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let arrivals = toffoli_arrivals(
+    let mut items = toffoli_stream(
         mesh,
         8,
         &TrafficParams {
@@ -41,9 +53,8 @@ fn workload(mesh: &Mesh, cfg: &SimConfig, seed: u64) -> Vec<WorkItem> {
         },
         &mut rng,
     );
-    let mut items = toffoli_work_items(mesh, &arrivals);
     let mut straggler = items.last().expect("stream is non-empty").clone();
-    straggler.arrival = windows(cfg, 40);
+    straggler.arrival = cfg.window * 40;
     items.push(straggler);
     items
 }
@@ -60,9 +71,7 @@ proptest! {
         let cfg = cfg();
         let items = workload(&mesh, &cfg, seed);
         let severity = severity_step as f64 / 4.0;
-        let timeline = FaultPlan::degraded("deg", &mesh, &cfg, severity, 0.5, 1, 4)
-            .compile(&mesh, &cfg)
-            .expect("plan compiles");
+        let timeline = severity_timeline(&brownout(), &mesh, &cfg, severity);
 
         let healthy = simulate(&mesh, &cfg, &items);
         let degraded = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
@@ -95,9 +104,7 @@ proptest! {
         let mesh = Mesh::new(4, 4, 2);
         let cfg = cfg();
         let items = workload(&mesh, &cfg, seed);
-        let timeline = FaultPlan::degraded("outage", &mesh, &cfg, 1.0, 0.5, 1, 4)
-            .compile(&mesh, &cfg)
-            .expect("plan compiles");
+        let timeline = severity_timeline(&brownout(), &mesh, &cfg, 1.0);
 
         let healthy = simulate(&mesh, &cfg, &items);
         let degraded = simulate_observed(&mesh, &cfg, &items, &timeline, &mut Noop);
@@ -105,7 +112,7 @@ proptest! {
         // The straggler is the last item of the stream.
         let h = healthy.items.last().expect("items");
         let d = degraded.items.last().expect("items");
-        prop_assert_eq!(h.arrival, windows(&cfg, 40));
+        prop_assert_eq!(h.arrival, cfg.window * 40);
         prop_assert_eq!(
             h, d,
             "a post-recovery arrival must be served exactly like on a healthy machine"

@@ -36,9 +36,11 @@
 //!   contended results are measured against. [`simulate_observed`] is the
 //!   one entry point (faults and recorder included); [`simulate`] is it on
 //!   a healthy, unrecorded machine.
-//! * [`workload`] — timestamped Toffoli/[`qla_sched::CommRequest`] arrival
-//!   streams (the replayed form of the Section 5 traffic model).
-//! * [`stats`] — exact nearest-rank percentiles for tail-latency reports.
+//! * [`workload`] — the one bursty arrival pacer, [`paced_arrivals`], and
+//!   the Toffoli streams sampled on it (the replayed form of the Section 5
+//!   traffic model).
+//! * [`stats`] — exact latency summaries (nearest-rank percentiles through
+//!   the shared [`qla_obs::stats::percentile_u64`]) for tail-latency reports.
 //!
 //! ## Determinism guarantees
 //!
@@ -97,6 +99,6 @@ pub use engine::{
     RequestOutcome, SimConfig, SimOutcome, WorkItem,
 };
 pub use queue::EventQueue;
-pub use stats::{mean_nanos, percentile, sorted_nanos, LatencySummary};
+pub use stats::{mean_nanos, sorted_nanos, LatencySummary};
 pub use time::SimTime;
-pub use workload::{toffoli_arrivals, toffoli_work_items, TrafficParams, TELEPORT_PAIRS};
+pub use workload::{paced_arrivals, toffoli_stream, TrafficParams};

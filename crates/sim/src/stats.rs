@@ -7,10 +7,11 @@
 //! tail-latency reports byte-stable.
 
 use crate::time::SimTime;
+use qla_obs::stats::percentile_u64;
 use serde::Serialize;
 
 /// Summary of a latency sample (all values in nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct LatencySummary {
     /// Sample size.
     pub count: usize,
@@ -33,21 +34,14 @@ impl LatencySummary {
     pub fn of(samples: &[SimTime]) -> Self {
         let ns = sorted_nanos(samples);
         if ns.is_empty() {
-            return LatencySummary {
-                count: 0,
-                mean_ns: 0.0,
-                p50_ns: 0,
-                p90_ns: 0,
-                p99_ns: 0,
-                max_ns: 0,
-            };
+            return LatencySummary::default();
         }
         LatencySummary {
             count: ns.len(),
             mean_ns: mean_nanos(&ns),
-            p50_ns: percentile(&ns, 50),
-            p90_ns: percentile(&ns, 90),
-            p99_ns: percentile(&ns, 99),
+            p50_ns: percentile_u64(&ns, 50),
+            p90_ns: percentile_u64(&ns, 90),
+            p99_ns: percentile_u64(&ns, 99),
             max_ns: *ns.last().expect("non-empty"),
         }
     }
@@ -60,7 +54,7 @@ impl LatencySummary {
 }
 
 /// The ascending-sorted nanosecond view of a latency sample — the form
-/// [`percentile`] and [`mean_nanos`] consume. All report-facing statistics
+/// [`percentile_u64`] and [`mean_nanos`] consume. All report-facing statistics
 /// route through this one sort so the sample convention cannot fork.
 #[must_use]
 pub fn sorted_nanos(samples: &[SimTime]) -> Vec<u64> {
@@ -79,18 +73,6 @@ pub fn mean_nanos(ns: &[u64]) -> f64 {
     ns.iter().map(|&v| u128::from(v)).sum::<u128>() as f64 / ns.len() as f64
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample: the smallest
-/// element with at least `q`% of the sample at or below it. Delegates to
-/// the workspace-wide helper in [`qla_obs::stats`], so the simulator, the
-/// service, and the reports all share one quantile definition.
-///
-/// # Panics
-/// Panics on an empty sample or `q` outside `1..=100`.
-#[must_use]
-pub fn percentile(sorted_ns: &[u64], q: u32) -> u64 {
-    qla_obs::stats::percentile_u64(sorted_ns, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,11 +84,11 @@ mod tests {
     #[test]
     fn nearest_rank_percentiles_are_exact() {
         let sorted: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&sorted, 50), 50);
-        assert_eq!(percentile(&sorted, 99), 99);
-        assert_eq!(percentile(&sorted, 100), 100);
-        assert_eq!(percentile(&sorted, 1), 1);
-        assert_eq!(percentile(&[7], 99), 7);
+        assert_eq!(percentile_u64(&sorted, 50), 50);
+        assert_eq!(percentile_u64(&sorted, 99), 99);
+        assert_eq!(percentile_u64(&sorted, 100), 100);
+        assert_eq!(percentile_u64(&sorted, 1), 1);
+        assert_eq!(percentile_u64(&[7], 99), 7);
     }
 
     #[test]

@@ -13,37 +13,39 @@
 
 use crate::engine::WorkItem;
 use crate::time::SimTime;
-use qla_sched::{Mesh, ToffoliSite, PAIRS_PER_LOGICAL_TELEPORT, TOFFOLI_ANCILLA_QUBITS};
+use qla_sched::{Mesh, ToffoliSite, TOFFOLI_ANCILLA_QUBITS};
 use rand::Rng;
 
-/// Offered-traffic shape for [`toffoli_arrivals`].
+/// Offered-traffic shape for [`paced_arrivals`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficParams {
-    /// Offered load in Toffoli gates per error-correction window.
+    /// Offered load in arrivals per error-correction window.
     pub offered_load: f64,
     /// Burstiness: arrivals come in back-to-back bursts of
-    /// `round(burst_factor)` gates, spaced so the long-run offered load is
+    /// `round(burst_factor)`, spaced so the long-run offered load is
     /// preserved. `1.0` is a smooth stream.
     pub burst_factor: f64,
     /// The error-correction window the load is expressed against.
     pub window: SimTime,
 }
 
-/// Generate a bursty stream of Toffoli gates over `horizon_windows`
-/// error-correction windows, placed uniformly over the mesh like the
-/// Section 5 scheduler study's `random_toffoli_sites`.
+/// The one arrival pacer of every stream generator: bursts of
+/// `B = round(burst_factor)` simultaneous arrivals over `horizon_windows`
+/// error-correction windows, separated by gaps of `B × W/λ × u` with `u`
+/// drawn uniformly from `[0.5, 1.5)`, so the expected arrival count stays
+/// `λ × horizon_windows` at every burstiness. `draw` samples each arrival's
+/// payload from the same generator, right after its burst's gap draw.
+/// Deterministic in the generator state.
 ///
-/// Bursts of `B = round(burst_factor)` simultaneous gates are separated by
-/// gaps of `B × W/λ × u`, with `u` drawn uniformly from `[0.5, 1.5)`, so
-/// the expected arrival count stays `λ × horizon_windows` at every
-/// burstiness. Deterministic in the generator state.
+/// # Panics
+/// Panics on a non-positive offered load or a burst factor below 1.
 #[must_use]
-pub fn toffoli_arrivals<R: Rng + ?Sized>(
-    mesh: &Mesh,
+pub fn paced_arrivals<R: Rng + ?Sized, T>(
     horizon_windows: usize,
     params: &TrafficParams,
     rng: &mut R,
-) -> Vec<(SimTime, ToffoliSite)> {
+    mut draw: impl FnMut(&mut R) -> T,
+) -> Vec<(SimTime, T)> {
     assert!(
         params.offered_load.is_finite() && params.offered_load > 0.0,
         "offered_load must be positive, got {}",
@@ -54,7 +56,6 @@ pub fn toffoli_arrivals<R: Rng + ?Sized>(
         "burst_factor must be at least 1, got {}",
         params.burst_factor
     );
-    let nodes = mesh.node_count();
     let burst = (params.burst_factor.round() as usize).max(1);
     let mean_gap_ns = params.window.nanos() as f64 / params.offered_load;
     let horizon = params.window * horizon_windows as u64;
@@ -65,46 +66,55 @@ pub fn toffoli_arrivals<R: Rng + ?Sized>(
         let jitter = 0.5 + rng.random::<f64>();
         // Clamp to one nanosecond: an astronomically high offered load must
         // degenerate to a finite back-to-back stream, never to a gap of 0
-        // that would stall `t` and loop forever.
+        // that would stall `t` and loop forever. A gap past the end of
+        // time ends the stream like any gap past the horizon.
         let gap = ((burst as f64 * mean_gap_ns * jitter) as u64).max(1);
-        t += SimTime::from_nanos(gap);
-        if t >= horizon {
-            break;
+        match t.nanos().checked_add(gap) {
+            Some(next) if next < horizon.nanos() => t = SimTime::from_nanos(next),
+            _ => break,
         }
         for _ in 0..burst {
-            let site = ToffoliSite {
-                operands: [
-                    rng.random_range(0..nodes),
-                    rng.random_range(0..nodes),
-                    rng.random_range(0..nodes),
-                ],
-                ancilla_base: rng.random_range(0..nodes),
-            };
-            arrivals.push((t, site));
+            arrivals.push((t, draw(rng)));
         }
     }
     arrivals
 }
 
-/// Expand Toffoli arrivals into engine [`WorkItem`]s: each gate demands
+/// A bursty stream of Toffoli gates over `horizon_windows`
+/// error-correction windows, paced by [`paced_arrivals`] and placed
+/// uniformly over the mesh like the Section 5 scheduler study's
+/// `random_toffoli_sites`. Each gate is a [`WorkItem`] demanding
 /// [`TOFFOLI_ANCILLA_QUBITS`] factory preparations and the EPR traffic of
 /// [`ToffoliSite::requests`] (49 pairs per logical teleport).
+///
+/// # Panics
+/// Panics on the [`paced_arrivals`] parameter errors.
 #[must_use]
-pub fn toffoli_work_items(mesh: &Mesh, arrivals: &[(SimTime, ToffoliSite)]) -> Vec<WorkItem> {
-    arrivals
-        .iter()
+pub fn toffoli_stream<R: Rng + ?Sized>(
+    mesh: &Mesh,
+    horizon_windows: usize,
+    params: &TrafficParams,
+    rng: &mut R,
+) -> Vec<WorkItem> {
+    let nodes = mesh.node_count();
+    let sites = paced_arrivals(horizon_windows, params, rng, |rng| ToffoliSite {
+        operands: [
+            rng.random_range(0..nodes),
+            rng.random_range(0..nodes),
+            rng.random_range(0..nodes),
+        ],
+        ancilla_base: rng.random_range(0..nodes),
+    });
+    sites
+        .into_iter()
         .map(|(arrival, site)| WorkItem {
-            arrival: *arrival,
+            arrival,
             ancillas: TOFFOLI_ANCILLA_QUBITS,
             requests: site.requests(mesh),
             tenant: 0,
         })
         .collect()
 }
-
-/// The EPR demand of one logical teleport, re-exported for workload
-/// construction next to the generators.
-pub const TELEPORT_PAIRS: usize = PAIRS_PER_LOGICAL_TELEPORT;
 
 #[cfg(test)]
 mod tests {
@@ -124,36 +134,33 @@ mod tests {
     fn arrival_count_tracks_the_offered_load() {
         let mesh = Mesh::new(8, 8, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let arrivals = toffoli_arrivals(&mesh, 100, &params(2.0, 1.0), &mut rng);
+        let items = toffoli_stream(&mesh, 100, &params(2.0, 1.0), &mut rng);
         // λ = 2 over 100 windows: ~200 arrivals, within jitter slack.
-        assert!(
-            (120..280).contains(&arrivals.len()),
-            "got {}",
-            arrivals.len()
-        );
+        assert!((120..280).contains(&items.len()), "got {}", items.len());
         let horizon = SimTime::from_nanos(100_000_000);
-        assert!(arrivals.iter().all(|(t, _)| *t < horizon));
+        assert!(items.iter().all(|item| item.arrival < horizon));
         let nodes = mesh.node_count();
-        assert!(arrivals
+        assert!(items
             .iter()
-            .all(|(_, s)| s.operands.iter().all(|&o| o < nodes) && s.ancilla_base < nodes));
+            .flat_map(|item| &item.requests)
+            .all(|r| r.from < nodes && r.to < nodes));
     }
 
     #[test]
     fn bursts_arrive_back_to_back_without_changing_the_mean() {
         let mesh = Mesh::new(8, 8, 2);
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        let bursty = toffoli_arrivals(&mesh, 100, &params(2.0, 4.0), &mut rng);
+        let bursty = toffoli_stream(&mesh, 100, &params(2.0, 4.0), &mut rng);
         assert!((120..280).contains(&bursty.len()), "got {}", bursty.len());
         // Every burst shares one timestamp, 4 gates long.
         let mut by_time: Vec<usize> = Vec::new();
         let mut last = None;
-        for (t, _) in &bursty {
-            if last == Some(*t) {
+        for item in &bursty {
+            if last == Some(item.arrival) {
                 *by_time.last_mut().unwrap() += 1;
             } else {
                 by_time.push(1);
-                last = Some(*t);
+                last = Some(item.arrival);
             }
         }
         assert!(by_time.iter().all(|&n| n == 4), "burst sizes {by_time:?}");
@@ -167,26 +174,49 @@ mod tests {
         let mut c = ChaCha8Rng::seed_from_u64(12);
         let p = params(1.0, 2.0);
         assert_eq!(
-            toffoli_arrivals(&mesh, 20, &p, &mut a),
-            toffoli_arrivals(&mesh, 20, &p, &mut b)
+            toffoli_stream(&mesh, 20, &p, &mut a),
+            toffoli_stream(&mesh, 20, &p, &mut b)
         );
         assert_ne!(
-            toffoli_arrivals(&mesh, 20, &p, &mut a),
-            toffoli_arrivals(&mesh, 20, &p, &mut c)
+            toffoli_stream(&mesh, 20, &p, &mut a),
+            toffoli_stream(&mesh, 20, &p, &mut c)
         );
+    }
+
+    #[test]
+    fn a_gap_past_the_end_of_time_ends_the_stream() {
+        // Gaps of up to 3/4 of the clock's range: a second gap from late
+        // in the horizon would overflow `SimTime` if it were added blindly.
+        let params = TrafficParams {
+            offered_load: 0.5,
+            burst_factor: 1.0,
+            window: SimTime::from_nanos(u64::MAX / 4),
+        };
+        let horizon = params.window * 3;
+        for seed in 0..64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let arrivals = paced_arrivals(3, &params, &mut rng, |_| ());
+            assert!(arrivals.iter().all(|(t, ())| *t < horizon), "seed {seed}");
+        }
     }
 
     #[test]
     fn work_items_carry_the_toffoli_shape() {
         let mesh = Mesh::new(8, 8, 2);
-        let site = ToffoliSite {
-            operands: [0, 9, 18],
-            ancilla_base: 30,
-        };
-        let items = toffoli_work_items(&mesh, &[(SimTime::ZERO, site)]);
-        assert_eq!(items.len(), 1);
-        assert_eq!(items[0].ancillas, TOFFOLI_ANCILLA_QUBITS);
-        assert_eq!(items[0].requests.len(), 8);
-        assert!(items[0].requests.iter().all(|r| r.pairs == TELEPORT_PAIRS));
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let items = toffoli_stream(&mesh, 20, &params(2.0, 1.0), &mut rng);
+        assert!(!items.is_empty());
+        for item in &items {
+            assert_eq!(item.ancillas, TOFFOLI_ANCILLA_QUBITS);
+            assert_eq!(item.tenant, 0);
+            // Six operand-ancilla teleports and two control-target ones,
+            // less any that are co-located.
+            assert!(item.requests.len() <= 8);
+            assert!(item
+                .requests
+                .iter()
+                .all(|r| r.pairs == qla_sched::PAIRS_PER_LOGICAL_TELEPORT));
+        }
+        assert!(items.iter().any(|item| item.requests.len() == 8));
     }
 }
