@@ -6,11 +6,14 @@
 //! values are trimmed. A key may appear at most once. A format reads the
 //! keys it knows with the loud getters of [`Fields`] — a missing key or a
 //! malformed value is an error, never a default — and then calls
-//! [`Fields::finish`], which rejects whatever is left. Every [`KvError`]
-//! except [`KvError::MissingKey`] names the 1-based line to blame, and
-//! the spec maps it onto its own error type (`spec line N: …`).
+//! [`Fields::finish`], which rejects whatever is left. Errors are the
+//! spec's own [`SpecError`]s, and every one except
+//! [`SpecError::MissingKey`] names the 1-based line to blame
+//! (`spec line N: …`).
 
 use std::collections::HashMap;
+
+use crate::spec::SpecError;
 
 /// One `key = value` occurrence.
 #[derive(Debug, Clone, Copy)]
@@ -19,50 +22,6 @@ pub struct Field<'a> {
     pub line: usize,
     /// The trimmed value text.
     pub value: &'a str,
-}
-
-/// Why a `key = value` text failed to scan or to yield a key.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum KvError {
-    /// A line was not `key = value`.
-    Syntax {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// A key given twice.
-    DuplicateKey {
-        /// Line of the second occurrence.
-        line: usize,
-        /// The duplicated key.
-        key: String,
-        /// Line of the first occurrence.
-        first_line: usize,
-    },
-    /// A required key was absent.
-    MissingKey {
-        /// The missing key.
-        key: String,
-    },
-    /// A key the format does not read (the earliest such line).
-    UnknownKey {
-        /// 1-based line number.
-        line: usize,
-        /// The unrecognised key.
-        key: String,
-    },
-    /// A value that does not parse as what its key demands.
-    BadValue {
-        /// 1-based line number.
-        line: usize,
-        /// The key whose value is malformed.
-        key: String,
-        /// The offending value text.
-        value: String,
-        /// What the key demands.
-        expected: &'static str,
-    },
 }
 
 /// The scanned keys of one text, borrowed from it, with loud-take
@@ -75,10 +34,10 @@ impl<'a> Fields<'a> {
     /// Scan `text` into its keys.
     ///
     /// # Errors
-    /// [`KvError::Syntax`] for a line without `=` or with an empty key,
-    /// [`KvError::DuplicateKey`] for a key given twice — whichever comes
+    /// [`SpecError::Syntax`] for a line without `=` or with an empty key,
+    /// [`SpecError::DuplicateKey`] for a key given twice — whichever comes
     /// first in the text.
-    pub fn scan(text: &'a str) -> Result<Self, KvError> {
+    pub fn scan(text: &'a str) -> Result<Self, SpecError> {
         let mut map = HashMap::new();
         for (index, raw) in text.lines().enumerate() {
             let line = index + 1;
@@ -87,14 +46,14 @@ impl<'a> Fields<'a> {
                 continue;
             }
             let Some((key, value)) = content.split_once('=') else {
-                return Err(KvError::Syntax {
+                return Err(SpecError::Syntax {
                     line,
                     message: format!("expected `key = value`, got {content:?}"),
                 });
             };
             let key = key.trim();
             if key.is_empty() {
-                return Err(KvError::Syntax {
+                return Err(SpecError::Syntax {
                     line,
                     message: "missing key before '='".to_owned(),
                 });
@@ -104,7 +63,7 @@ impl<'a> Fields<'a> {
                 value: value.trim(),
             };
             if let Some(first) = map.insert(key, field) {
-                return Err(KvError::DuplicateKey {
+                return Err(SpecError::DuplicateKey {
                     line,
                     key: key.to_owned(),
                     first_line: first.line,
@@ -117,9 +76,9 @@ impl<'a> Fields<'a> {
     /// Remove and return `key`.
     ///
     /// # Errors
-    /// [`KvError::MissingKey`] if the text does not assign it.
-    pub fn take(&mut self, key: &str) -> Result<Field<'a>, KvError> {
-        self.map.remove(key).ok_or_else(|| KvError::MissingKey {
+    /// [`SpecError::MissingKey`] if the text does not assign it.
+    pub fn take(&mut self, key: &str) -> Result<Field<'a>, SpecError> {
+        self.map.remove(key).ok_or_else(|| SpecError::MissingKey {
             key: key.to_owned(),
         })
     }
@@ -127,14 +86,14 @@ impl<'a> Fields<'a> {
     /// Remove `key` and parse its value with `parse` (`None` = malformed).
     ///
     /// # Errors
-    /// [`KvError::MissingKey`], or [`KvError::BadValue`] naming
+    /// [`SpecError::MissingKey`], or [`SpecError::BadValue`] naming
     /// `expected` when `parse` refuses the value.
     pub fn value<T>(
         &mut self,
         key: &str,
         expected: &'static str,
         parse: impl FnOnce(&str) -> Option<T>,
-    ) -> Result<T, KvError> {
+    ) -> Result<T, SpecError> {
         let field = self.take(key)?;
         parse(field.value).ok_or_else(|| bad_value(field.line, key, field.value, expected))
     }
@@ -143,14 +102,14 @@ impl<'a> Fields<'a> {
     /// trimmed item through `parse`.
     ///
     /// # Errors
-    /// [`KvError::MissingKey`], or [`KvError::BadValue`] carrying the
+    /// [`SpecError::MissingKey`], or [`SpecError::BadValue`] carrying the
     /// first item `parse` refuses.
     pub fn list<T>(
         &mut self,
         key: &str,
         expected: &'static str,
         parse: impl Fn(&str) -> Option<T>,
-    ) -> Result<Vec<T>, KvError> {
+    ) -> Result<Vec<T>, SpecError> {
         let field = self.take(key)?;
         field
             .value
@@ -166,11 +125,11 @@ impl<'a> Fields<'a> {
     /// of a real one and must never be silently ignored.
     ///
     /// # Errors
-    /// [`KvError::UnknownKey`] for the leftover key on the earliest line.
-    pub fn finish(self) -> Result<(), KvError> {
+    /// [`SpecError::UnknownKey`] for the leftover key on the earliest line.
+    pub fn finish(self) -> Result<(), SpecError> {
         match self.map.into_iter().min_by_key(|(_, field)| field.line) {
             None => Ok(()),
-            Some((key, field)) => Err(KvError::UnknownKey {
+            Some((key, field)) => Err(SpecError::UnknownKey {
                 line: field.line,
                 key: key.to_owned(),
             }),
@@ -183,11 +142,70 @@ pub(crate) fn finite(value: &str) -> Option<f64> {
     value.parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
-fn bad_value(line: usize, key: &str, value: &str, expected: &'static str) -> KvError {
-    KvError::BadValue {
+fn bad_value(line: usize, key: &str, value: &str, expected: &'static str) -> SpecError {
+    SpecError::BadValue {
         line,
         key: key.to_owned(),
         value: value.to_owned(),
         expected,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scan_and_take_report_each_fault_with_its_line() {
+        assert_eq!(
+            Fields::scan("a = 1\n# note\nno equals here").err(),
+            Some(SpecError::Syntax {
+                line: 3,
+                message: "expected `key = value`, got \"no equals here\"".to_owned(),
+            })
+        );
+        assert_eq!(
+            Fields::scan(" = 1").err(),
+            Some(SpecError::Syntax {
+                line: 1,
+                message: "missing key before '='".to_owned(),
+            })
+        );
+        assert_eq!(
+            Fields::scan("a = 1\n\na = 2").err(),
+            Some(SpecError::DuplicateKey {
+                line: 3,
+                key: "a".to_owned(),
+                first_line: 1,
+            })
+        );
+
+        let mut fields = Fields::scan("n = 7  # seven\nxs = 1, x, 3\nz = 0\ny = 0").unwrap();
+        assert_eq!(
+            fields.take("missing").unwrap_err(),
+            SpecError::MissingKey {
+                key: "missing".to_owned()
+            }
+        );
+        assert_eq!(
+            fields.value("n", "an integer", |v| v.parse::<u8>().ok()),
+            Ok(7)
+        );
+        assert_eq!(
+            fields.list("xs", "an integer", |v| v.parse::<u8>().ok()),
+            Err(SpecError::BadValue {
+                line: 2,
+                key: "xs".to_owned(),
+                value: "x".to_owned(),
+                expected: "an integer",
+            })
+        );
+        assert_eq!(
+            fields.finish(),
+            Err(SpecError::UnknownKey {
+                line: 3,
+                key: "z".to_owned(),
+            })
+        );
     }
 }

@@ -38,7 +38,7 @@
 //! private constants. The `qla-bench` CLI selects it with `--profile <name>`
 //! or `--spec <file>`.
 
-use crate::kv::{finite, Fields, KvError};
+use crate::kv::{finite, Fields};
 use crate::machine::QlaMachine;
 use qla_layout::Floorplan;
 use qla_network::InterconnectParams;
@@ -780,7 +780,7 @@ impl Value<'_> {
 
 impl Slot<'_> {
     /// Overwrite the field with the value of `key`.
-    fn read(self, fields: &mut Fields<'_>, key: &str) -> Result<(), KvError> {
+    fn read(self, fields: &mut Fields<'_>, key: &str) -> Result<(), SpecError> {
         match self {
             Slot::Text(text) => *text = fields.take(key)?.value.to_string(),
             Slot::F64(v) => *v = fields.value(key, NUMBER, finite)?,
@@ -1114,36 +1114,6 @@ impl core::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
-
-impl From<KvError> for SpecError {
-    fn from(e: KvError) -> Self {
-        match e {
-            KvError::Syntax { line, message } => SpecError::Syntax { line, message },
-            KvError::DuplicateKey {
-                line,
-                key,
-                first_line,
-            } => SpecError::DuplicateKey {
-                line,
-                key,
-                first_line,
-            },
-            KvError::MissingKey { key } => SpecError::MissingKey { key },
-            KvError::UnknownKey { line, key } => SpecError::UnknownKey { line, key },
-            KvError::BadValue {
-                line,
-                key,
-                value,
-                expected,
-            } => SpecError::BadValue {
-                line,
-                key,
-                value,
-                expected,
-            },
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {

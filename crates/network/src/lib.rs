@@ -9,7 +9,7 @@
 //! * [`epr`] — Werner-state EPR pairs, their creation fidelity and transport
 //!   degradation (Figure 8's two-way channel).
 //! * [`purification`] — the Bennett purification recurrence with imperfect
-//!   local operations and its fidelity ceiling (Dür et al., reference [28]).
+//!   local operations and its fidelity ceiling (Dür et al., reference \[28\]).
 //! * [`teleport`] — teleportation and entanglement-swapping primitives and
 //!   their physical costs.
 //! * [`connection`] — the end-to-end connection planner reproducing the

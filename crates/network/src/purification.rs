@@ -1,6 +1,6 @@
 //! Entanglement purification (Bennett et al. protocol) with imperfect local
 //! operations, following the recurrence analysis of Dür, Briegel, Cirac and
-//! Zoller's quantum-repeater paper (reference [28] of the QLA paper).
+//! Zoller's quantum-repeater paper (reference \[28\] of the QLA paper).
 //!
 //! Purification consumes two noisy pairs of fidelity `F` and, with some
 //! success probability, produces one pair of higher fidelity `F'`. With

@@ -1,7 +1,7 @@
 //! Generic CSS stabilizer codes.
 //!
 //! A CSS code is specified by its X-type and Z-type stabilizer generator
-//! supports. The QLA uses the Steane [[7,1,3]] code ([`crate::steane`]), and
+//! supports. The QLA uses the Steane \[\[7,1,3\]\] code ([`crate::steane`]), and
 //! Figure 4 of the paper illustrates the block structure with a 3-qubit
 //! bit-flip code ([`crate::bitflip`]); both are instances of [`CssCode`].
 
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// A CSS quantum error-correcting code described by stabilizer supports.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CssCode {
-    /// Human-readable name, e.g. `"Steane [[7,1,3]]"`.
+    /// Human-readable name, e.g. `"Steane \[\[7,1,3\]\]"`.
     pub name: String,
     /// Number of physical qubits (`n`).
     pub physical_qubits: usize,

@@ -14,7 +14,7 @@
 //!   a Clifford circuit on the stabilizer backend and returns its
 //!   measurement bits (the one `Gate` → `CliffordGate` lowering; a
 //!   non-Clifford gate is a typed [`NonCliffordGate`] error).
-//! * [`steane`] — the Steane [[7,1,3]] code: stabilizers, the |0⟩_L/|+⟩_L
+//! * [`steane`] — the Steane \[\[7,1,3\]\] code: stabilizers, the |0⟩_L/|+⟩_L
 //!   encoders, transversal logical gates.
 //! * [`bitflip`] — the 3-qubit bit-flip code used illustratively in Figure 4.
 //! * [`syndrome`] — Steane-style (encoded-ancilla) syndrome extraction

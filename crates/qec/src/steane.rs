@@ -1,4 +1,4 @@
-//! The Steane [[7,1,3]] code: the error-correcting code of the QLA logical
+//! The Steane \[\[7,1,3\]\] code: the error-correcting code of the QLA logical
 //! qubit (Section 4.1).
 //!
 //! The paper chooses the Steane code because it "allows the implementation of
@@ -9,10 +9,10 @@
 use crate::code::CssCode;
 use qla_circuit::Circuit;
 
-/// Construct the Steane [[7,1,3]] code.
+/// Construct the Steane \[\[7,1,3\]\] code.
 ///
 /// The X and Z stabilizers share the same supports (the code is self-dual),
-/// given by the rows of the [7,4,3] Hamming parity-check matrix:
+/// given by the rows of the \[7,4,3\] Hamming parity-check matrix:
 ///
 /// ```text
 /// S1 : qubits {3,4,5,6}

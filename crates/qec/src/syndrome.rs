@@ -1,6 +1,6 @@
 //! Steane-style (ancilla-coupled) syndrome extraction circuits.
 //!
-//! Figure 6 of the paper shows the [[7,1,3]] error-correction procedure: an
+//! Figure 6 of the paper shows the \[\[7,1,3\]\] error-correction procedure: an
 //! encoded ancilla block is prepared and verified, interacted transversally
 //! with the data block, and measured; the classical parity checks of the
 //! measured bits give the error syndrome. Two ancilla blocks are used — one

@@ -22,9 +22,9 @@
 use qla_physical::FailureRates;
 use serde::{Deserialize, Serialize};
 
-/// The theoretical threshold for the Steane [[7,1,3]] code accounting for
+/// The theoretical threshold for the Steane \[\[7,1,3\]\] code accounting for
 /// movement and gates, computed by Svore, Terhal and DiVincenzo (reference
-/// [41] of the paper).
+/// \[41\] of the paper).
 pub const THEORETICAL_THRESHOLD: f64 = 7.5e-5;
 
 /// The empirical threshold for the QLA logical qubit measured with ARQ

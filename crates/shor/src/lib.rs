@@ -1,7 +1,7 @@
 //! Shor's algorithm on the QLA: resource, latency and baseline models
 //! (Section 5 of the paper), plus a functional small-number demonstration.
 //!
-//! * [`qcla`] — the logarithmic-depth quantum carry-lookahead adder resource
+//! * [`mod@qcla`] — the logarithmic-depth quantum carry-lookahead adder resource
 //!   model (4·log2 n Toffoli depth).
 //! * [`toffoli`] — the fault-tolerant Toffoli construction: 6 ancilla logical
 //!   qubits and 21 error-correction steps on the critical path.

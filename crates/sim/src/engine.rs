@@ -49,11 +49,13 @@
 //! in-service buffer, and the round's `BatchDone` settles that buffer. This
 //! relies on one ordering fact, checked by a `debug_assert!`: a round's
 //! `BatchDone` is pushed before the edge's next `RoundStart`, can be no later
-//! than it, and `(time, sequence)` ordering therefore pops it first.
+//! than it, and the event queue, which pops earlier instants first and
+//! the events of one instant in push order, therefore pops it first.
 //!
 //! In the uncontended limit this collapses to the closed-form
-//! [`uncontended_completion`] — exactly, not approximately, which is what
-//! the `sim-vs-analytic` cross-validation and the property tests pin.
+//! [`SimConfig::uncontended_completion`] — exactly, not approximately,
+//! which is what the `sim-vs-analytic` cross-validation and the property
+//! tests pin.
 //! Everything is integer-time ([`SimTime`]) and FIFO, so a run is a pure
 //! function of `(mesh, config, work items)`: byte-reproducible across
 //! platforms, thread counts and repetitions.

@@ -644,6 +644,51 @@ mod tests {
         }
 
         #[test]
+        fn packed_frame_matches_the_scalar_reference_frame(
+            ops in prop::collection::vec((0u8..13, 0usize..70, 0usize..70), 1..80),
+            support in prop::collection::vec(0usize..70, 0..12),
+        ) {
+            let mut packed = PauliFrame::new(70);
+            let mut scalar = crate::reference::ScalarFrame::new(70);
+            for (kind, a, b) in ops {
+                let gate = match kind {
+                    0 => CliffordGate::H(a),
+                    1 => CliffordGate::S(a),
+                    2 => CliffordGate::Sdg(a),
+                    3 => CliffordGate::X(a),
+                    4 => CliffordGate::PrepZ(a),
+                    5..=7 if a == b => continue,
+                    5 => CliffordGate::Cnot(a, b),
+                    6 => CliffordGate::Cz(a, b),
+                    7 => CliffordGate::Swap(a, b),
+                    8 => {
+                        packed.inject_x(a);
+                        scalar.inject_x(a);
+                        continue;
+                    }
+                    9 => {
+                        packed.inject_z(a);
+                        scalar.inject_z(a);
+                        continue;
+                    }
+                    _ => {
+                        packed.inject_y(a);
+                        scalar.inject_y(a);
+                        continue;
+                    }
+                };
+                packed.apply(gate);
+                scalar.apply(gate);
+            }
+            for q in 0..70 {
+                prop_assert_eq!(packed.has_x(q), scalar.has_x(q), "X on qubit {}", q);
+                prop_assert_eq!(packed.has_z(q), scalar.has_z(q), "Z on qubit {}", q);
+            }
+            prop_assert_eq!(packed.x_parity(&support), scalar.x_parity(&support));
+            prop_assert_eq!(packed.z_parity(&support), scalar.z_parity(&support));
+        }
+
+        #[test]
         fn weight_never_exceeds_qubit_count(
             injections in prop::collection::vec((0usize..16, 0u8..3), 0..64)
         ) {

@@ -11,11 +11,9 @@
 //!   planes (64 qubits per `u64` word) with word-parallel products,
 //!   popcount-accumulated phases, and a bulk construction/word-view API
 //!   ([`pauli`]).
-//! * [`Tableau`] — the CHP tableau stored as *transposed* bit planes: per
-//!   qubit, one packed word-plane of X bits and one of Z bits over all `2n`
-//!   generator rows, plus a packed sign plane. Clifford gates update every
-//!   generator at once in O(n/64) words, and measurement runs the
-//!   word-parallel multi-rowsum in O(n²/64) worst case ([`tableau`]).
+//! * [`Tableau`] — the scalar CHP tableau: `2n` generator rows plus a
+//!   scratch row, one `bool` per symplectic bit, `O(n)` per gate and
+//!   `O(n²)` per measurement ([`tableau`]).
 //! * [`StabilizerSimulator`] — a convenience wrapper that owns a tableau and
 //!   a seeded RNG, driven by `qla_qec::run_clifford` ([`simulator`]).
 //! * [`PauliFrame`] — a much cheaper error-propagation ("Pauli frame")
@@ -24,19 +22,17 @@
 //!   syndrome parities in O(words)). For CSS-code Monte Carlo (Figure 7 of
 //!   the paper) this is equivalent to full tableau simulation and orders of
 //!   magnitude faster ([`frame`]).
-//! * [`reference`] — the retained scalar (one-Pauli-per-element) engines,
-//!   used only as the differential-test oracle.
+//! * [`mod@reference`] — the scalar (one-Pauli-per-element) Pauli frame,
+//!   the test oracle of the packed frame kernels.
 //!
 //! # Bit-packed kernels
 //!
-//! Everything hot is word-parallel: a Pauli-string product popcounts `+i`/`−i`
-//! masks instead of matching per-qubit cases, a tableau Hadamard swaps two
-//! plane words per 64 generators, and the random branch of measurement
-//! multiplies all anticommuting rows by the pivot in one sweep using
-//! bit-sliced two-bit phase counters. The packed engine reproduces the
-//! scalar reference bit for bit — outcomes *and* signs — which the
-//! differential property tests in `tests/differential.rs` enforce on random
-//! Clifford+measurement programs.
+//! The packed kernels are [`PauliString`] and [`PauliFrame`]: a Pauli-string
+//! product popcounts `+i`/`−i` masks instead of matching per-qubit cases, and
+//! a transversal gate layer or a syndrome parity is a handful of word
+//! operations. The tableau is not packed. Its callers stay at 14 qubits or
+//! fewer, and the test suite checks it against a dense state-vector model
+//! on random Clifford+measurement programs (`tests/state_vector_oracle.rs`).
 //!
 //! The benchmark package `qla-perf` tracks the frame kernels as the
 //! `stabilizer.frame_op_ns` layer of its `fig7` workload. That Monte Carlo

@@ -1,6 +1,6 @@
 //! The Pauli group: single-qubit Paulis and bit-packed n-qubit Pauli strings.
 //!
-//! Pauli strings are the language of stabilizer codes: the Steane [[7,1,3]]
+//! Pauli strings are the language of stabilizer codes: the Steane \[\[7,1,3\]\]
 //! code in `qla-qec` is defined by six Pauli-string generators, syndromes are
 //! commutation patterns against those generators, and errors injected by the
 //! noise model are themselves Pauli strings.

@@ -1,20 +1,15 @@
-//! The CHP (Aaronson–Gottesman) stabilizer tableau, bit-packed.
+//! The CHP (Aaronson–Gottesman) stabilizer tableau.
 //!
 //! The tableau tracks, for an `n`-qubit system, `n` *destabilizer* and `n`
-//! *stabilizer* generators as rows of symplectic bits plus a sign bit. The
-//! storage is *transposed* into bit planes: for each qubit `q` there is one
-//! packed plane of X bits and one of Z bits, each holding the bit of every
-//! generator row (row `i` at bit `i % 64` of word `i / 64`), and the signs
-//! form one more packed plane. A Clifford gate on a qubit then updates all
-//! `2n` generators with a few word operations per plane word — `O(n/64)` per
-//! gate instead of the `O(n)` row loop of the element-wise layout — and the
-//! random branch of measurement multiplies the anticommuting rows by the
-//! pivot in one word-parallel sweep with bit-sliced (two-bit) phase
-//! counters: `O(n²/64)` worst case. This is what lets ARQ simulate hundreds
-//! of physical ion qubits — a level-2 Steane logical qubit plus its ancilla
-//! blocks — on a workstation.
+//! *stabilizer* generators as rows of symplectic bits plus a sign bit, one
+//! `bool` per bit (Aaronson & Gottesman, quant-ph/0406196). A Clifford gate
+//! updates one or two columns of every row, `O(n)`; a measurement does at
+//! most `2n` row products, `O(n²)`. Its callers, `qla_qec::run_clifford` on
+//! a Steane block and its ancillas, stay at 14 qubits or fewer; the
+//! Figure 7 Monte Carlo propagates errors through
+//! [`PauliFrame`](crate::PauliFrame) instead.
 
-use crate::pauli::{product_phase_masks, words_for, Pauli, PauliString};
+use crate::pauli::{words_for, Pauli, PauliString};
 use serde::{Deserialize, Serialize};
 
 /// A Clifford-group gate (plus preparation), the instruction set of the
@@ -72,43 +67,17 @@ pub struct MeasurementOutcome {
     pub deterministic: bool,
 }
 
-/// The Aaronson–Gottesman tableau for `n` qubits, stored as per-qubit bit
-/// planes over the generator rows.
+/// The Aaronson–Gottesman tableau for `n` qubits.
 ///
-/// Rows `0..n` are destabilizers and rows `n..2n` are stabilizers. For each
-/// qubit the X (and Z) bits of all `2n` rows are packed into
-/// `row_words = ⌈2n/64⌉` consecutive `u64` words, and the per-row signs form
-/// one more `row_words`-word plane. Unused tail bits of every plane are kept
-/// zero, which lets the measurement kernels mask whole words without edge
-/// cases. Deterministic measurement accumulates its scratch row in transient
-/// row-major buffers rather than a stored extra row.
+/// Rows `0..n` are destabilizers, rows `n..2n` stabilizers, and row `2n` is
+/// the scratch row of deterministic measurement. Each row holds one `bool`
+/// per symplectic bit and one sign bit (`true` = −).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Tableau {
     n: usize,
-    /// Words per plane: enough bits for the `2n` generator rows.
-    row_words: usize,
-    /// X bit planes, `n * row_words` words; plane `q` holds the X bit of
-    /// every row at qubit `q`.
-    x: Vec<u64>,
-    /// Z bit planes, same shape.
-    z: Vec<u64>,
-    /// Sign plane, one bit per row (0 = +, 1 = −).
-    r: Vec<u64>,
-}
-
-#[inline]
-fn bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] >> (i % 64) & 1 != 0
-}
-
-#[inline]
-fn assign_bit(words: &mut [u64], i: usize, v: bool) {
-    let mask = 1u64 << (i % 64);
-    if v {
-        words[i / 64] |= mask;
-    } else {
-        words[i / 64] &= !mask;
-    }
+    x: Vec<Vec<bool>>,
+    z: Vec<Vec<bool>>,
+    r: Vec<bool>,
 }
 
 impl Tableau {
@@ -119,18 +88,17 @@ impl Tableau {
     #[must_use]
     pub fn new(n: usize) -> Self {
         assert!(n > 0, "tableau needs at least one qubit");
-        let row_words = words_for(2 * n);
+        let rows = 2 * n + 1;
         let mut t = Tableau {
             n,
-            row_words,
-            x: vec![0; n * row_words],
-            z: vec![0; n * row_words],
-            r: vec![0; row_words],
+            x: vec![vec![false; n]; rows],
+            z: vec![vec![false; n]; rows],
+            r: vec![false; rows],
         };
         for i in 0..n {
             // Destabilizer i = X_i, stabilizer i = Z_i.
-            assign_bit(t.x_plane_mut(i), i, true);
-            assign_bit(t.z_plane_mut(i), i + n, true);
+            t.x[i][i] = true;
+            t.z[i + n][i] = true;
         }
         t
     }
@@ -139,36 +107,6 @@ impl Tableau {
     #[must_use]
     pub fn num_qubits(&self) -> usize {
         self.n
-    }
-
-    #[inline]
-    fn x_plane(&self, q: usize) -> &[u64] {
-        &self.x[q * self.row_words..(q + 1) * self.row_words]
-    }
-
-    #[inline]
-    fn z_plane(&self, q: usize) -> &[u64] {
-        &self.z[q * self.row_words..(q + 1) * self.row_words]
-    }
-
-    #[inline]
-    fn x_plane_mut(&mut self, q: usize) -> &mut [u64] {
-        &mut self.x[q * self.row_words..(q + 1) * self.row_words]
-    }
-
-    #[inline]
-    fn z_plane_mut(&mut self, q: usize) -> &mut [u64] {
-        &mut self.z[q * self.row_words..(q + 1) * self.row_words]
-    }
-
-    #[inline]
-    fn get_x(&self, row: usize, q: usize) -> bool {
-        bit(self.x_plane(q), row)
-    }
-
-    #[inline]
-    fn get_z(&self, row: usize, q: usize) -> bool {
-        bit(self.z_plane(q), row)
     }
 
     /// Apply a Clifford gate.
@@ -213,74 +151,64 @@ impl Tableau {
         assert!(q < self.n, "qubit index {q} out of range (n = {})", self.n);
     }
 
-    /// Hadamard gate: swaps the qubit's X and Z planes, flipping the sign of
-    /// every row carrying a Y — all rows in one word sweep.
+    /// Hadamard gate: swaps the qubit's X and Z bits in every row, flipping
+    /// the sign of every row carrying a Y.
     pub fn hadamard(&mut self, q: usize) {
         self.check_qubit(q);
-        let base = q * self.row_words;
-        for w in 0..self.row_words {
-            let xw = self.x[base + w];
-            let zw = self.z[base + w];
-            self.r[w] ^= xw & zw;
-            self.x[base + w] = zw;
-            self.z[base + w] = xw;
+        for row in 0..2 * self.n {
+            let (xv, zv) = (self.x[row][q], self.z[row][q]);
+            self.r[row] ^= xv && zv;
+            self.x[row][q] = zv;
+            self.z[row][q] = xv;
         }
     }
 
-    /// Phase gate S: `Z ← Z ⊕ X` on the qubit's planes, with a sign flip for
-    /// every row carrying a Y.
+    /// Phase gate S: `Z ← Z ⊕ X` on the qubit, with a sign flip for every
+    /// row carrying a Y.
     pub fn phase(&mut self, q: usize) {
         self.check_qubit(q);
-        let base = q * self.row_words;
-        for w in 0..self.row_words {
-            let xw = self.x[base + w];
-            self.r[w] ^= xw & self.z[base + w];
-            self.z[base + w] ^= xw;
+        for row in 0..2 * self.n {
+            let (xv, zv) = (self.x[row][q], self.z[row][q]);
+            self.r[row] ^= xv && zv;
+            self.z[row][q] = zv ^ xv;
         }
     }
 
     /// Pauli X: flips the sign of every row anticommuting with it (Z bit set).
     pub fn pauli_x(&mut self, q: usize) {
         self.check_qubit(q);
-        let base = q * self.row_words;
-        for w in 0..self.row_words {
-            self.r[w] ^= self.z[base + w];
+        for row in 0..2 * self.n {
+            self.r[row] ^= self.z[row][q];
         }
     }
 
     /// Pauli Z: flips the sign of every row with the X bit set.
     pub fn pauli_z(&mut self, q: usize) {
         self.check_qubit(q);
-        let base = q * self.row_words;
-        for w in 0..self.row_words {
-            self.r[w] ^= self.x[base + w];
+        for row in 0..2 * self.n {
+            self.r[row] ^= self.x[row][q];
         }
     }
 
     /// Pauli Y: flips the sign of every row carrying an X or a Z (not both).
     pub fn pauli_y(&mut self, q: usize) {
         self.check_qubit(q);
-        let base = q * self.row_words;
-        for w in 0..self.row_words {
-            self.r[w] ^= self.x[base + w] ^ self.z[base + w];
+        for row in 0..2 * self.n {
+            self.r[row] ^= self.x[row][q] ^ self.z[row][q];
         }
     }
 
-    /// Controlled-NOT: four plane words in, three out, per word of rows.
+    /// Controlled-NOT.
     pub fn cnot(&mut self, control: usize, target: usize) {
         self.check_qubit(control);
         self.check_qubit(target);
         assert_ne!(control, target, "CNOT control and target must differ");
-        let cb = control * self.row_words;
-        let tb = target * self.row_words;
-        for w in 0..self.row_words {
-            let xc = self.x[cb + w];
-            let zc = self.z[cb + w];
-            let xt = self.x[tb + w];
-            let zt = self.z[tb + w];
-            self.r[w] ^= xc & zt & !(xt ^ zc);
-            self.x[tb + w] = xt ^ xc;
-            self.z[cb + w] = zc ^ zt;
+        for row in 0..2 * self.n {
+            let (xc, zc) = (self.x[row][control], self.z[row][control]);
+            let (xt, zt) = (self.x[row][target], self.z[row][target]);
+            self.r[row] ^= xc && zt && xt == zc;
+            self.x[row][target] = xt ^ xc;
+            self.z[row][control] = zc ^ zt;
         }
     }
 
@@ -302,158 +230,70 @@ impl Tableau {
         }
     }
 
-    /// Lowest row in `lo..2n` whose X bit is set on qubit `q`, if any.
-    /// Relies on plane tail bits beyond row `2n − 1` being zero.
-    fn lowest_x_row_from(&self, q: usize, lo: usize) -> Option<usize> {
-        let plane = self.x_plane(q);
-        for (w, &raw) in plane.iter().enumerate().skip(lo / 64) {
-            let mut word = raw;
-            if w == lo / 64 {
-                word &= u64::MAX << (lo % 64);
-            }
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
+    /// Multiply row `i` into row `h`: the Aaronson–Gottesman `rowsum`, with
+    /// the sign of the product from the `g` function summed over qubits.
+    /// An exponent ≡ 2 (mod 4) is a − sign; odd exponents arise only on
+    /// destabilizer rows, whose sign is unobservable, and map to +.
+    fn rowsum(&mut self, h: usize, i: usize) {
+        let mut exponent: i64 = 2 * (i64::from(self.r[h]) + i64::from(self.r[i]));
+        for q in 0..self.n {
+            let (x1, z1) = (self.x[i][q], self.z[i][q]);
+            let (x2, z2) = (i64::from(self.x[h][q]), i64::from(self.z[h][q]));
+            exponent += match (x1, z1) {
+                (false, false) => 0,
+                (true, true) => z2 - x2,
+                (true, false) => z2 * (2 * x2 - 1),
+                (false, true) => x2 * (1 - 2 * z2),
+            };
+            self.x[h][q] ^= x1;
+            self.z[h][q] ^= z1;
         }
-        None
+        self.r[h] = exponent.rem_euclid(4) == 2;
     }
 
     /// Measure qubit `q` in the Z basis. `random_bit` supplies the outcome in
     /// the non-deterministic case.
     ///
-    /// The random branch multiplies every anticommuting row by the pivot row
-    /// in a single word-parallel sweep over the planes: the Aaronson–Gottesman
-    /// `g` phase contributions are accumulated per row in a bit-sliced two-bit
-    /// counter (64 rows per word operation), `O(n²/64)` total. The
-    /// deterministic branch accumulates the product of the selected stabilizer
-    /// rows in a row-major scratch with the popcount phase trick.
+    /// The pivot is the lowest stabilizer row with an X bit on `q`; if there
+    /// is one, the outcome is random and every other row with an X bit on
+    /// `q`, destabilizers included, gets the pivot multiplied in. Otherwise the outcome is the sign of the product of the
+    /// stabilizer rows selected by the destabilizers' X bits on `q`,
+    /// accumulated in the scratch row.
     ///
     /// # Panics
     /// Panics if `q` is out of range.
     pub fn measure_with(&mut self, q: usize, random_bit: bool) -> MeasurementOutcome {
         self.check_qubit(q);
         let n = self.n;
-        let rw = self.row_words;
-        if let Some(p) = self.lowest_x_row_from(q, n) {
-            // Random outcome. Every other row with an X bit on q gets the
-            // pivot row multiplied in (the rowsum), all rows at once.
-            let (pw, pb) = (p / 64, 1u64 << (p % 64));
-            let mut rows = vec![0u64; rw];
-            rows.copy_from_slice(self.x_plane(q));
-            rows[pw] &= !pb;
-            let r_p = bit(&self.r, p);
-            // Bit-sliced phase exponent mod 4 per row: cnt2 is the twos bit,
-            // cnt1 the ones bit. The two sign contributions (2·r_h + 2·r_p)
-            // seed the twos bit.
-            let mut cnt1 = vec![0u64; rw];
-            let mut cnt2 = vec![0u64; rw];
-            let seed = if r_p { u64::MAX } else { 0 };
-            for w in 0..rw {
-                cnt2[w] = (self.r[w] ^ seed) & rows[w];
-            }
-            for j in 0..n {
-                let base = j * rw;
-                let xp = self.x[base + pw] & pb != 0;
-                let zp = self.z[base + pw] & pb != 0;
-                if !xp && !zp {
-                    continue;
+        if let Some(p) = (n..2 * n).find(|&row| self.x[row][q]) {
+            for row in 0..2 * n {
+                if row != p && self.x[row][q] {
+                    self.rowsum(row, p);
                 }
-                for w in 0..rw {
-                    let mw = rows[w];
-                    if mw == 0 {
-                        continue;
-                    }
-                    let xw = self.x[base + w];
-                    let zw = self.z[base + w];
-                    // The g function of the pivot's Pauli at qubit j against
-                    // all target rows: masks of +1 and −1 contributions.
-                    let (plus, minus) = match (xp, zp) {
-                        (true, true) => (zw & !xw, xw & !zw),
-                        (true, false) => (xw & zw, zw & !xw),
-                        (false, true) => (xw & !zw, xw & zw),
-                        (false, false) => unreachable!(),
-                    };
-                    let plus = plus & mw;
-                    let minus = minus & mw;
-                    let carry = cnt1[w] & plus;
-                    cnt1[w] ^= plus;
-                    cnt2[w] ^= carry;
-                    // Adding 3 ≡ −1: flip the ones bit, adjust the twos bit.
-                    let carry = cnt1[w] & minus;
-                    cnt1[w] ^= minus;
-                    cnt2[w] ^= minus ^ carry;
-                    if xp {
-                        self.x[base + w] ^= mw;
-                    }
-                    if zp {
-                        self.z[base + w] ^= mw;
-                    }
-                }
-            }
-            // Exponent ≡ 2 (mod 4) means a − sign; odd exponents only occur
-            // on destabilizer rows whose sign is unobservable, and map to +.
-            for w in 0..rw {
-                self.r[w] = (self.r[w] & !rows[w]) | (!cnt1[w] & cnt2[w] & rows[w]);
             }
             // Destabilizer p−n becomes the old stabilizer row p; row p
             // becomes ±Z_q with the random outcome as its sign.
-            for j in 0..n {
-                let base = j * rw;
-                let xv = self.x[base + pw] & pb != 0;
-                let zv = self.z[base + pw] & pb != 0;
-                assign_bit(&mut self.x[base..base + rw], p - n, xv);
-                assign_bit(&mut self.z[base..base + rw], p - n, zv);
-                self.x[base + pw] &= !pb;
-                self.z[base + pw] &= !pb;
-            }
-            let old_sign = bit(&self.r, p);
-            assign_bit(&mut self.r, p - n, old_sign);
-            self.z[q * rw + pw] |= pb;
-            assign_bit(&mut self.r, p, random_bit);
+            self.x[p - n] = std::mem::replace(&mut self.x[p], vec![false; n]);
+            self.z[p - n] = std::mem::replace(&mut self.z[p], vec![false; n]);
+            self.r[p - n] = self.r[p];
+            self.z[p][q] = true;
+            self.r[p] = random_bit;
             MeasurementOutcome {
                 value: random_bit,
                 deterministic: false,
             }
         } else {
-            // Deterministic outcome: multiply together the stabilizer rows
-            // selected by the destabilizers' X bits on q, tracking the phase
-            // word-parallel in a row-major scratch.
-            let qw = words_for(n);
-            let mut sx = vec![0u64; qw];
-            let mut sz = vec![0u64; qw];
-            let mut rx = vec![0u64; qw];
-            let mut rz = vec![0u64; qw];
-            let mut exponent: i64 = 0;
-            let plane = q * rw;
+            let scratch = 2 * n;
+            self.x[scratch].fill(false);
+            self.z[scratch].fill(false);
+            self.r[scratch] = false;
             for row in 0..n {
-                if self.x[plane + row / 64] >> (row % 64) & 1 == 0 {
-                    continue;
-                }
-                let src = row + n;
-                rx.iter_mut().for_each(|w| *w = 0);
-                rz.iter_mut().for_each(|w| *w = 0);
-                for j in 0..n {
-                    if self.get_x(src, j) {
-                        rx[j / 64] |= 1 << (j % 64);
-                    }
-                    if self.get_z(src, j) {
-                        rz[j / 64] |= 1 << (j % 64);
-                    }
-                }
-                if bit(&self.r, src) {
-                    exponent += 2;
-                }
-                for w in 0..qw {
-                    let (plus, minus) = product_phase_masks(rx[w], rz[w], sx[w], sz[w]);
-                    exponent += i64::from(plus.count_ones()) - i64::from(minus.count_ones());
-                    sx[w] ^= rx[w];
-                    sz[w] ^= rz[w];
+                if self.x[row][q] {
+                    self.rowsum(scratch, row + n);
                 }
             }
-            // Products of commuting Hermitian stabilizers keep the exponent
-            // even, so ≡ 2 (mod 4) is exactly the − sign.
             MeasurementOutcome {
-                value: exponent.rem_euclid(4) == 2,
+                value: self.r[scratch],
                 deterministic: true,
             }
         }
@@ -467,18 +307,15 @@ impl Tableau {
         }
     }
 
-    /// True if measuring qubit `q` would give a deterministic outcome.
+    /// True if measuring qubit `q` would give a deterministic outcome, i.e.
+    /// no stabilizer generator anticommutes with `Z_q`.
+    ///
+    /// # Panics
+    /// Panics if `q` is out of range.
     #[must_use]
     pub fn is_deterministic(&self, q: usize) -> bool {
-        let n = self.n;
-        let plane = self.x_plane(q);
-        (n / 64..self.row_words).all(|w| {
-            let mut word = plane[w];
-            if w == n / 64 {
-                word &= u64::MAX << (n % 64);
-            }
-            word == 0
-        })
+        self.check_qubit(q);
+        !(self.n..2 * self.n).any(|row| self.x[row][q])
     }
 
     /// The current stabilizer generators as Pauli strings.
@@ -495,23 +332,17 @@ impl Tableau {
         (0..self.n).map(|row| self.row_string(row)).collect()
     }
 
-    /// Extract generator row `row` as a Pauli string (gathering the row's bit
-    /// from each qubit plane into packed words, then building the string
-    /// whole).
+    /// Generator row `row` as a Pauli string, its sign as the phase.
     fn row_string(&self, row: usize) -> PauliString {
-        let qw = words_for(self.n);
-        let mut xs = vec![0u64; qw];
-        let mut zs = vec![0u64; qw];
-        for q in 0..self.n {
-            if self.get_x(row, q) {
-                xs[q / 64] |= 1 << (q % 64);
+        let pack = |bits: &[bool]| {
+            let mut words = vec![0u64; words_for(self.n)];
+            for q in (0..self.n).filter(|&q| bits[q]) {
+                words[q / 64] |= 1 << (q % 64);
             }
-            if self.get_z(row, q) {
-                zs[q / 64] |= 1 << (q % 64);
-            }
-        }
-        let phase = if bit(&self.r, row) { 2 } else { 0 };
-        PauliString::from_words(self.n, xs, zs, phase)
+            words
+        };
+        let phase = if self.r[row] { 2 } else { 0 };
+        PauliString::from_words(self.n, pack(&self.x[row]), pack(&self.z[row]), phase)
     }
 
     /// True if the given Pauli string — *including its sign* — is in the
@@ -608,6 +439,20 @@ mod tests {
         assert!(t.stabilizes(&PauliString::from_str_repr("IZZ")));
         assert!(!t.stabilizes(&PauliString::from_str_repr("XII")));
         assert!(!t.stabilizes(&PauliString::from_str_repr("ZII")));
+    }
+
+    #[test]
+    fn ghz_measurement_collapses_all_three_qubits() {
+        let mut t = Tableau::new(3);
+        t.apply(CliffordGate::H(0));
+        t.apply(CliffordGate::Cnot(0, 1));
+        t.apply(CliffordGate::Cnot(1, 2));
+        let m = t.measure_with(0, true);
+        assert!(!m.deterministic);
+        assert!(m.value);
+        // All three qubits collapse together.
+        assert!(t.measure_with(1, false).value);
+        assert!(t.measure_with(2, false).value);
     }
 
     #[test]
@@ -729,7 +574,7 @@ mod tests {
 
     #[test]
     fn large_tableau_spanning_multiple_words() {
-        // 130 qubits exercises the multi-word bit packing.
+        // 130 qubits: flips and a Bell pair far apart in the register.
         let n = 130;
         let mut t = Tableau::new(n);
         for q in [0, 63, 64, 129] {
@@ -749,8 +594,8 @@ mod tests {
 
     #[test]
     fn row_boundary_sizes_round_trip_through_measurement() {
-        // n = 32 puts the 2n = 64 rows exactly at one plane word; 33 spills
-        // into a second word. Both must behave identically to small cases.
+        // A Bell pair between the first and last qubit behaves the same at
+        // every register size.
         for n in [31, 32, 33] {
             let mut t = Tableau::new(n);
             t.apply(CliffordGate::H(0));

@@ -5,7 +5,7 @@
 //! of the emitted stream reproduces the published resource shape *exactly*:
 //! a [`qcla_adder`] trace carries `4n` Toffolis across `4·⌈log₂ n⌉`
 //! Toffoli-bearing dependency levels, matching
-//! [`qla_shor::qcla`]'s `toffoli_count` and `toffoli_depth`, with the
+//! [`qla_shor::qcla()`]'s `toffoli_count` and `toffoli_depth`, with the
 //! `cnot_depth`/`not_depth` Clifford passes ahead of them. The streams
 //! are emitted gate-by-gate (not level-by-level) precisely so the replay
 //! layer has to *recover* the parallelism from qubit hazards — which is
@@ -20,12 +20,12 @@ use rand::Rng;
 /// registers `a` and `b` with a `2·bits` carry/ancilla register `c`,
 /// measuring the sum register at the end.
 ///
-/// ASAP-levelling the result reproduces [`qla_shor::qcla`] exactly:
+/// ASAP-levelling the result reproduces [`qla_shor::qcla()`] exactly:
 /// `4·bits` Toffolis over `toffoli_depth` dependency levels, preceded by
 /// `cnot_depth` CNOT passes and `not_depth` complement passes.
 ///
 /// # Panics
-/// Panics when `bits == 0` (via [`qla_shor::qcla`]).
+/// Panics when `bits == 0` (via [`qla_shor::qcla()`]).
 #[must_use]
 pub fn qcla_adder(bits: usize) -> Trace {
     let mut t = Trace::builder(&format!("qcla-adder-{bits}"));

@@ -12,7 +12,7 @@
 //! | [`physical`] | `qla-physical` | ion-trap technology model (Table 1), QCCD cell coordinates, ballistic channels |
 //! | [`stabilizer`] | `qla-stabilizer` | CHP tableau simulator, Pauli frames |
 //! | [`circuit`] | `qla-circuit` | gate-level circuit IR, scheduling, Toffoli decomposition |
-//! | [`qec`] | `qla-qec` | Steane [[7,1,3]], recursion, EC latency (Eq. 1), threshold (Eq. 2) |
+//! | [`qec`] | `qla-qec` | Steane \[\[7,1,3\]\], recursion, EC latency (Eq. 1), threshold (Eq. 2) |
 //! | [`layout`] | `qla-layout` | logical-qubit tiles, chip floorplan, ballistic routing, area model |
 //! | [`network`] | `qla-network` | EPR pairs, purification, repeaters, connection-time model (Fig. 9) |
 //! | [`sched`] | `qla-sched` | greedy EPR-distribution scheduler (Section 5) |
