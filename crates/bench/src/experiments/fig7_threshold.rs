@@ -61,17 +61,21 @@ impl Experiment for Fig7Threshold {
             seed: ctx.seed,
             movement_error: spec.movement_error(),
         };
-        // Both sweeps route through the context's executor; every point is
-        // seeded from its own rate, so the output is byte-identical at any
-        // thread count (pinned by the parallel-determinism tests).
+        // One work list through the context's executor: the sweep, longest
+        // first, then the threshold scan, which skips the points past its
+        // first crossing. Every point is seeded from its own rate, so the
+        // output is byte-identical at any thread count (pinned by the
+        // parallel-determinism tests).
+        let (points, empirical_threshold) = experiment.sweep_and_threshold(
+            &spec.sweep.component_rates,
+            spec.sweep.threshold_scan_lo,
+            spec.sweep.threshold_scan_hi,
+            spec.sweep.threshold_scan_points,
+            &ctx.executor,
+        );
         Fig7Output {
-            points: experiment.sweep(&spec.sweep.component_rates, &ctx.executor),
-            empirical_threshold: experiment.estimate_threshold(
-                spec.sweep.threshold_scan_lo,
-                spec.sweep.threshold_scan_hi,
-                spec.sweep.threshold_scan_points,
-                &ctx.executor,
-            ),
+            points,
+            empirical_threshold,
         }
     }
 

@@ -10,19 +10,20 @@
 //! and **reassembles results in index order**, so a parallel map is
 //! byte-for-byte indistinguishable from the sequential loop it replaces.
 //!
-//! Scheduling is "work-stealing-lite": instead of pre-partitioning the
-//! items (which stalls on skewed point costs — the high-error points of a
-//! threshold sweep are much slower than the low-error ones), workers pull
-//! small chunks from a shared atomic cursor until the queue is empty. A
-//! worker that finishes early simply takes the next chunk; nothing is ever
-//! assigned to a slow worker in advance.
+//! Scheduling is dynamic: instead of pre-partitioning the items (which
+//! stalls on skewed point costs — the high-error points of a threshold
+//! sweep are much slower than the low-error ones), workers pull one index
+//! at a time from a shared atomic cursor until the queue is empty. Indices
+//! are handed out in ascending order, so a caller can put its costliest
+//! items first, and a worker that finishes early simply takes the next
+//! index; nothing is ever assigned to a slow worker in advance.
 
 use qla_obs::{EventLog, ObsConfig};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// Sets the shared poison flag if its worker unwinds, so the other workers
-/// stop pulling new chunks instead of draining a queue whose results will
+/// stop pulling new indices instead of draining a queue whose results will
 /// be thrown away by the propagated panic.
 struct PoisonOnPanic<'a>(&'a AtomicBool);
 
@@ -41,8 +42,8 @@ impl Drop for PoisonOnPanic<'_> {
 /// experiments receive their threading story with their seed and trial
 /// budget, and nothing about their output is allowed to depend on it. One
 /// worker ([`Executor::SEQUENTIAL`]) evaluates in a plain loop on the
-/// calling thread; more spawn that many scoped workers pulling chunks from
-/// a shared queue.
+/// calling thread; more spawn that many scoped workers pulling indices
+/// from a shared queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Executor(NonZeroUsize);
 
@@ -80,8 +81,8 @@ impl Executor {
     ///
     /// # Panics
     /// Propagates the first observed worker panic. The panic poisons the
-    /// queue: remaining workers finish the chunk they are on but pull no
-    /// further chunks, so unevaluated items (and any side effects of `f`
+    /// queue: remaining workers finish the item they are on but pull no
+    /// further items, so unevaluated items (and any side effects of `f`
     /// on them) are abandoned before the panic is resumed on the caller.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
@@ -128,7 +129,9 @@ impl Executor {
     ///
     /// This is the primitive [`Executor::map`] is built on; use it directly
     /// when the "items" are implicit (grid coordinates, sweep-point
-    /// indices).
+    /// indices). Workers pull one index per fetch, in ascending order: an
+    /// index is never started before every lower index has been handed
+    /// out.
     ///
     /// # Panics
     /// Propagates the first observed worker panic.
@@ -142,11 +145,6 @@ impl Executor {
             return (0..len).map(f).collect();
         }
 
-        // Chunked self-scheduling: small chunks keep the queue cheap to
-        // poll while still amortising the atomic traffic. With the small
-        // sweeps this suite runs (tens of points), this degenerates to
-        // chunk = 1, i.e. pure dynamic scheduling.
-        let chunk = (len / (workers * 4)).max(1);
         let cursor = AtomicUsize::new(0);
         let poisoned = AtomicBool::new(false);
         let f = &f;
@@ -161,13 +159,11 @@ impl Executor {
                         // panic will be propagated to the caller and every
                         // further result discarded anyway.
                         while !poisoned.load(Ordering::Relaxed) {
-                            let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                            if start >= len {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= len {
                                 break;
                             }
-                            for i in start..(start + chunk).min(len) {
-                                local.push((i, f(i)));
-                            }
+                            local.push((i, f(i)));
                         }
                         drop(guard);
                         local
@@ -273,19 +269,33 @@ mod tests {
     #[test]
     fn a_panic_poisons_the_queue_instead_of_draining_it() {
         // The first item evaluated *anywhere* panics (not a fixed index,
-        // which would race against worker scheduling), so the poison flag
-        // is set at the first evaluation event and the other workers can
-        // finish at most their in-flight chunks of the (deliberately slow)
-        // queue before stopping.
+        // which would race against worker scheduling). The poison flag is
+        // set when that panic unwinds out of the worker, after the panic
+        // hook has run, and the hook can outlast the whole queue (it prints
+        // a backtrace under RUST_BACKTRACE=1). So every other item holds its
+        // worker until the panic has unwound out of the panicking item, then
+        // spins 50 µs more: each worker finishes the item it is on and,
+        // with the flag set, pulls no further items.
+        struct SetOnDrop<'a>(&'a AtomicBool);
+        impl Drop for SetOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Release);
+            }
+        }
         let len = 256;
         let evaluated = AtomicUsize::new(0);
         let panicked = AtomicBool::new(false);
+        let unwound = AtomicBool::new(false);
         let result = std::panic::catch_unwind(|| {
             threads(4).map_indices(len, |i| {
                 if !panicked.swap(true, Ordering::Relaxed) {
+                    let _unwinding = SetOnDrop(&unwound);
                     panic!("poison");
                 }
                 evaluated.fetch_add(1, Ordering::Relaxed);
+                while !unwound.load(Ordering::Acquire) {
+                    std::hint::spin_loop();
+                }
                 let spin_until = Instant::now() + Duration::from_micros(50);
                 while Instant::now() < spin_until {
                     std::hint::spin_loop();
@@ -304,8 +314,8 @@ mod tests {
 
     #[test]
     fn results_are_independent_of_chunk_interleaving() {
-        // Same computation at several thread counts and lengths: the chunk
-        // size changes, the output must not.
+        // Same computation at several thread counts and lengths: the
+        // interleaving changes, the output must not.
         for len in [1usize, 7, 31, 128, 1000] {
             let expected: Vec<usize> = (0..len).map(|i| i.wrapping_mul(31) ^ 5).collect();
             for n in [2usize, 3, 7, 16] {

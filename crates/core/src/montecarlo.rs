@@ -39,6 +39,7 @@ use qla_stabilizer::{CliffordGate, PauliFrame};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Data block: frame qubits `0..7`.
 const DATA_OFFSET: usize = 0;
@@ -118,41 +119,18 @@ impl ThresholdExperiment {
     }
 
     /// Sweep the component failure rate through an [`Executor`], producing
-    /// the two curves of Figure 7.
-    ///
-    /// Every point draws from its own generator (seeded by
-    /// `seed ^ p.to_bits()`), so points are evaluated independently and the
-    /// executor reassembles them in rate order: the result is identical for
-    /// every thread count.
+    /// the two curves of Figure 7: [`Self::sweep_and_threshold`] with no
+    /// threshold scan.
     #[must_use]
     pub fn sweep(&self, physical_rates: &[f64], executor: &Executor) -> Vec<ThresholdPoint> {
-        executor.map(physical_rates, |_, &p| {
-            let level1_rate = self.level1_failure_rate(p);
-            let level2_rate = if level1_rate == 0.0 {
-                0.0
-            } else {
-                self.level1_failure_rate(level1_rate)
-            };
-            ThresholdPoint {
-                physical_rate: p,
-                level1_rate,
-                level2_rate,
-            }
-        })
+        let level1 = |p| self.level1_failure_rate(p);
+        work_list(level1, physical_rates, &[], executor).0
     }
 
     /// Estimate the pseudo-threshold: the component rate at which the level-1
     /// logical rate equals the physical rate (the crossing point of Figure 7).
-    /// Returns the bracketing estimate from a geometric scan of `[lo, hi]`,
-    /// with the scan points evaluated through an [`Executor`].
-    ///
-    /// On one worker, the scan stops at the first crossing (the rates past
-    /// it are never sampled — they cost a full Monte-Carlo evaluation
-    /// each). On more, all `points` rates are evaluated up front (each
-    /// from its own `seed ^ p.to_bits()` generator) and the crossing is
-    /// located in a pass over the ordered ratios. Both paths return the
-    /// *first* crossing over identically seeded, order-independent point
-    /// evaluations, so the estimate is identical for every thread count.
+    /// Returns the bracketing estimate from a geometric scan of `points`
+    /// rates over `[lo, hi]`: [`Self::sweep_and_threshold`] with no sweep.
     #[must_use]
     pub fn estimate_threshold(
         &self,
@@ -161,41 +139,114 @@ impl ThresholdExperiment {
         points: usize,
         executor: &Executor,
     ) -> Option<f64> {
-        let scan_rate = |i: usize| {
+        let level1 = |p| self.level1_failure_rate(p);
+        work_list(level1, &[], &scan_rates(lo, hi, points), executor).1
+    }
+
+    /// Figure 7 as one work list through one [`Executor`] map: the sweep
+    /// of `physical_rates` (a level-1 call, then its level-2 call, per rate)
+    /// and the threshold scan of `points` geometric rates over `[lo, hi]`.
+    ///
+    /// The sweep goes first, highest (costliest) rate first, so the longest
+    /// items do not form the tail; the points come back in `physical_rates`
+    /// order. The scan follows in ascending rate order, and a scan point is
+    /// skipped when the unbroken run of finished points from the first one
+    /// already holds the first crossing `ratio[i-1] < 1 ≤ ratio[i]`: every
+    /// skipped point lies past that crossing, and the report never reads it.
+    /// The estimate is the geometric midpoint of the crossing pair, or
+    /// `None` when no pair crosses (then every point is evaluated).
+    ///
+    /// Every call draws from its own generator (seeded by
+    /// `seed ^ p.to_bits()`), so the result is identical for every thread
+    /// count and every interleaving; only the number of points past the
+    /// crossing that get evaluated depends on timing.
+    #[must_use]
+    pub fn sweep_and_threshold(
+        &self,
+        physical_rates: &[f64],
+        lo: f64,
+        hi: f64,
+        points: usize,
+        executor: &Executor,
+    ) -> (Vec<ThresholdPoint>, Option<f64>) {
+        let level1 = |p| self.level1_failure_rate(p);
+        work_list(
+            level1,
+            physical_rates,
+            &scan_rates(lo, hi, points),
+            executor,
+        )
+    }
+}
+
+/// `points` geometrically spaced rates from `lo` to `hi`.
+fn scan_rates(lo: f64, hi: f64, points: usize) -> Vec<f64> {
+    (0..points)
+        .map(|i| {
             let t = i as f64 / (points - 1).max(1) as f64;
             lo * (hi / lo).powf(t)
-        };
-        if executor.jobs() == 1 {
-            // Lazy scan with early exit: don't pay for points past the
-            // crossing.
-            let mut previous: Option<(f64, f64)> = None;
-            for i in 0..points {
-                let p = scan_rate(i);
-                let ratio = self.level1_failure_rate(p) / p;
-                if let Some((prev_p, prev_ratio)) = previous {
-                    if prev_ratio < 1.0 && ratio >= 1.0 {
-                        // Crossing between prev_p and p: geometric midpoint.
-                        return Some((prev_p * p).sqrt());
-                    }
-                }
-                previous = Some((p, ratio));
-            }
-            return None;
-        }
-        let ratios = executor.map_indices(points, |i| {
-            let p = scan_rate(i);
-            (p, self.level1_failure_rate(p) / p)
-        });
-        for pair in ratios.windows(2) {
-            let [(prev_p, prev_ratio), (p, ratio)] = pair else {
-                unreachable!("windows(2) yields pairs");
+        })
+        .collect()
+}
+
+/// The work list behind [`ThresholdExperiment::sweep_and_threshold`], over
+/// any level-1 evaluator: the sweep points highest rate first, then the
+/// lazy threshold scan over the ascending rates `scan`.
+fn work_list<F>(
+    level1: F,
+    physical_rates: &[f64],
+    scan: &[f64],
+    executor: &Executor,
+) -> (Vec<ThresholdPoint>, Option<f64>)
+where
+    F: Fn(f64) -> f64 + Sync,
+{
+    // Highest rate first: more of its trials fault, and its level-2 call
+    // runs at a higher level-1 rate, so it costs the most.
+    let mut order: Vec<usize> = (0..physical_rates.len()).collect();
+    order.sort_by(|&a, &b| physical_rates[b].total_cmp(&physical_rates[a]));
+    // Scan ratios `level1(p) / p`, filled in as the points finish.
+    let ratios = Mutex::new(vec![None; scan.len()]);
+    let lock = || ratios.lock().expect("scan lock poisoned");
+    let swept = executor.map_indices(order.len() + scan.len(), |k| {
+        if let Some(&i) = order.get(k) {
+            let p = physical_rates[i];
+            let level1_rate = level1(p);
+            let level2_rate = if level1_rate == 0.0 {
+                0.0
+            } else {
+                level1(level1_rate)
             };
-            if *prev_ratio < 1.0 && *ratio >= 1.0 {
-                return Some((prev_p * p).sqrt());
-            }
+            return Some(ThresholdPoint {
+                physical_rate: p,
+                level1_rate,
+                level2_rate,
+            });
+        }
+        let i = k - order.len();
+        if first_crossing(&lock()).is_none() {
+            let ratio = level1(scan[i]) / scan[i];
+            lock()[i] = Some(ratio);
         }
         None
+    });
+    let mut points = vec![None; order.len()];
+    for (&i, point) in order.iter().zip(swept) {
+        points[i] = point;
     }
+    let points = points.into_iter().map(|p| p.expect("swept")).collect();
+    let threshold = first_crossing(&lock()).map(|i| (scan[i - 1] * scan[i]).sqrt());
+    (points, threshold)
+}
+
+/// The index `i` of the first crossing `ratio[i-1] < 1 ≤ ratio[i]` within
+/// the unbroken run of known ratios from the first point, if it has one.
+fn first_crossing(ratios: &[Option<f64>]) -> Option<usize> {
+    let known: Vec<f64> = ratios.iter().map_while(|&r| r).collect();
+    known
+        .windows(2)
+        .position(|pair| pair[0] < 1.0 && pair[1] >= 1.0)
+        .map(|i| i + 1)
 }
 
 /// The integer threshold `t` such that `(x >> 11) < t` exactly reproduces
@@ -461,6 +512,7 @@ fn logical_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Condvar;
 
     fn quick() -> ThresholdExperiment {
         ThresholdExperiment {
@@ -657,6 +709,108 @@ mod tests {
         for jobs in [1usize, 2, 8] {
             let parallel = e.sweep(&rates, &Executor::from_jobs(jobs));
             assert_eq!(parallel, sequential, "{jobs} jobs");
+        }
+    }
+
+    /// The lazy scan against a stub evaluator that counts its calls. Scan
+    /// point `i` is the rate `i + 1` with ratio `table[i]`. The stub lets
+    /// point `i` run only after point `i - 1` has returned (or, past the
+    /// crossing `c`, after `c` has), plus a millisecond, so the points
+    /// finish in scan order as the real scan's rising costs make them.
+    #[test]
+    fn the_threshold_scan_evaluates_at_most_jobs_minus_one_points_past_its_crossing() {
+        let cases: [(&str, [f64; 8], Option<usize>); 3] = [
+            (
+                "first pair",
+                [0.5, 1.5, 0.5, 2.0, 3.0, 4.0, 5.0, 6.0],
+                Some(1),
+            ),
+            (
+                "last pair",
+                [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 1.0],
+                Some(7),
+            ),
+            ("no pair", [2.0, 1.5, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5], None),
+        ];
+        let scan: Vec<f64> = (1..=8).map(f64::from).collect();
+        for (case, table, crossing) in cases {
+            let sequential = table
+                .windows(2)
+                .position(|pair| pair[0] < 1.0 && pair[1] >= 1.0)
+                .map(|i| i + 1);
+            assert_eq!(sequential, crossing, "{case}: test table");
+            for jobs in [1usize, 2, 3, 8] {
+                let calls = Mutex::new(vec![0usize; table.len()]);
+                let returned = (Mutex::new(vec![false; table.len()]), Condvar::new());
+                let stub = |p: f64| {
+                    let i = p as usize - 1;
+                    let (done, wake) = &returned;
+                    let runnable = |done: &mut Vec<bool>| {
+                        i == 0 || done[i - 1] || crossing.is_some_and(|c| i > c && done[c])
+                    };
+                    drop(wake.wait_while(done.lock().unwrap(), |d| !runnable(d)));
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    calls.lock().unwrap()[i] += 1;
+                    done.lock().unwrap()[i] = true;
+                    wake.notify_all();
+                    table[i] * p
+                };
+                let (points, threshold) = work_list(stub, &[], &scan, &Executor::from_jobs(jobs));
+                assert!(points.is_empty());
+                assert_eq!(
+                    threshold,
+                    sequential.map(|i| (scan[i - 1] * scan[i]).sqrt()),
+                    "{case}, {jobs} jobs"
+                );
+                let calls = calls.into_inner().unwrap();
+                assert!(
+                    calls.iter().all(|&n| n <= 1),
+                    "{case}, {jobs} jobs: {calls:?}"
+                );
+                let last = crossing.unwrap_or(table.len() - 1);
+                assert!(
+                    calls[..=last].iter().all(|&n| n == 1),
+                    "{case}, {jobs} jobs: a point up to the crossing was skipped: {calls:?}"
+                );
+                let past: usize = calls[last + 1..].iter().sum();
+                assert!(
+                    past < jobs,
+                    "{case}, {jobs} jobs: {past} points past the crossing evaluated: {calls:?}"
+                );
+            }
+        }
+    }
+
+    /// Only the unbroken run of finished points from the first one counts:
+    /// a point still running hides every crossing after it.
+    #[test]
+    fn a_crossing_counts_only_within_the_finished_prefix() {
+        assert_eq!(first_crossing(&[Some(0.5), None, Some(2.0)]), None);
+        assert_eq!(first_crossing(&[Some(0.5), Some(2.0), None]), Some(1));
+        assert_eq!(
+            first_crossing(&[Some(2.0), Some(0.5), Some(1.0), None, Some(0.1)]),
+            Some(2)
+        );
+        assert_eq!(first_crossing(&[None, Some(0.5), Some(2.0)]), None);
+        assert_eq!(first_crossing(&[]), None);
+    }
+
+    /// The sweep and the scan through one work list give the same report
+    /// as the sweep alone and the scan alone, at every job count.
+    #[test]
+    fn one_work_list_matches_the_separate_sweep_and_scan() {
+        let e = ThresholdExperiment {
+            trials: 1500,
+            ..quick()
+        };
+        let rates = [5e-4, 1.6e-2, 2e-3, 8e-3];
+        let expected = (
+            e.sweep(&rates, &Executor::SEQUENTIAL),
+            e.estimate_threshold(2e-4, 3e-2, 10, &Executor::SEQUENTIAL),
+        );
+        for jobs in [1usize, 2, 3] {
+            let got = e.sweep_and_threshold(&rates, 2e-4, 3e-2, 10, &Executor::from_jobs(jobs));
+            assert_eq!(got, expected, "{jobs} jobs");
         }
     }
 
