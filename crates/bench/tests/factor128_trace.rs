@@ -4,15 +4,17 @@
 //! every run; this test pins one *committed* artefact at the scale of the
 //! paper's headline workload — the 128-bit QCLA carry-lookahead adder
 //! that dominates Shor-128 (512 Toffolis across 777 qubits) — and proves
-//! the `--trace` CLI path replays it deterministically. The fixture
-//! regenerates with the usual flow:
+//! the `--trace` CLI path replays it deterministically and byte for byte:
+//! the JSON report under the 1,024-qubit spec is pinned as
+//! `golden/factor128-replay.json`. The fixtures regenerate with the usual
+//! flow:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p qla-bench --test factor128_trace
 //! ```
 
 use qla_bench::cli::{self, CliArgs};
-use qla_report::Format;
+use qla_report::{Format, Report, Value};
 use std::path::PathBuf;
 
 /// The committed factor-128-scale trace next to this test.
@@ -21,6 +23,19 @@ fn fixture_path() -> PathBuf {
 }
 
 const FIXTURE: &str = include_str!("data/factor128-qcla-adder.trace");
+
+/// The pinned JSON report of the replay under the 1,024-qubit spec.
+const REPORT_GOLDEN: &str = include_str!("golden/factor128-replay.json");
+
+/// The unsigned value in the report's only row under column `name`.
+fn report_value(report: &Report, name: &str) -> Option<u64> {
+    let index = report.columns.iter().position(|c| c.name == name)?;
+    match report.rows.first()?.get(index)? {
+        Value::UInt(v) => Some(*v),
+        Value::Int(v) => u64::try_from(*v).ok(),
+        _ => None,
+    }
+}
 
 #[test]
 fn the_committed_trace_is_the_canonical_128_bit_adder() {
@@ -68,10 +83,28 @@ fn the_committed_trace_replays_through_the_cli_at_any_job_count() {
     assert_eq!(sequential.rows.len(), 1, "one row for the one trace file");
     let rendered = sequential.render(Format::Text);
     assert!(rendered.contains("qcla-adder-128"), "{rendered}");
+    // The greedy plan and the discrete-event replay of the adder: 4,608
+    // channel requests in 45 analytic windows, spread over 270 simulated
+    // ones.
+    assert_eq!(report_value(&sequential, "requests"), Some(4608));
+    assert_eq!(report_value(&sequential, "analytic windows"), Some(45));
+    assert_eq!(report_value(&sequential, "sim windows"), Some(270));
+    let json = sequential.render(Format::Json);
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        let golden =
+            PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/factor128-replay.json");
+        std::fs::write(golden, &json).expect("rewrite golden");
+    } else {
+        assert_eq!(
+            json, REPORT_GOLDEN,
+            "factor128-replay.json drifted; regenerate with \
+             UPDATE_GOLDEN=1 cargo test -p qla-bench --test factor128_trace"
+        );
+    }
 
     let parallel = cli::run_experiment("trace-replay", &args("4")).expect("replay runs");
     assert_eq!(
-        sequential.render(Format::Json),
+        json,
         parallel.render(Format::Json),
         "--jobs changed bytes replaying the committed trace"
     );

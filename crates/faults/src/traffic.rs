@@ -134,8 +134,8 @@ pub fn tenant_quotas(base: usize, tenants: usize, skew: f64) -> Vec<usize> {
 /// ancilla, at the start of each of
 /// `windows` windows, routed along its own *private interior row* of the
 /// mesh (same columns, same timings for all tenants). Rows are interior
-/// and pairwise distinct, and a breadth-first shortest path between
-/// same-row endpoints never leaves the row, so tenants share no edges:
+/// and pairwise distinct, and with every edge usable the route between
+/// same-row endpoints is the row itself, so tenants share no edges:
 /// with equal quotas their sojourn sequences are identical — Jain's
 /// index is exactly 1 — and any measured unfairness is attributable to
 /// the quotas alone.
@@ -263,7 +263,7 @@ mod tests {
                 .entry(item.tenant)
                 .or_insert_with(std::collections::BTreeSet::new)
                 .insert(row);
-            // The BFS route stays on the tenant's row, so tenants on
+            // The route stays on the tenant's row, so tenants on
             // distinct rows never contend.
             let route = topology.route(request.from, request.to, |_| true).unwrap();
             assert!(route.nodes.iter().all(|&n| n / mesh.columns() == row));

@@ -11,11 +11,13 @@
 //!   per-window bandwidth capacity.
 //! * [`topology`] — the mesh compiled to dense form: edge ids `0..E` in
 //!   [`Mesh::edges`] order, CSR `(neighbour, edge id)` arrays in the fixed
-//!   left/right/up/down order, and the one breadth-first search
-//!   ([`Topology::route`]) over reusable stamped scratch buffers. An "edge
-//!   usable" test makes it the scheduler's capacity-aware search; always
-//!   `true`, it is the simulator's static route. Both callers keep per-edge
-//!   state in vectors indexed by edge id.
+//!   left/right/up/down order, and the one router ([`Topology::route`]):
+//!   the stop-at-discovery breadth-first search's path, found by a
+//!   monotone walk whenever one exists, over reusable stamped scratch
+//!   buffers. An "edge usable" test makes it the scheduler's
+//!   capacity-aware search; always `true`, it is the simulator's static
+//!   dimension-order route. Both callers keep per-edge state in vectors
+//!   indexed by edge id.
 //! * [`scheduler`] — the greedy path-grabbing scheduler with back-off and
 //!   multi-window spill-over.
 //! * [`traffic`] — workload generators (fault-tolerant Toffoli traffic) and

@@ -11,11 +11,16 @@
 //!
 //! Per-edge state (scheduler capacity, simulator queues) then lives in plain
 //! vectors indexed by edge id. [`Topology::route`] is the workspace's one
-//! breadth-first search: it runs over stamped scratch buffers that are
-//! reused from call to call, and an "edge usable" test turns it into either
-//! the scheduler's capacity-aware search or the simulator's static route.
+//! router: an "edge usable" test turns it into either the scheduler's
+//! capacity-aware search or the simulator's static route. It returns the
+//! path of a stop-at-discovery breadth-first search, but finds it with a
+//! depth-first walk over the monotone steps of the endpoints' bounding box
+//! whenever a usable monotone path exists (always, when every edge is
+//! usable), and runs the search itself only when none does. Both run over
+//! stamped scratch buffers that are reused from call to call.
 
 use crate::mesh::{Edge, Mesh, Node};
+use std::cmp::Ordering;
 
 /// Dense index of an undirected mesh edge: its position in [`Mesh::edges`].
 pub type EdgeId = usize;
@@ -31,14 +36,17 @@ pub struct Route<'a> {
     pub edges: &'a [EdgeId],
 }
 
-/// Dense edge ids, CSR adjacency, and the reusable BFS scratch.
+/// Dense edge ids, CSR adjacency, and the reusable search scratch.
 #[derive(Debug, Clone)]
 pub struct Topology {
+    /// Grid width: node `n` sits at column `n % columns`, row `n / columns`.
+    columns: usize,
     edges: Vec<Edge>,
     /// `adjacency[offsets[n]..offsets[n + 1]]` are node `n`'s neighbours.
     offsets: Vec<usize>,
     adjacency: Vec<(Node, EdgeId)>,
-    /// `stamp[n] == epoch` marks `n` as discovered by the current search.
+    /// `stamp[n] == epoch` marks `n` as a dead end of the current monotone
+    /// walk, or as discovered by the current breadth-first search.
     stamp: Vec<u32>,
     epoch: u32,
     /// Predecessor and connecting edge of each discovered node.
@@ -67,6 +75,7 @@ impl Topology {
             offsets.push(adjacency.len());
         }
         Topology {
+            columns: mesh.columns(),
             edges,
             offsets,
             adjacency,
@@ -97,14 +106,33 @@ impl Topology {
         &self.adjacency[self.offsets[n]..self.offsets[n + 1]]
     }
 
-    /// Breadth-first shortest path from `from` to `to` over the edges that
-    /// `usable` accepts, or `None` when no such path exists.
+    /// Shortest path from `from` to `to` over the edges that `usable`
+    /// accepts, or `None` when no such path exists.
     ///
-    /// Ties break deterministically: neighbours are expanded in the fixed
-    /// left/right/up/down order and the search stops when `to` is first
-    /// discovered. Co-located endpoints route out and back through the
-    /// first usable neighbour (the pair still has to leave the tile), so
-    /// their route is `[from, n]`.
+    /// The path is the one a breadth-first search returns when it expands
+    /// neighbours in the fixed left/right/up/down order and stops when `to`
+    /// is first discovered. Co-located endpoints route out and back through
+    /// the first usable neighbour (the pair still has to leave the tile),
+    /// so their route is `[from, n]`.
+    ///
+    /// That search returns the *lexicographically least* shortest path,
+    /// reading a path as its sequence of steps ordered left < right < up <
+    /// down: by induction on depth, each layer of its queue is in the lex
+    /// order of the nodes' tree paths, and each node takes the
+    /// earliest-queued usable neighbour as its parent. A path is
+    /// *monotone* when every step moves toward `to`. When a usable
+    /// monotone path exists, the shortest length is the Manhattan distance
+    /// and the shortest paths are exactly the monotone ones; and as both
+    /// horizontal directions sort before both vertical ones, the least of
+    /// them takes the horizontal step wherever `to` is still reachable
+    /// after it. So `route` first walks depth-first over the monotone
+    /// steps inside the `from`/`to` bounding box, horizontal step first,
+    /// stamping the nodes from which `to` cannot be reached (whether it
+    /// can does not depend on how the walk got there); the first path to
+    /// reach `to` is the search's answer. With every edge usable the walk
+    /// never backtracks and costs O(hops); otherwise it costs at most the
+    /// box's area. Only when the box holds no usable monotone path does
+    /// the breadth-first search run.
     ///
     /// # Panics
     /// Panics when either endpoint lies outside the mesh.
@@ -121,6 +149,9 @@ impl Topology {
             let &(n, edge) = self.neighbours(from).iter().find(|&&(_, e)| usable(e))?;
             self.path_nodes.extend([from, n]);
             self.path_edges.push(edge);
+            return Some(self.last_route());
+        }
+        if self.monotone_walk(from, to, &mut usable) {
             return Some(self.last_route());
         }
         let epoch = self.next_epoch();
@@ -156,6 +187,56 @@ impl Topology {
         self.path_nodes.reverse();
         self.path_edges.reverse();
         Some(self.last_route())
+    }
+
+    /// Depth-first walk from `from` over usable steps toward `to`, the
+    /// horizontal step first. Leaves the first path that reaches `to` in
+    /// the path buffers and returns true, or returns false with the
+    /// buffers empty when every monotone path is blocked.
+    fn monotone_walk(
+        &mut self,
+        from: Node,
+        to: Node,
+        usable: &mut impl FnMut(EdgeId) -> bool,
+    ) -> bool {
+        let epoch = self.next_epoch();
+        let columns = self.columns;
+        let (to_column, to_row) = (to % columns, to / columns);
+        self.path_nodes.push(from);
+        while let Some(&node) = self.path_nodes.last() {
+            if node == to {
+                return true;
+            }
+            let horizontal = match (node % columns).cmp(&to_column) {
+                Ordering::Less => Some(node + 1),
+                Ordering::Greater => Some(node - 1),
+                Ordering::Equal => None,
+            };
+            let vertical = match (node / columns).cmp(&to_row) {
+                Ordering::Less => Some(node + columns),
+                Ordering::Greater => Some(node - columns),
+                Ordering::Equal => None,
+            };
+            let step = [horizontal, vertical]
+                .into_iter()
+                .flatten()
+                .find_map(|next| {
+                    if self.stamp[next] == epoch {
+                        return None;
+                    }
+                    let &(_, edge) = self.neighbours(node).iter().find(|&&(m, _)| m == next)?;
+                    usable(edge).then_some((next, edge))
+                });
+            if let Some((next, edge)) = step {
+                self.path_nodes.push(next);
+                self.path_edges.push(edge);
+            } else {
+                self.stamp[node] = epoch;
+                self.path_nodes.pop();
+                self.path_edges.pop();
+            }
+        }
+        false
     }
 
     /// Assert that both endpoints of a request are nodes of the mesh.
@@ -220,6 +301,22 @@ mod tests {
         // No usable edge, no route.
         assert!(t.route(0, 8, |_| false).is_none());
         assert!(t.route(4, 4, |_| false).is_none());
+    }
+
+    #[test]
+    fn blocked_monotone_steps_backtrack_then_detour() {
+        let mut t = Topology::new(&Mesh::new(3, 3, 1));
+        let id = |t: &Topology, a, b| t.edge_id(Edge::new(a, b)).unwrap();
+        // Along the row first, then down the column.
+        assert_eq!(t.route(0, 8, |_| true).unwrap().nodes, &[0, 1, 2, 5, 8]);
+        // 2–5 blocked: the walk reaches 2, backs up to 1 and turns down
+        // there, the least monotone path left.
+        let e25 = id(&t, 2, 5);
+        assert_eq!(t.route(0, 8, |e| e != e25).unwrap().nodes, &[0, 1, 4, 5, 8]);
+        // 1–2 blocked: 0 → 2 has no monotone path, so the breadth-first
+        // search finds the least detour, which leaves rightward.
+        let e12 = id(&t, 1, 2);
+        assert_eq!(t.route(0, 2, |e| e != e12).unwrap().nodes, &[0, 1, 4, 5, 2]);
     }
 
     #[test]

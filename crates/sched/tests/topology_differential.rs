@@ -6,8 +6,10 @@
 //! pair; and its edge ids must be positions in [`Mesh::edges`].
 
 use proptest::prelude::*;
+use qla_sched::Topology;
 use qla_sched::{CommRequest, Edge, GreedyScheduler, Mesh, Node, RoutedBatch, ScheduleResult};
-use qla_sched::{EdgeId, Topology};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use std::collections::{HashMap, VecDeque};
 
 /// The greedy scheduler over hash maps: capacity table rebuilt per window,
@@ -122,14 +124,9 @@ fn hop_distance(mesh: &Mesh, a: usize, b: usize) -> usize {
     ca.abs_diff(cb) + ra.abs_diff(rb)
 }
 
-/// Naive BFS over [`Mesh::neighbours`] that runs to exhaustion and
-/// returns the discovery tree's path, or `None` when `to` is unreachable.
-fn naive_path(
-    mesh: &Mesh,
-    from: Node,
-    to: Node,
-    usable: &dyn Fn(Edge) -> bool,
-) -> Option<Vec<Node>> {
+/// Naive BFS over [`Mesh::neighbours`] from `from` that runs to
+/// exhaustion: each discovered node's predecessor (`from` its own).
+fn naive_tree(mesh: &Mesh, from: Node, usable: &dyn Fn(Edge) -> bool) -> Vec<Option<Node>> {
     let mut prev: Vec<Option<Node>> = vec![None; mesh.node_count()];
     prev[from] = Some(from);
     let mut queue = VecDeque::from([from]);
@@ -141,13 +138,133 @@ fn naive_path(
             }
         }
     }
-    prev[to]?;
+    prev
+}
+
+/// The path from the root of `tree` to `to`, or `None` when the tree does
+/// not reach it.
+fn tree_path(tree: &[Option<Node>], to: Node) -> Option<Vec<Node>> {
+    tree[to]?;
     let mut path = vec![to];
-    while *path.last().unwrap() != from {
-        path.push(prev[*path.last().unwrap()].unwrap());
+    loop {
+        let node = *path.last().unwrap();
+        let parent = tree[node].unwrap();
+        if parent == node {
+            break;
+        }
+        path.push(parent);
     }
     path.reverse();
     Some(path)
+}
+
+/// How a `from → to` route (`from ≠ to`) is found, judged from the outside.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Outcome {
+    /// A Manhattan-length path that the greedy step "horizontal toward
+    /// `to` if usable, else vertical" finds without backtracking.
+    Greedy,
+    /// A Manhattan-length path that needs backtracking to find.
+    Backtracked,
+    /// Only a path longer than the Manhattan distance.
+    Detour,
+    /// No path at all.
+    Unreachable,
+}
+
+fn outcome(
+    mesh: &Mesh,
+    from: Node,
+    to: Node,
+    usable: &dyn Fn(Edge) -> bool,
+    path: Option<&[Node]>,
+) -> Outcome {
+    let Some(path) = path else {
+        return Outcome::Unreachable;
+    };
+    if path.len() - 1 > hop_distance(mesh, from, to) {
+        return Outcome::Detour;
+    }
+    let ((tc, tr), mut node) = (mesh.coords(to), from);
+    while node != to {
+        let (c, r) = mesh.coords(node);
+        let horizontal = (c != tc).then(|| if c < tc { node + 1 } else { node - 1 });
+        let vertical = (r != tr).then(|| {
+            if r < tr {
+                node + mesh.columns()
+            } else {
+                node - mesh.columns()
+            }
+        });
+        match [horizontal, vertical]
+            .into_iter()
+            .flatten()
+            .find(|&next| usable(Edge::new(node, next)))
+        {
+            Some(next) => node = next,
+            None => return Outcome::Backtracked,
+        }
+    }
+    Outcome::Greedy
+}
+
+/// Check [`Topology::route`] against a naive exhaustive BFS tree from every
+/// `stride`-th source of `mesh` to every target, with edge id `k` usable
+/// when `usable[k]`; returns
+/// how many `from ≠ to` pairs fell under each [`Outcome`], in declaration
+/// order.
+fn check_every_pair(mesh: &Mesh, usable: &[bool], stride: usize) -> [usize; 4] {
+    let mut topology = Topology::new(mesh);
+    // The reference looks edges up by position in the mesh's own listing:
+    // each node's right edge and down edge.
+    let mut right = vec![0; mesh.node_count()];
+    let mut down = vec![0; mesh.node_count()];
+    for (id, edge) in mesh.edges().into_iter().enumerate() {
+        if mesh.coords(edge.a).1 == mesh.coords(edge.b).1 {
+            right[edge.a] = id;
+        } else {
+            down[edge.a] = id;
+        }
+    }
+    let usable_edge = |e: Edge| {
+        let horizontal = mesh.coords(e.a).1 == mesh.coords(e.b).1;
+        usable[if horizontal { right[e.a] } else { down[e.a] }]
+    };
+    let mut outcomes = [0; 4];
+    for from in (0..mesh.node_count()).step_by(stride) {
+        let tree = naive_tree(mesh, from, &usable_edge);
+        for to in 0..mesh.node_count() {
+            let route = topology.route(from, to, |id| usable[id]);
+            let route = route.map(|r| r.nodes.to_vec());
+            let expected = if from == to {
+                mesh.neighbours(from)
+                    .into_iter()
+                    .find(|&n| usable_edge(Edge::new(from, n)))
+                    .map(|n| vec![from, n])
+            } else {
+                let path = tree_path(&tree, to);
+                outcomes[outcome(mesh, from, to, &usable_edge, path.as_deref()) as usize] += 1;
+                path
+            };
+            assert_eq!(
+                route,
+                expected,
+                "{}x{} mesh, {from} -> {to}",
+                mesh.columns(),
+                mesh.rows()
+            );
+        }
+    }
+    outcomes
+}
+
+/// Usable flags for `mesh`'s edges from a seeded stream: each edge is
+/// blocked with probability `blocked_percent` %.
+fn mask(mesh: &Mesh, seed: u64, blocked_percent: u64) -> Vec<bool> {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    (0..mesh.edge_count())
+        .map(|_| rng.random_range(0..100u64) >= blocked_percent)
+        .collect()
 }
 
 /// Mesh dimensions for a shape selector: 1×1, 1×N, N×1, or general.
@@ -206,57 +323,74 @@ proptest! {
         assert_same_schedule(&mesh, max_windows, &requests);
     }
 
-    // A random set of blocked edges: the topology's search and a naive
-    // exhaustive BFS agree on reachability and on the exact path.
+    // A random set of blocked edges, each blocked with probability 0–60 %:
+    // the topology's route and a naive exhaustive BFS agree on
+    // reachability and on the exact path.
     #[test]
     fn routes_match_a_naive_bfs_under_blocked_edges(
-        shape in (0usize..4, 1usize..=5, 1usize..=5),
-        mask in 0u64..u64::MAX,
+        shape in (0usize..4, 1usize..=12, 1usize..=12),
+        blocked_percent in 0u64..=60,
+        seed in 0u64..u64::MAX,
     ) {
         let (columns, rows) = dimensions(shape.0, shape.1, shape.2);
         let mesh = Mesh::new(columns, rows, 1);
-        let mut topology = Topology::new(&mesh);
-        let edges = mesh.edges();
-        let usable = |id: EdgeId| mask >> (id % 64) & 1 == 1 || id.is_multiple_of(5);
-        let usable_edge = |e: Edge| usable(edges.iter().position(|&x| x == e).unwrap());
-        for from in 0..mesh.node_count() {
-            for to in 0..mesh.node_count() {
-                let route = topology.route(from, to, usable).map(|r| r.nodes.to_vec());
-                let expected = if from == to {
-                    mesh.neighbours(from)
-                        .into_iter()
-                        .find(|&n| usable_edge(Edge::new(from, n)))
-                        .map(|n| vec![from, n])
-                } else {
-                    naive_path(&mesh, from, to, &usable_edge)
-                };
-                prop_assert_eq!(route, expected, "{}x{} mesh, {} -> {}", columns, rows, from, to);
-            }
+        check_every_pair(&mesh, &mask(&mesh, seed, blocked_percent), 1);
+    }
+}
+
+#[test]
+fn blocked_edge_routes_cover_every_outcome() {
+    // Fixed masks over a sweep of densities reach all four ways a route can
+    // come out: a monotone path found straight away or after backtracking,
+    // a detour longer than the Manhattan distance, and no path.
+    let mesh = Mesh::new(12, 12, 1);
+    let mut outcomes = [0; 4];
+    for (seed, blocked_percent) in (0..13).map(|k| (k, 5 * k)) {
+        let counts = check_every_pair(&mesh, &mask(&mesh, seed, blocked_percent), 1);
+        for (total, count) in outcomes.iter_mut().zip(counts) {
+            *total += count;
         }
     }
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "outcome counts {outcomes:?}"
+    );
 }
 
 #[test]
 fn routes_match_a_naive_bfs_for_every_node_pair() {
     for (columns, rows) in [(1, 1), (1, 6), (6, 1), (2, 2), (3, 4), (5, 5), (7, 3)] {
         let mesh = Mesh::new(columns, rows, 1);
-        let mut topology = Topology::new(&mesh);
-        for from in 0..mesh.node_count() {
-            for to in 0..mesh.node_count() {
-                let route = topology.route(from, to, |_| true);
-                let nodes = route.map(|r| r.nodes.to_vec());
-                let expected = if from == to {
-                    mesh.neighbours(from).first().map(|&n| vec![from, n])
-                } else {
-                    naive_path(&mesh, from, to, &|_| true)
-                };
-                assert_eq!(nodes, expected, "{columns}x{rows} mesh, {from} -> {to}");
-                if let Some(nodes) = expected {
-                    assert_eq!(nodes.len() - 1, hop_distance(&mesh, from, to).max(1));
-                }
-            }
-        }
+        let outcomes = check_every_pair(&mesh, &vec![true; mesh.edge_count()], 1);
+        // With every edge usable, every route is a monotone path found
+        // without backtracking.
+        let pairs = mesh.node_count() * (mesh.node_count() - 1);
+        assert_eq!(outcomes, [pairs, 0, 0, 0], "{columns}x{rows} mesh");
     }
+}
+
+#[test]
+fn routes_on_the_factor_mesh_match_a_naive_bfs_tree() {
+    // The 59×18 mesh of the 1,024-qubit factor-128 replay with every edge
+    // usable: the simulator's and the traffic model's routes.
+    let mesh = Mesh::new(59, 18, 1);
+    let pairs = mesh.node_count() * (mesh.node_count() - 1);
+    let all = vec![true; mesh.edge_count()];
+    assert_eq!(check_every_pair(&mesh, &all, 1), [pairs, 0, 0, 0]);
+}
+
+#[test]
+fn routes_on_a_loaded_factor_mesh_match_a_naive_bfs_tree() {
+    // The same mesh with about 30 % of its edges blocked, as in a loaded
+    // scheduler window. Most long routes detour, and a detour walks the
+    // bounding box before it searches, so only every seventh source is
+    // checked (still every row and, as 7 is prime to 59, every column).
+    let mesh = Mesh::new(59, 18, 1);
+    let outcomes = check_every_pair(&mesh, &mask(&mesh, 128, 30), 7);
+    assert!(
+        outcomes.iter().all(|&n| n > 0),
+        "outcome counts {outcomes:?}"
+    );
 }
 
 #[test]

@@ -23,9 +23,11 @@
 //!   re-enter error correction and the purification pipeline restarts on
 //!   the next window. Each edge serves its segment jobs from a FIFO queue,
 //!   up to `channels_per_edge` jobs per round.
-//! * **Requests** ([`CommRequest`]) are routed over a breadth-first
-//!   shortest path at release time ([`Topology::route`] with every edge
-//!   usable, the same search the greedy scheduler runs). Producing one
+//! * **Requests** ([`CommRequest`]) are routed at release time over the
+//!   static dimension-order route — along the row, then along the column
+//!   — which is [`Topology::route`] with every edge usable: the greedy
+//!   scheduler's router, whose monotone walk then never backtracks or
+//!   falls back to a search. Producing one
 //!   end-to-end pair requires one purified *segment* pair on **every** edge
 //!   of the path (segments purify concurrently and are
 //!   entanglement-swapped together — pairs do not hop store-and-forward),

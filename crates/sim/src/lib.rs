@@ -13,7 +13,7 @@
 //! ## Architecture
 //!
 //! ```text
-//!  arrivals ──► admission ──► ancilla factory ──► route (BFS) ──► per-edge
+//!  arrivals ──► admission ──► ancilla factory ──► route (DOR) ──► per-edge
 //!  (workload)   (max_in_     (capacity slots,     one purified    FIFO +
 //!               flight,      prep = 1 window      segment pair    channels
 //!               FIFO         per logical          per path edge

@@ -12,25 +12,33 @@
 //! The engine's window-paced EPR rounds land millions of events on a few
 //! shared slot instants, so the queue keeps one FIFO bucket per distinct
 //! instant rather than one heap entry per event. The instant being drained
-//! lives in `front`; every later instant keeps its bucket in an ordered
-//! map, which a factor-128 replay never grows past a few dozen keys.
-//! Appending to a bucket preserves push order, so no per-event sequence
-//! number is needed. The one contract this buys: nothing is scheduled
-//! before the instant last popped (the engine never schedules into the
-//! past).
+//! lives in `front`; every later instant keeps its bucket in a deque sorted
+//! by instant, which a factor-128 replay never grows past a few dozen
+//! entries. A push looks at the first two pending instants, where the
+//! engine's next rounds land, before it falls back to a binary search; a
+//! new instant is inserted with [`VecDeque::insert`], which shifts the
+//! shorter side, so neither up-front ascending arrivals (appended at the
+//! back) nor near-future rounds (inserted near the front) cost a pass over
+//! the deque. Drained buckets are kept and reused. Appending to a bucket
+//! preserves push order, so no per-event sequence number is needed. The one
+//! contract this buys: nothing is scheduled before the instant last popped
+//! (the engine never schedules into the past).
 
 use crate::time::SimTime;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A deterministic future-event list.
 pub struct EventQueue<E> {
-    /// The instant last popped (`ZERO` before the first pop); every key of
-    /// `later` is after it.
+    /// The instant last popped (`ZERO` before the first pop); every instant
+    /// in `pending` is after it.
     now: SimTime,
     /// The events still due at `now`, in push order.
     front: VecDeque<E>,
-    /// The events of each later instant, in push order.
-    later: BTreeMap<SimTime, Vec<E>>,
+    /// Each later instant with its events in push order, in ascending
+    /// order of instant.
+    pending: VecDeque<(SimTime, Vec<E>)>,
+    /// Drained buckets, kept for the next new instant.
+    spare: Vec<Vec<E>>,
     len: usize,
     popped: u64,
 }
@@ -48,7 +56,8 @@ impl<E> EventQueue<E> {
         EventQueue {
             now: SimTime::ZERO,
             front: VecDeque::new(),
-            later: BTreeMap::new(),
+            pending: VecDeque::new(),
+            spare: Vec::new(),
             len: 0,
             popped: 0,
         }
@@ -68,7 +77,21 @@ impl<E> EventQueue<E> {
                 time.nanos(),
                 self.now.nanos()
             );
-            self.later.entry(time).or_default().push(event);
+            let index = if self.pending.front().is_none_or(|&(t, _)| time <= t) {
+                0
+            } else if self.pending.get(1).is_none_or(|&(t, _)| time <= t) {
+                1
+            } else {
+                self.pending.partition_point(|&(t, _)| t < time)
+            };
+            match self.pending.get_mut(index) {
+                Some((t, bucket)) if *t == time => bucket.push(event),
+                _ => {
+                    let mut bucket = self.spare.pop().unwrap_or_default();
+                    bucket.push(event);
+                    self.pending.insert(index, (time, bucket));
+                }
+            }
         }
         self.len += 1;
     }
@@ -76,9 +99,11 @@ impl<E> EventQueue<E> {
     /// The earliest scheduled event, or `None` when the simulation is over.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         if self.front.is_empty() {
-            let (time, bucket) = self.later.pop_first()?;
+            let (time, bucket) = self.pending.pop_front()?;
             self.now = time;
-            self.front = VecDeque::from(bucket);
+            // Both conversions keep the buffer: O(1), no allocation.
+            let drained = std::mem::replace(&mut self.front, VecDeque::from(bucket));
+            self.spare.push(Vec::from(drained));
         }
         let event = self.front.pop_front()?;
         self.len -= 1;
@@ -110,6 +135,7 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -164,6 +190,26 @@ mod tests {
         q.push(t(4), ());
     }
 
+    #[test]
+    fn drained_buckets_are_reused() {
+        let mut q = EventQueue::new();
+        for round in 0..3u64 {
+            for k in 0..100 {
+                q.push(t(1_000 * round + 10 * k + 1), k);
+            }
+            // After the first round, every new instant takes a drained
+            // bucket instead of allocating one.
+            assert_eq!(q.pending.len(), 100);
+            assert!(q.spare.is_empty());
+            for k in 0..100 {
+                assert_eq!(q.pop(), Some((t(1_000 * round + 10 * k + 1), k)));
+            }
+            assert!(q.pending.is_empty());
+            assert_eq!(q.spare.len(), 100);
+        }
+        assert!(q.spare.iter().all(|b| b.is_empty() && b.capacity() > 0));
+    }
+
     proptest! {
         #[test]
         fn pops_match_a_reference_sorted_by_time_then_push_index(
@@ -173,34 +219,67 @@ mod tests {
             // Arrivals first, in any order; then pops (kind 0) interleaved
             // with pushes at most 3 ns after the instant being drained,
             // often exactly at it.
-            let mut q = EventQueue::new();
-            let mut model: Vec<(u64, usize)> = Vec::new();
-            for (index, &time) in initial.iter().enumerate() {
-                q.push(t(time), index);
-                model.push((time, index));
-            }
-            let mut next = initial.len();
-            let mut now = 0;
-            let mut popped = 0;
-            let drain = std::iter::repeat_n((0, 0), initial.len() + ops.len());
-            for (kind, dt) in ops.into_iter().chain(drain) {
-                if kind == 0 {
-                    let first = model.iter().copied().min();
-                    if let Some(entry) = first {
-                        model.retain(|&m| m != entry);
-                        now = entry.0;
-                        popped += 1;
-                    }
-                    prop_assert_eq!(q.pop(), first.map(|(time, index)| (t(time), index)));
-                } else {
-                    q.push(t(now + dt), next);
-                    model.push((now + dt, next));
-                    next += 1;
-                }
-                prop_assert_eq!(q.len(), model.len());
-                prop_assert_eq!(q.processed(), popped);
-            }
-            prop_assert!(q.is_empty());
+            let ops = ops.into_iter().map(|(kind, dt)| (kind.min(1), dt)).collect();
+            check_against_reference(&initial, ops);
         }
+
+        #[test]
+        fn pops_match_a_reference_across_hundreds_of_instants(
+            arrivals in (0usize..400, 1u64..40),
+            ops in prop::collection::vec((0u8..3, 0u64..4_000), 0..1_500),
+        ) {
+            // Hundreds of ascending arrivals pushed up front, some instants
+            // twice; then pops interleaved with pushes that land just after
+            // the instant being drained (before every pending instant) or
+            // anywhere up to 4 µs later (between and after pending
+            // instants, or on one of them), with pops enough to drain and
+            // refill the buckets many times over.
+            let (count, spacing) = arrivals;
+            let arrivals: Vec<u64> = (0..count as u64)
+                .flat_map(|k| std::iter::repeat_n(k * spacing, 1 + usize::from(k % 7 == 3)))
+                .collect();
+            let ops = ops
+                .into_iter()
+                .map(|(kind, dt)| match kind {
+                    0 => (0, 0),
+                    1 => (1, dt % 3),
+                    _ => (1, dt),
+                })
+                .collect();
+            check_against_reference(&arrivals, ops);
+        }
+    }
+
+    /// Push every arrival, then run `ops` — `(0, _)` pops, `(1, dt)` pushes
+    /// `dt` after the instant last popped — then drain, checking every pop
+    /// against a reference sorted by `(time, push index)`.
+    fn check_against_reference(arrivals: &[u64], ops: Vec<(u8, u64)>) {
+        let mut q = EventQueue::new();
+        let mut model: BTreeSet<(u64, usize)> = BTreeSet::new();
+        for (index, &time) in arrivals.iter().enumerate() {
+            q.push(t(time), index);
+            model.insert((time, index));
+        }
+        let mut next = arrivals.len();
+        let mut now = 0;
+        let mut popped = 0;
+        let drain = std::iter::repeat_n((0, 0), arrivals.len() + ops.len());
+        for (kind, dt) in ops.into_iter().chain(drain) {
+            if kind == 0 {
+                let first = model.pop_first();
+                if let Some((time, _)) = first {
+                    now = time;
+                    popped += 1;
+                }
+                assert_eq!(q.pop(), first.map(|(time, index)| (t(time), index)));
+            } else {
+                q.push(t(now + dt), next);
+                model.insert((now + dt, next));
+                next += 1;
+            }
+            assert_eq!(q.len(), model.len());
+            assert_eq!(q.processed(), popped);
+        }
+        assert!(q.is_empty());
     }
 }
