@@ -6,15 +6,17 @@
 //! that dominates Shor-128 (512 Toffolis across 777 qubits) — and proves
 //! the `--trace` CLI path replays it deterministically and byte for byte:
 //! the JSON report under the 1,024-qubit spec is pinned as
-//! `golden/factor128-replay.json`. The fixtures regenerate with the usual
-//! flow:
+//! `golden/factor128-replay.json`; the discrete-event replay behind it is
+//! pinned at its event count. The fixtures regenerate with the usual flow:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test -p qla-bench --test factor128_trace
 //! ```
 
 use qla_bench::cli::{self, CliArgs};
+use qla_bench::experiments::sim_support::{machine_mesh, sim_config};
 use qla_report::{Format, Report, Value};
+use qla_trace::{schedule_trace, trace_work_items, Placement, Trace, TraceTraffic};
 use std::path::PathBuf;
 
 /// The committed factor-128-scale trace next to this test.
@@ -54,14 +56,40 @@ fn the_committed_trace_is_the_canonical_128_bit_adder() {
     assert_eq!(parsed.render(), FIXTURE);
 }
 
-#[test]
-fn the_committed_trace_replays_through_the_cli_at_any_job_count() {
-    // The 777-qubit adder does not fit the 400-qubit default profile, so
-    // the replay runs under a factor-128-sized scenario spec — exercising
-    // the same `--spec` path a user would take for this workload.
+/// The replay's scenario: the 777-qubit adder does not fit the 400-qubit
+/// default profile, so it runs under `expected` with 1,024 logical qubits.
+fn factor128_spec() -> qla_core::MachineSpec {
     let mut spec = qla_core::MachineSpec::expected();
     spec.name = "factor128".to_string();
     spec.logical_qubits = 1024;
+    spec
+}
+
+#[test]
+fn the_replay_processes_every_pinned_event() {
+    // The replay stage by stage: lower the parsed trace onto the mesh,
+    // plan it, and run the discrete-event sim over the planned work items.
+    // Every event counts, so a change to the event loop that drops, adds
+    // or merges one shows here.
+    let spec = factor128_spec();
+    let machine = spec.machine().expect("the factor-128 spec builds");
+    let mesh = machine_mesh(&machine);
+    let cfg = sim_config(&machine, &spec.sweep.sim, None);
+    let trace = Trace::parse(FIXTURE).expect("committed trace parses");
+    let placement = Placement::spread(&mesh, &trace);
+    let traffic = TraceTraffic::lower(&trace, &mesh, &placement);
+    let plan = schedule_trace(&traffic, &mesh);
+    let items = trace_work_items(&traffic, &plan, cfg.window);
+    let outcome = qla_sim::simulate(&mesh, &cfg, &items);
+    assert_eq!(outcome.events, 3_128_514);
+    assert_eq!(outcome.windows_used(cfg.window), 270);
+}
+
+#[test]
+fn the_committed_trace_replays_through_the_cli_at_any_job_count() {
+    // The replay runs under the factor-128-sized scenario spec, through
+    // the same `--spec` path a user would take for this workload.
+    let spec = factor128_spec();
     let dir = std::env::temp_dir().join("qla-factor128-trace-test");
     std::fs::create_dir_all(&dir).expect("temp dir");
     let spec_path = dir.join("factor128.spec");

@@ -22,9 +22,11 @@ use qla_obs::{EventLog, ObsConfig};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// Sets the shared poison flag if its worker unwinds, so the other workers
-/// stop pulling new indices instead of draining a queue whose results will
-/// be thrown away by the propagated panic.
+/// Sets the shared poison flag when its worker's unwind reaches it, so the
+/// other workers stop pulling new indices instead of draining a queue whose
+/// results will be thrown away by the propagated panic. The unwind starts
+/// only after the panic hook returns, and a hook that prints a backtrace
+/// can take milliseconds: until then the other workers keep pulling.
 struct PoisonOnPanic<'a>(&'a AtomicBool);
 
 impl Drop for PoisonOnPanic<'_> {
@@ -81,9 +83,13 @@ impl Executor {
     ///
     /// # Panics
     /// Propagates the first observed worker panic. The panic poisons the
-    /// queue: remaining workers finish the item they are on but pull no
-    /// further items, so unevaluated items (and any side effects of `f`
-    /// on them) are abandoned before the panic is resumed on the caller.
+    /// queue once its unwind leaves the panicking worker's item: from then
+    /// on the remaining workers finish the item they are on but pull no
+    /// further items, so unevaluated items (and any side effects of `f` on
+    /// them) are abandoned before the panic is resumed on the caller. The
+    /// unwind starts only after the panic hook returns; until then the
+    /// other workers keep pulling, and a slow hook (a backtrace under
+    /// `RUST_BACKTRACE=1`) can let them drain the whole queue.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
@@ -134,7 +140,8 @@ impl Executor {
     /// out.
     ///
     /// # Panics
-    /// Propagates the first observed worker panic.
+    /// Propagates the first observed worker panic, which poisons the queue
+    /// only once it unwinds, as [`Executor::map`] describes.
     pub fn map_indices<R, F>(&self, len: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -155,9 +162,9 @@ impl Executor {
                     scope.spawn(|| {
                         let guard = PoisonOnPanic(&poisoned);
                         let mut local: Vec<(usize, R)> = Vec::new();
-                        // Stop pulling once any worker has panicked: the
-                        // panic will be propagated to the caller and every
-                        // further result discarded anyway.
+                        // Stop pulling once any worker's panic has unwound
+                        // to its guard: the panic will be propagated to the
+                        // caller and every further result discarded anyway.
                         while !poisoned.load(Ordering::Relaxed) {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             if i >= len {
@@ -275,7 +282,8 @@ mod tests {
         // a backtrace under RUST_BACKTRACE=1). So every other item holds its
         // worker until the panic has unwound out of the panicking item, then
         // spins 50 µs more: each worker finishes the item it is on and,
-        // with the flag set, pulls no further items.
+        // with the flag set, pulls no further items. Without that hold the
+        // others would keep pulling while the hook runs, as `map` documents.
         struct SetOnDrop<'a>(&'a AtomicBool);
         impl Drop for SetOnDrop<'_> {
             fn drop(&mut self) {

@@ -32,6 +32,17 @@
 //! Monte-Carlo trial walks the generator through that list, and only a trial
 //! that hits is run, resumed at the hit. The generator makes the draws of
 //! direct simulation in the same order, so the result is the same.
+//!
+//! Each `FaultSource` gets one call-free trial body: the source's `fault`
+//! and `draw`, `inject`, `depolarize_pair`, `noisy_ancilla_prep` and
+//! `verified_ancilla_prep` are `#[inline(always)]` (`fault_kind` and
+//! `depolarize` inline without being asked). The all-miss path asks 88
+//! locations and near threshold nearly all of them miss, so a call per
+//! location costs more than the draw it wraps; left to the compiler, some
+//! link of the chain stays out of line whichever others are marked (a
+//! plain `#[inline]` keeps three of them out). The resumed trial itself is
+//! one out-of-line `logical_trial`, which keeps the keystream walk around
+//! it small.
 
 use crate::executor::Executor;
 use qla_qec::{steane_code, CodeMasks};
@@ -270,6 +281,7 @@ trait FaultSource {
 
     /// [`Self::draw`] for any `p`: a `p = 0` location never fails, and it
     /// neither draws nor counts as a location.
+    #[inline(always)]
     fn fault(&mut self, p: f64, kinds: u8) -> u8 {
         if p > 0.0 {
             self.draw(p, kinds)
@@ -292,6 +304,7 @@ fn fault_kind(rng: &mut ChaCha8Rng, kinds: u8) -> u8 {
 /// Direct simulation: one uniform draw per location, and one more for the
 /// fault kind when it fires.
 impl FaultSource for ChaCha8Rng {
+    #[inline(always)]
     fn draw(&mut self, p: f64, kinds: u8) -> u8 {
         if self.random::<f64>() < p {
             fault_kind(self, kinds)
@@ -322,6 +335,7 @@ struct Resumed<'a> {
 }
 
 impl FaultSource for Resumed<'_> {
+    #[inline(always)]
     fn draw(&mut self, p: f64, kinds: u8) -> u8 {
         match self.misses_before_hit {
             None => self.rng.draw(p, kinds),
@@ -339,6 +353,7 @@ impl FaultSource for Resumed<'_> {
 
 /// Inject the Pauli with code `code` (0 = none, 1 = X, 2 = Y, 3 = Z) on
 /// qubit `q`.
+#[inline(always)]
 fn inject(frame: &mut PauliFrame, q: usize, code: u8) {
     match code {
         1 => frame.inject_x(q),
@@ -355,6 +370,7 @@ fn depolarize(frame: &mut PauliFrame, q: usize, p: f64, faults: &mut impl FaultS
 
 /// Inject a two-qubit depolarising fault after a CNOT; the first qubit's
 /// [`inject`] code is the high base-4 digit.
+#[inline(always)]
 fn depolarize_pair(
     frame: &mut PauliFrame,
     a: usize,
@@ -372,6 +388,7 @@ fn depolarize_pair(
 /// correlated errors a single encoder fault produces, itself failing with
 /// probability `p`) triggers a re-preparation when the ancilla carries a
 /// multi-qubit error in the basis that would propagate onto the data block.
+#[inline(always)]
 fn verified_ancilla_prep(
     frame: &mut PauliFrame,
     p: f64,
@@ -406,6 +423,7 @@ fn verified_ancilla_prep(
 /// draw sequence are both identical to the fully interleaved circuit. The
 /// nine fan-out CNOTs *share* pivot qubits, so a fault on a pivot propagates
 /// through the later CNOTs — they stay interleaved with their draws.
+#[inline(always)]
 fn noisy_ancilla_prep(frame: &mut PauliFrame, p: f64, plus: bool, faults: &mut impl FaultSource) {
     // Reset the ancilla block.
     frame.prep_mask(&[ANCILLA_MASK]);

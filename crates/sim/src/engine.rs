@@ -54,6 +54,14 @@
 //! than it, and the event queue, which pops earlier instants first and
 //! the events of one instant in push order, therefore pops it first.
 //!
+//! The per-event path compiles into one function, [`simulate_observed`]:
+//! the event loop of `run`, with the queue's `pop` and `push`, the round
+//! handlers and what they call (`channels_at`, `account_channels`,
+//! `clipped`, `complete_request`) inlined into it. `schedule_round` is
+//! `#[inline(always)]`: it has two callers, and once `push` is inlined the
+//! compiler keeps it out of line. The per-item steps (admission, release,
+//! ancilla preparation, item completion) stay calls.
+//!
 //! In the uncontended limit this collapses to the closed-form
 //! [`SimConfig::uncontended_completion`] — exactly, not approximately,
 //! which is what the `sim-vs-analytic` cross-validation and the property
@@ -831,6 +839,7 @@ impl Simulator<'_> {
         self.route = route;
     }
 
+    #[inline(always)]
     fn schedule_round(&mut self, edge: usize, now: SimTime) {
         let e = &mut self.edges[edge];
         if e.round_pending || e.queue.is_empty() {
