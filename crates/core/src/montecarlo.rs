@@ -26,6 +26,10 @@
 //! The crossing point of the two curves is the empirical threshold; the paper
 //! measures (2.1 ± 1.8) × 10⁻³.
 //!
+//! The ancilla encoder is qla-qec's `encode_zero_circuit` or
+//! `encode_plus_circuit` on the ancilla block, with a fault location after
+//! every gate, derived from the same `qla_qec::STEANE_SUPPORTS` table.
+//!
 //! The trial is written once, against a private `FaultSource` that answers
 //! "which fault fires at the next location". Run once per rate with every
 //! location missing, it records the all-miss path's draw thresholds. Each
@@ -45,7 +49,7 @@
 //! it small.
 
 use crate::executor::Executor;
-use qla_qec::{steane_code, CodeMasks};
+use qla_qec::{steane_code, CodeMasks, STEANE_SUPPORTS};
 use qla_stabilizer::{CliffordGate, PauliFrame};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -60,8 +64,27 @@ const ANCILLA_OFFSET: usize = 7;
 const BLOCK: usize = 7;
 /// The ancilla block as a frame word mask.
 const ANCILLA_MASK: u64 = 0x7F << ANCILLA_OFFSET;
-/// The encoder's pivot qubits (10, 8, 7) as a frame word mask.
-const PIVOT_MASK: u64 = (1 << 10) | (1 << 8) | (1 << 7);
+/// The encoder's pivots on the ancilla block: the first qubit of each
+/// [`STEANE_SUPPORTS`] row, in `qla_qec::encode_zero_circuit`'s order.
+const PIVOTS: [usize; 3] = {
+    let [[a, ..], [b, ..], [c, ..]] = STEANE_SUPPORTS;
+    [ANCILLA_OFFSET + a, ANCILLA_OFFSET + b, ANCILLA_OFFSET + c]
+};
+/// The encoder's fan-out CNOTs on the ancilla block, each pivot to the rest
+/// of its row, in `qla_qec::encode_zero_circuit`'s order.
+const FAN_OUT: [(usize, usize); 9] = {
+    let mut cnots = [(0, 0); 9];
+    let mut k = 0;
+    while k < 9 {
+        let support = STEANE_SUPPORTS[k / 3];
+        cnots[k] = (
+            ANCILLA_OFFSET + support[0],
+            ANCILLA_OFFSET + support[1 + k % 3],
+        );
+        k += 1;
+    }
+    cnots
+};
 
 /// Configuration of the threshold experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -129,34 +152,10 @@ impl ThresholdExperiment {
         failures as f64 / self.trials as f64
     }
 
-    /// Sweep the component failure rate through an [`Executor`], producing
-    /// the two curves of Figure 7: [`Self::sweep_and_threshold`] with no
-    /// threshold scan.
-    #[must_use]
-    pub fn sweep(&self, physical_rates: &[f64], executor: &Executor) -> Vec<ThresholdPoint> {
-        let level1 = |p| self.level1_failure_rate(p);
-        work_list(level1, physical_rates, &[], executor).0
-    }
-
-    /// Estimate the pseudo-threshold: the component rate at which the level-1
-    /// logical rate equals the physical rate (the crossing point of Figure 7).
-    /// Returns the bracketing estimate from a geometric scan of `points`
-    /// rates over `[lo, hi]`: [`Self::sweep_and_threshold`] with no sweep.
-    #[must_use]
-    pub fn estimate_threshold(
-        &self,
-        lo: f64,
-        hi: f64,
-        points: usize,
-        executor: &Executor,
-    ) -> Option<f64> {
-        let level1 = |p| self.level1_failure_rate(p);
-        work_list(level1, &[], &scan_rates(lo, hi, points), executor).1
-    }
-
     /// Figure 7 as one work list through one [`Executor`] map: the sweep
     /// of `physical_rates` (a level-1 call, then its level-2 call, per rate)
     /// and the threshold scan of `points` geometric rates over `[lo, hi]`.
+    /// No rates give the scan alone, and `points = 0` the sweep alone.
     ///
     /// The sweep goes first, highest (costliest) rate first, so the longest
     /// items do not form the tail; the points come back in `physical_rates`
@@ -413,16 +412,19 @@ fn verified_ancilla_prep(
 }
 
 /// The noisy Steane encoding circuit applied to the ancilla block
-/// (qubits 7..14 of the frame), for |0⟩_L (`plus = false`) or |+⟩_L
-/// (`plus = true`).
+/// (qubits 7..14 of the frame): a PrepZ per qubit, then
+/// `qla_qec::encode_zero_circuit` for |0⟩_L (`plus = false`) or
+/// `encode_plus_circuit` for |+⟩_L (`plus = true`), offset by 7, each gate
+/// followed by its fault location.
 ///
 /// Gate layers whose per-qubit operations touch disjoint qubits (the PrepZ
 /// fan, the Hadamard fans) are applied as one bulk mask operation before
 /// their per-qubit noise draws: a fault injected on qubit `a` commutes with a
 /// later one-qubit gate on qubit `b ≠ a`, so the final frame and the RNG
-/// draw sequence are both identical to the fully interleaved circuit. The
-/// nine fan-out CNOTs *share* pivot qubits, so a fault on a pivot propagates
-/// through the later CNOTs — they stay interleaved with their draws.
+/// draw sequence are both identical to the fully interleaved circuit (a
+/// test walks qla-qec's circuits gate by gate to check it). The nine fan-out
+/// CNOTs *share* pivot qubits, so a fault on a pivot propagates through the
+/// later CNOTs — they stay interleaved with their draws.
 #[inline(always)]
 fn noisy_ancilla_prep(frame: &mut PauliFrame, p: f64, plus: bool, faults: &mut impl FaultSource) {
     // Reset the ancilla block.
@@ -430,24 +432,11 @@ fn noisy_ancilla_prep(frame: &mut PauliFrame, p: f64, plus: bool, faults: &mut i
     for q in ANCILLA_OFFSET..ANCILLA_OFFSET + BLOCK {
         depolarize(frame, q, p, faults);
     }
-    // Pivot Hadamards; the draws follow the seed order 10, 8, 7.
-    frame.h_mask(&[PIVOT_MASK]);
-    for q in [10, 8, 7] {
+    frame.h_mask(&[(1 << PIVOTS[0]) | (1 << PIVOTS[1]) | (1 << PIVOTS[2])]);
+    for q in PIVOTS {
         depolarize(frame, q, p, faults);
     }
-    // Stabilizer fan-out CNOTs (pivot -> support), offset by 7.
-    let cnots = [
-        (10, 11),
-        (10, 12),
-        (10, 13),
-        (8, 9),
-        (8, 12),
-        (8, 13),
-        (7, 9),
-        (7, 11),
-        (7, 13),
-    ];
-    for (c, t) in cnots {
+    for (c, t) in FAN_OUT {
         frame.apply(CliffordGate::Cnot(c, t));
         depolarize_pair(frame, c, t, p, faults);
     }
@@ -530,6 +519,8 @@ fn logical_trial(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qla_circuit::{Circuit, Gate};
+    use qla_qec::{encode_plus_circuit, encode_zero_circuit};
     use std::sync::Condvar;
 
     fn quick() -> ThresholdExperiment {
@@ -691,7 +682,8 @@ mod tests {
             ..quick()
         };
         let pth = e
-            .estimate_threshold(2e-4, 3e-2, 10, &Executor::SEQUENTIAL)
+            .sweep_and_threshold(&[], 2e-4, 3e-2, 10, &Executor::SEQUENTIAL)
+            .1
             .expect("threshold crossing must exist");
         assert!(
             pth > 2e-4 && pth < 3e-2,
@@ -705,7 +697,8 @@ mod tests {
             trials: 1000,
             ..quick()
         };
-        let points = e.sweep(&[1e-3, 2e-3], &Executor::SEQUENTIAL);
+        let (points, _) =
+            e.sweep_and_threshold(&[1e-3, 2e-3], 2e-4, 3e-2, 0, &Executor::SEQUENTIAL);
         assert_eq!(points.len(), 2);
         assert!(points[0].physical_rate < points[1].physical_rate);
     }
@@ -714,20 +707,6 @@ mod tests {
     fn results_are_reproducible_for_a_fixed_seed() {
         let e = quick();
         assert_eq!(e.level1_failure_rate(2e-3), e.level1_failure_rate(2e-3));
-    }
-
-    #[test]
-    fn parallel_sweep_is_identical_to_sequential_for_every_thread_count() {
-        let e = ThresholdExperiment {
-            trials: 1500,
-            ..quick()
-        };
-        let rates = [5e-4, 1e-3, 2e-3, 4e-3, 8e-3];
-        let sequential = e.sweep(&rates, &Executor::SEQUENTIAL);
-        for jobs in [1usize, 2, 8] {
-            let parallel = e.sweep(&rates, &Executor::from_jobs(jobs));
-            assert_eq!(parallel, sequential, "{jobs} jobs");
-        }
     }
 
     /// The lazy scan against a stub evaluator that counts its calls. Scan
@@ -813,8 +792,62 @@ mod tests {
         assert_eq!(first_crossing(&[]), None);
     }
 
-    /// The sweep and the scan through one work list give the same report
-    /// as the sweep alone and the scan alone, at every job count.
+    /// The sweep as a plain sequential loop of `level1_failure_rate`: per
+    /// rate its level-1 rate, then level 2 of that rate.
+    fn sequential_sweep(e: &ThresholdExperiment, rates: &[f64]) -> Vec<ThresholdPoint> {
+        rates
+            .iter()
+            .map(|&p| {
+                let level1_rate = e.level1_failure_rate(p);
+                let level2_rate = if level1_rate == 0.0 {
+                    0.0
+                } else {
+                    e.level1_failure_rate(level1_rate)
+                };
+                ThresholdPoint {
+                    physical_rate: p,
+                    level1_rate,
+                    level2_rate,
+                }
+            })
+            .collect()
+    }
+
+    /// The threshold scan as a plain sequential loop of
+    /// `level1_failure_rate`: the ratios in ascending rate order, stopping
+    /// at the first crossing.
+    fn sequential_scan(e: &ThresholdExperiment, lo: f64, hi: f64, points: u32) -> Option<f64> {
+        let scan: Vec<f64> = (0..points)
+            .map(|i| lo * (hi / lo).powf(f64::from(i) / f64::from(points - 1)))
+            .collect();
+        let mut previous_ratio = f64::INFINITY;
+        for (i, &p) in scan.iter().enumerate() {
+            let ratio = e.level1_failure_rate(p) / p;
+            if previous_ratio < 1.0 && ratio >= 1.0 {
+                return Some((scan[i - 1] * p).sqrt());
+            }
+            previous_ratio = ratio;
+        }
+        None
+    }
+
+    /// The sweep alone (`points = 0`) against the sequential loop.
+    #[test]
+    fn parallel_sweep_is_identical_to_sequential_for_every_thread_count() {
+        let e = ThresholdExperiment {
+            trials: 1500,
+            ..quick()
+        };
+        let rates = [5e-4, 1e-3, 2e-3, 4e-3, 8e-3];
+        let sequential = sequential_sweep(&e, &rates);
+        for jobs in [1usize, 2, 8] {
+            let got = e.sweep_and_threshold(&rates, 2e-4, 3e-2, 0, &Executor::from_jobs(jobs));
+            assert_eq!(got, (sequential.clone(), None), "{jobs} jobs");
+        }
+    }
+
+    /// The one work list, sweep and scan together, against the sequential
+    /// sweep and the sequential early-exiting scan, at every job count.
     #[test]
     fn one_work_list_matches_the_separate_sweep_and_scan() {
         let e = ThresholdExperiment {
@@ -822,29 +855,104 @@ mod tests {
             ..quick()
         };
         let rates = [5e-4, 1.6e-2, 2e-3, 8e-3];
-        let expected = (
-            e.sweep(&rates, &Executor::SEQUENTIAL),
-            e.estimate_threshold(2e-4, 3e-2, 10, &Executor::SEQUENTIAL),
-        );
-        for jobs in [1usize, 2, 3] {
+        let threshold = sequential_scan(&e, 2e-4, 3e-2, 10);
+        assert!(threshold.is_some(), "the scan must cross for this check");
+        let expected = (sequential_sweep(&e, &rates), threshold);
+        for jobs in [1usize, 2, 3, 8] {
             let got = e.sweep_and_threshold(&rates, 2e-4, 3e-2, 10, &Executor::from_jobs(jobs));
             assert_eq!(got, expected, "{jobs} jobs");
         }
     }
 
+    /// The scan alone (no rates) against the sequential early-exiting scan.
     #[test]
     fn parallel_threshold_estimate_matches_the_early_exiting_scan() {
         let e = ThresholdExperiment {
             trials: 3000,
             ..quick()
         };
-        let sequential = e.estimate_threshold(2e-4, 3e-2, 10, &Executor::SEQUENTIAL);
-        for jobs in [2usize, 8] {
+        let sequential = sequential_scan(&e, 2e-4, 3e-2, 10);
+        assert!(sequential.is_some(), "the scan must cross for this check");
+        for jobs in [1usize, 2, 8] {
             assert_eq!(
-                e.estimate_threshold(2e-4, 3e-2, 10, &Executor::from_jobs(jobs)),
-                sequential,
+                e.sweep_and_threshold(&[], 2e-4, 3e-2, 10, &Executor::from_jobs(jobs)),
+                (Vec::new(), sequential),
                 "{jobs} jobs"
             );
+        }
+    }
+
+    /// The trial's encoder, with its PrepZ and Hadamard fans hoisted ahead
+    /// of their draws, against qla-qec's circuits walked gate by gate with
+    /// each fault injected right after its gate: every single fault of
+    /// every kind at every location leaves the same frame. The frame starts
+    /// with a data error the preparation must keep and an ancilla error it
+    /// must clear.
+    #[test]
+    fn the_trial_encoder_matches_qla_qecs_circuits_under_every_single_fault() {
+        let seeded = || {
+            let mut frame = PauliFrame::new(2 * BLOCK);
+            frame.inject_y(2);
+            frame.inject_x(ANCILLA_OFFSET + 2);
+            frame
+        };
+        for plus in [false, true] {
+            let mut circuit = Circuit::new(2 * BLOCK);
+            let encoder = if plus {
+                encode_plus_circuit()
+            } else {
+                encode_zero_circuit()
+            };
+            circuit.append_offset(&encoder, ANCILLA_OFFSET);
+            let locations = BLOCK + circuit.len();
+            for at in 0..locations {
+                for kind in 1..=15 {
+                    let mut frame = seeded();
+                    let mut source = Injected {
+                        faults: &[(at, kind)],
+                        location: 0,
+                        fired: 0,
+                    };
+                    noisy_ancilla_prep(&mut frame, 1e-3, plus, &mut source);
+                    assert_eq!(source.location, locations, "plus = {plus}");
+
+                    let mut reference = seeded();
+                    let (mut location, mut fired) = (0, 0);
+                    let mut fault = |kinds: u8| {
+                        let fires = location == at && kind <= kinds;
+                        location += 1;
+                        fired += usize::from(fires);
+                        if fires {
+                            kind
+                        } else {
+                            0
+                        }
+                    };
+                    for q in ANCILLA_OFFSET..ANCILLA_OFFSET + BLOCK {
+                        reference.apply(CliffordGate::PrepZ(q));
+                        inject(&mut reference, q, fault(3));
+                    }
+                    for &gate in circuit.gates() {
+                        match gate {
+                            Gate::H(q) => {
+                                reference.apply(CliffordGate::H(q));
+                                inject(&mut reference, q, fault(3));
+                            }
+                            Gate::Cnot(c, t) => {
+                                reference.apply(CliffordGate::Cnot(c, t));
+                                let code = fault(15);
+                                inject(&mut reference, c, code / 4);
+                                inject(&mut reference, t, code % 4);
+                            }
+                            other => panic!("unexpected encoder gate {other}"),
+                        }
+                    }
+                    let case = format!("plus = {plus}, kind {kind} at location {at}");
+                    assert_eq!(source.fired, fired, "{case}");
+                    assert!(kind > 1 || fired == 1, "{case}: did not fire");
+                    assert_eq!(frame, reference, "{case}");
+                }
+            }
         }
     }
 }

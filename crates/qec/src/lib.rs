@@ -42,6 +42,6 @@ pub use arq::{run_clifford, NonCliffordGate};
 pub use code::{CodeMasks, CssCode};
 pub use latency::{EccLatencies, EccLatencyModel, ScheduleShape};
 pub use recursion::ConcatenatedSteane;
-pub use steane::{encode_plus_circuit, encode_zero_circuit, steane_code};
+pub use steane::{encode_plus_circuit, encode_zero_circuit, steane_code, STEANE_SUPPORTS};
 pub use syndrome::ErrorType;
 pub use threshold::{ThresholdAnalysis, EMPIRICAL_THRESHOLD, THEORETICAL_THRESHOLD};

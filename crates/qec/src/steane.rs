@@ -9,19 +9,18 @@
 use crate::code::CssCode;
 use qla_circuit::Circuit;
 
-/// Construct the Steane \[\[7,1,3\]\] code.
-///
-/// The X and Z stabilizers share the same supports (the code is self-dual),
-/// given by the rows of the \[7,4,3\] Hamming parity-check matrix:
-///
-/// ```text
-/// S1 : qubits {3,4,5,6}
-/// S2 : qubits {1,2,5,6}
-/// S3 : qubits {0,2,4,6}
-/// ```
+/// The supports of the Steane code's three stabilizers, rows of the
+/// \[7,4,3\] Hamming parity-check matrix. The code is self-dual, so each
+/// support carries both an X and a Z stabilizer. The first qubit of each row
+/// is its pivot in the encoder: [`encode_zero_circuit`] puts it into `|+⟩`
+/// and fans it out to the rest of the row.
+pub const STEANE_SUPPORTS: [[usize; 4]; 3] = [[3, 4, 5, 6], [1, 2, 5, 6], [0, 2, 4, 6]];
+
+/// Construct the Steane \[\[7,1,3\]\] code, with the X and Z stabilizers
+/// both on [`STEANE_SUPPORTS`].
 #[must_use]
 pub fn steane_code() -> CssCode {
-    let supports = vec![vec![3, 4, 5, 6], vec![1, 2, 5, 6], vec![0, 2, 4, 6]];
+    let supports: Vec<Vec<usize>> = STEANE_SUPPORTS.iter().map(|s| s.to_vec()).collect();
     CssCode {
         name: "Steane [[7,1,3]]".to_string(),
         physical_qubits: 7,
@@ -37,19 +36,21 @@ pub fn steane_code() -> CssCode {
 /// The circuit preparing `|0⟩_L` of the Steane code on qubits `0..7` of a
 /// fresh (all-`|0⟩`) register.
 ///
-/// Pivot qubits 3, 1, 0 are put into `|+⟩` and fanned out into the three X
-/// stabilizers; the result is exactly the logical zero state (verified
-/// against the stabilizer simulator in the tests).
+/// The pivots of [`STEANE_SUPPORTS`] (qubits 3, 1, 0) are put into `|+⟩`,
+/// then each is fanned out into its X stabilizer; the result is exactly the
+/// logical zero state (verified against the stabilizer simulator in the
+/// tests).
 #[must_use]
 pub fn encode_zero_circuit() -> Circuit {
     let mut c = Circuit::new(7);
-    c.h(3).h(1).h(0);
-    // Fan out stabilizer S1 = X{3,4,5,6} from pivot 3.
-    c.cnot(3, 4).cnot(3, 5).cnot(3, 6);
-    // Fan out stabilizer S2 = X{1,2,5,6} from pivot 1.
-    c.cnot(1, 2).cnot(1, 5).cnot(1, 6);
-    // Fan out stabilizer S3 = X{0,2,4,6} from pivot 0.
-    c.cnot(0, 2).cnot(0, 4).cnot(0, 6);
+    for [pivot, ..] in STEANE_SUPPORTS {
+        c.h(pivot);
+    }
+    for [pivot, rest @ ..] in STEANE_SUPPORTS {
+        for target in rest {
+            c.cnot(pivot, target);
+        }
+    }
     c
 }
 

@@ -103,9 +103,8 @@ pub struct SimConfig {
     pub ancilla_capacity: usize,
     /// Wall-clock time to prepare one logical ancilla block.
     pub ancilla_prep: SimTime,
-    /// Optional measurement interval `[from, to)`: busy time is additionally
-    /// accumulated clipped to it, so utilisation can exclude warm-up and
-    /// drain phases.
+    /// Optional measurement interval `[from, to)`: busy time is accumulated
+    /// clipped to it, so utilisation can exclude warm-up and drain phases.
     pub measure: Option<(SimTime, SimTime)>,
 }
 
@@ -357,14 +356,12 @@ pub struct SimOutcome {
     pub events: u64,
     /// Edges of the simulated mesh.
     pub edges: usize,
-    /// Channel busy time, summed over all channels, in channel-nanoseconds.
+    /// Channel busy time, summed over all channels, in channel-nanoseconds,
+    /// clipped to [`SimConfig::measure`] (the whole run when none is set).
     pub busy_channel_ns: u128,
-    /// Channel busy time clipped to [`SimConfig::measure`].
-    pub measured_busy_channel_ns: u128,
-    /// Factory busy time in slot-nanoseconds.
+    /// Factory busy time in slot-nanoseconds, clipped to
+    /// [`SimConfig::measure`] (the whole run when none is set).
     pub busy_factory_ns: u128,
-    /// Factory busy time clipped to [`SimConfig::measure`].
-    pub measured_busy_factory_ns: u128,
 }
 
 impl SimOutcome {
@@ -404,18 +401,12 @@ impl SimOutcome {
     /// by `edges × channels × interval`.
     #[must_use]
     pub fn channel_utilization(&self, cfg: &SimConfig) -> f64 {
-        let (busy, interval) = match cfg.measure {
-            Some((from, to)) => (
-                self.measured_busy_channel_ns,
-                to.saturating_since(from).nanos(),
-            ),
-            None => (self.busy_channel_ns, self.makespan.nanos()),
-        };
-        let capacity = self.edges as u128 * cfg.channels_per_edge as u128 * u128::from(interval);
+        let capacity =
+            self.edges as u128 * cfg.channels_per_edge as u128 * u128::from(self.measured_ns(cfg));
         if capacity == 0 {
             0.0
         } else {
-            busy as f64 / capacity as f64
+            self.busy_channel_ns as f64 / capacity as f64
         }
     }
 
@@ -423,18 +414,20 @@ impl SimOutcome {
     /// makespan when none was configured).
     #[must_use]
     pub fn factory_utilization(&self, cfg: &SimConfig) -> f64 {
-        let (busy, interval) = match cfg.measure {
-            Some((from, to)) => (
-                self.measured_busy_factory_ns,
-                to.saturating_since(from).nanos(),
-            ),
-            None => (self.busy_factory_ns, self.makespan.nanos()),
-        };
-        let capacity = cfg.ancilla_capacity as u128 * u128::from(interval);
+        let capacity = cfg.ancilla_capacity as u128 * u128::from(self.measured_ns(cfg));
         if capacity == 0 {
             0.0
         } else {
-            busy as f64 / capacity as f64
+            self.busy_factory_ns as f64 / capacity as f64
+        }
+    }
+
+    /// Length of the measurement interval in ns: [`SimConfig::measure`], or
+    /// the whole makespan when none was configured.
+    fn measured_ns(&self, cfg: &SimConfig) -> u64 {
+        match cfg.measure {
+            Some((from, to)) => to.saturating_since(from).nanos(),
+            None => self.makespan.nanos(),
         }
     }
 }
@@ -507,9 +500,7 @@ struct Simulator<'a> {
     factory_busy: usize,
     factory_queue: VecDeque<usize>,
     busy_channel_ns: u128,
-    measured_busy_channel_ns: u128,
     busy_factory_ns: u128,
-    measured_busy_factory_ns: u128,
     makespan: SimTime,
     /// The observability sink. [`Noop`] on the plain entry points, so the
     /// recorded-off run is the *same code path* as the unobserved one.
@@ -606,9 +597,7 @@ pub fn simulate_observed(
         factory_busy: 0,
         factory_queue: VecDeque::new(),
         busy_channel_ns: 0,
-        measured_busy_channel_ns: 0,
         busy_factory_ns: 0,
-        measured_busy_factory_ns: 0,
         makespan: SimTime::ZERO,
         rec,
     };
@@ -680,9 +669,7 @@ impl Simulator<'_> {
             events: self.events.processed(),
             edges: self.topology.edge_count(),
             busy_channel_ns: self.busy_channel_ns,
-            measured_busy_channel_ns: self.measured_busy_channel_ns,
             busy_factory_ns: self.busy_factory_ns,
-            measured_busy_factory_ns: self.measured_busy_factory_ns,
         }
     }
 
@@ -942,17 +929,15 @@ impl Simulator<'_> {
     }
 
     fn account_channels(&mut self, batch: usize, from: SimTime, to: SimTime) {
-        let span = u128::from(to.saturating_since(from).nanos()) * batch as u128;
-        self.busy_channel_ns += span;
-        self.measured_busy_channel_ns += self.clipped(from, to) * batch as u128;
+        self.busy_channel_ns += self.clipped(from, to) * batch as u128;
     }
 
     fn account_factory(&mut self, from: SimTime, to: SimTime) {
-        self.busy_factory_ns += u128::from(to.saturating_since(from).nanos());
-        self.measured_busy_factory_ns += self.clipped(from, to);
+        self.busy_factory_ns += self.clipped(from, to);
     }
 
-    /// Overlap of `[from, to)` with the measurement interval, in ns.
+    /// Overlap of `[from, to)` with the measurement interval (all of it when
+    /// none is set), in ns.
     fn clipped(&self, from: SimTime, to: SimTime) -> u128 {
         match self.cfg.measure {
             None => u128::from(to.saturating_since(from).nanos()),
@@ -1185,8 +1170,15 @@ mod tests {
         // One 4-pair round spans [0, 100) ns; only 50 ns × 4 channels fall
         // inside the interval.
         let out = run_requests(&mesh, &measured, &[(SimTime::ZERO, request(0, 1, 4))]);
+        assert_eq!(out.busy_channel_ns, 200);
+    }
+
+    #[test]
+    fn busy_accounting_covers_the_whole_run_without_an_interval() {
+        let mesh = Mesh::new(2, 1, 1);
+        // The same 4-pair round: all 100 ns × 4 channels count.
+        let out = run_requests(&mesh, &cfg(), &[(SimTime::ZERO, request(0, 1, 4))]);
         assert_eq!(out.busy_channel_ns, 400);
-        assert_eq!(out.measured_busy_channel_ns, 200);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //! is then O(words), not O(qubits) — this is what makes the Figure 7
 //! Monte-Carlo trial a handful of word operations end to end.
 
-use crate::pauli::{tail_mask, Pauli, PauliString};
+use crate::pauli::{tail_mask, Pauli};
 use crate::tableau::CliffordGate;
 use serde::{Deserialize, Serialize};
 
@@ -145,18 +145,6 @@ impl PauliFrame {
         }
     }
 
-    /// Inject a whole Pauli string, word-parallel over its bit planes.
-    ///
-    /// # Panics
-    /// Panics if the string length differs from the frame size.
-    pub fn inject_string(&mut self, p: &PauliString) {
-        assert_eq!(p.len(), self.n, "Pauli string length mismatch");
-        for (w, (&xw, &zw)) in p.x_words().iter().zip(p.z_words()).enumerate() {
-            self.x[w] ^= xw;
-            self.z[w] ^= zw;
-        }
-    }
-
     /// The packed X-error plane (qubit `q` at bit `q % 64` of word `q / 64`).
     #[must_use]
     pub fn x_words(&self) -> &[u64] {
@@ -169,8 +157,9 @@ impl PauliFrame {
         &self.z
     }
 
-    /// XOR packed X/Z rows into the frame (the bulk form of
-    /// [`PauliFrame::inject_string`] for callers that already hold words).
+    /// XOR packed X/Z rows into the frame, such as a
+    /// [`PauliString`](crate::PauliString)'s
+    /// `x_words` and `z_words`: the bulk form of [`PauliFrame::inject`].
     /// Tail bits beyond `n` in the final word are ignored.
     ///
     /// # Panics
@@ -351,14 +340,6 @@ impl PauliFrame {
         }
     }
 
-    /// Whether a Z-basis measurement of qubit `q` would be flipped by the
-    /// error currently on it.
-    #[must_use]
-    #[inline]
-    pub fn measurement_flipped(&self, q: usize) -> bool {
-        self.has_x(q)
-    }
-
     /// Number of qubits carrying any error (word-parallel popcount).
     #[must_use]
     pub fn weight(&self) -> usize {
@@ -375,25 +356,12 @@ impl PauliFrame {
         self.x.fill(0);
         self.z.fill(0);
     }
-
-    /// The X-error pattern restricted to the given set of qubits, as a parity
-    /// vector (used by syndrome extraction).
-    #[must_use]
-    pub fn x_parity(&self, qubits: &[usize]) -> bool {
-        qubits.iter().fold(false, |acc, &q| acc ^ self.has_x(q))
-    }
-
-    /// The Z-error pattern restricted to the given set of qubits, as a parity
-    /// vector.
-    #[must_use]
-    pub fn z_parity(&self, qubits: &[usize]) -> bool {
-        qubits.iter().fold(false, |acc, &q| acc ^ self.has_z(q))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pauli::PauliString;
     use crate::simulator::StabilizerSimulator;
     use proptest::prelude::*;
 
@@ -468,21 +436,11 @@ mod tests {
     fn prep_clears_and_measure_flip_tracks_x() {
         let mut f = PauliFrame::new(2);
         f.inject_y(0);
-        assert!(f.measurement_flipped(0));
+        assert!(f.has_x(0));
         f.apply(CliffordGate::PrepZ(0));
-        assert!(!f.measurement_flipped(0));
+        assert!(!f.has_x(0));
         f.inject_z(1);
-        assert!(!f.measurement_flipped(1));
-    }
-
-    #[test]
-    fn parities_over_subsets() {
-        let mut f = PauliFrame::new(7);
-        f.inject_x(2);
-        f.inject_x(5);
-        assert!(!f.x_parity(&[2, 5]));
-        assert!(f.x_parity(&[2, 3]));
-        assert!(!f.z_parity(&[0, 1, 2]));
+        assert!(!f.has_x(1));
     }
 
     #[test]
@@ -491,7 +449,7 @@ mod tests {
         f.inject_x(2);
         f.inject_x(65);
         f.inject_z(64);
-        assert_eq!(f.z_mask_parity(&[0, 1]), f.z_parity(&[64]));
+        assert_eq!(f.z_mask_parity(&[0, 1]), f.has_z(64));
     }
 
     #[test]
@@ -541,11 +499,13 @@ mod tests {
     }
 
     #[test]
-    fn xor_rows_matches_inject_string() {
+    fn xor_rows_matches_per_qubit_injection() {
         let s = PauliString::from_str_repr("XYZIIXZ");
         let mut a = PauliFrame::new(7);
         let mut b = PauliFrame::new(7);
-        a.inject_string(&s);
+        for (q, p) in s.iter_support() {
+            a.inject(q, p);
+        }
         b.xor_rows(s.x_words(), s.z_words());
         assert_eq!(a, b);
     }
@@ -596,11 +556,7 @@ mod tests {
             if reference.tableau().is_deterministic(q) {
                 let noisy = sim.measure(q);
                 let clean = reference.measure(q);
-                assert_eq!(
-                    noisy ^ clean,
-                    frame.measurement_flipped(q),
-                    "qubit {q} disagreement"
-                );
+                assert_eq!(noisy ^ clean, frame.has_x(q), "qubit {q} disagreement");
             }
         }
     }
@@ -646,7 +602,6 @@ mod tests {
         #[test]
         fn packed_frame_matches_the_scalar_reference_frame(
             ops in prop::collection::vec((0u8..13, 0usize..70, 0usize..70), 1..80),
-            support in prop::collection::vec(0usize..70, 0..12),
         ) {
             let mut packed = PauliFrame::new(70);
             let mut scalar = crate::reference::ScalarFrame::new(70);
@@ -684,8 +639,6 @@ mod tests {
                 prop_assert_eq!(packed.has_x(q), scalar.has_x(q), "X on qubit {}", q);
                 prop_assert_eq!(packed.has_z(q), scalar.has_z(q), "Z on qubit {}", q);
             }
-            prop_assert_eq!(packed.x_parity(&support), scalar.x_parity(&support));
-            prop_assert_eq!(packed.z_parity(&support), scalar.z_parity(&support));
         }
 
         #[test]

@@ -10,7 +10,7 @@
 use crate::tableau::CliffordGate;
 
 /// The element-wise Pauli frame: one boolean per error bit, per-qubit gate
-/// updates, list-based parities — the seed hot-path idiom.
+/// updates — the seed hot-path idiom.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalarFrame {
     /// X-error flags, one per qubit.
@@ -92,18 +92,6 @@ impl ScalarFrame {
                 self.z[q] = false;
             }
         }
-    }
-
-    /// Parity of the X errors over a listed support.
-    #[must_use]
-    pub fn x_parity(&self, qubits: &[usize]) -> bool {
-        qubits.iter().fold(false, |acc, &q| acc ^ self.x[q])
-    }
-
-    /// Parity of the Z errors over a listed support.
-    #[must_use]
-    pub fn z_parity(&self, qubits: &[usize]) -> bool {
-        qubits.iter().fold(false, |acc, &q| acc ^ self.z[q])
     }
 }
 

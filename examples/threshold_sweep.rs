@@ -19,11 +19,13 @@ fn main() {
     };
 
     let rates = [5e-4, 1e-3, 1.5e-3, 2e-3, 2.5e-3, 4e-3, 8e-3, 1.5e-2];
+    let (points, threshold) =
+        experiment.sweep_and_threshold(&rates, 3e-4, 3e-2, 12, &Executor::SEQUENTIAL);
     println!(
         "{:>14} {:>16} {:>16}",
         "physical p", "level-1 failure", "level-2 failure"
     );
-    for point in experiment.sweep(&rates, &Executor::SEQUENTIAL) {
+    for point in points {
         println!(
             "{:>14.2e} {:>16.3e} {:>16.3e}",
             point.physical_rate, point.level1_rate, point.level2_rate
@@ -31,7 +33,7 @@ fn main() {
     }
 
     println!("\nestimating the pseudo-threshold (level-1 curve crossing y = x)...");
-    match experiment.estimate_threshold(3e-4, 3e-2, 12, &Executor::SEQUENTIAL) {
+    match threshold {
         Some(pth) => {
             println!("  empirical threshold ~ {pth:.2e}");
             println!("  paper's ARQ measurement: {EMPIRICAL_THRESHOLD:.1e} (+/- 1.8e-3)");

@@ -57,7 +57,8 @@ fn level2_wins_below_the_crossing_and_loses_above_it() {
 fn crossing_point_lands_inside_the_paper_band() {
     let e = small_trials();
     let pth = e
-        .estimate_threshold(2e-4, 3e-2, 12, &Executor::SEQUENTIAL)
+        .sweep_and_threshold(&[], 2e-4, 3e-2, 12, &Executor::SEQUENTIAL)
+        .1
         .expect("a level-1 crossing must exist in the scanned decade");
     assert!(
         (BAND_LO..=BAND_HI).contains(&pth),
