@@ -1,6 +1,7 @@
 //! `qla-bench` — the one CLI driver for every paper artefact.
 //!
 //! ```text
+//! qla-bench help | --help | -h
 //! qla-bench list
 //! qla-bench describe <experiment>
 //! qla-bench profiles [<name>]
@@ -22,6 +23,7 @@ use qla_bench::{registry, serve_cli};
 use qla_core::MachineSpec;
 
 const USAGE: &str = "usage:
+  qla-bench help | --help | -h
   qla-bench list
   qla-bench describe <experiment>
   qla-bench profiles [<name>]
@@ -45,6 +47,13 @@ fn main() {
     // `serve` has its own flag set (--addr, --once, ...) that CliArgs
     // would reject, so it is dispatched on the raw argument list.
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    if matches!(
+        raw.first().map(String::as_str),
+        Some("--help" | "-h" | "help")
+    ) {
+        println!("{USAGE}");
+        return;
+    }
     if raw.first().map(String::as_str) == Some("serve") {
         if raw.iter().any(|a| a == "--help" || a == "-h") {
             println!("{}", serve_cli::SERVE_USAGE);

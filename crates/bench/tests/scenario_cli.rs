@@ -150,3 +150,21 @@ fn spans_past_the_simulator_clock_fail_typed_with_exit_2() {
         assert!(!stderr.contains("panicked"), "{experiment}: {stderr}");
     }
 }
+
+#[test]
+fn help_prints_the_usage_to_stdout_and_exits_0() {
+    for flag in ["--help", "-h", "help"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_qla-bench"))
+            .arg(flag)
+            .output()
+            .expect("qla-bench starts");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(0), "{flag}: {stdout}");
+        assert!(stdout.starts_with("usage:"), "{flag}: {stdout}");
+        assert!(
+            stdout.contains("qla-bench run <experiment>"),
+            "{flag}: {stdout}"
+        );
+        assert!(out.stderr.is_empty(), "{flag}");
+    }
+}

@@ -265,7 +265,7 @@ mod tests {
                 .insert(row);
             // The route stays on the tenant's row, so tenants on
             // distinct rows never contend.
-            let route = topology.route(request.from, request.to, |_| true).unwrap();
+            let route = topology.route(request.from, request.to).unwrap();
             assert!(route.nodes.iter().all(|&n| n / mesh.columns() == row));
         }
         let rows: Vec<_> = rows_by_tenant.values().flatten().copied().collect();

@@ -108,8 +108,13 @@ impl GreedyScheduler {
         let mut windows_used = 0usize;
         let mut capacity_consumed = 0usize;
         // Residual capacity per edge id (both directions of an edge
-        // together), refilled at the start of every window.
+        // together), refilled at the start of every window; the topology
+        // blocks an edge once its capacity runs out.
         let mut capacity = vec![0usize; topology.edge_count()];
+        let mut exhausted = Vec::new();
+        // Requests that found no route in this window. Capacity only falls
+        // within a window, so they find none until the next.
+        let mut stuck = vec![false; requests.len()];
         let mut order = Vec::with_capacity(requests.len());
 
         for window in 0..self.max_windows {
@@ -118,6 +123,8 @@ impl GreedyScheduler {
             }
             windows_used = window + 1;
             capacity.fill(self.mesh.edge_capacity_per_window());
+            topology.unblock_all();
+            stuck.fill(false);
 
             // Greedy pass: requests in order of decreasing remaining demand
             // (ties by index: the sort is stable), grabbing all the
@@ -126,19 +133,23 @@ impl GreedyScheduler {
             loop {
                 let mut progressed = false;
                 order.clear();
-                order.extend((0..requests.len()).filter(|&i| remaining[i] > 0));
+                order.extend((0..requests.len()).filter(|&i| remaining[i] > 0 && !stuck[i]));
                 order.sort_by_key(|&i| std::cmp::Reverse(remaining[i]));
                 for &i in &order {
                     let req = requests[i];
-                    let Some(route) = topology.route(req.from, req.to, |e| capacity[e] > 0) else {
+                    let Some(route) = topology.route(req.from, req.to) else {
+                        stuck[i] = true;
                         continue;
                     };
                     // Bottleneck capacity along the path; every edge of the
-                    // route has spare capacity, so it is positive.
+                    // route is usable, so it is positive.
                     let bottleneck = route.edges.iter().map(|&e| capacity[e]).min();
                     let send = bottleneck.expect("a route has an edge").min(remaining[i]);
                     for &e in route.edges {
                         capacity[e] -= send;
+                        if capacity[e] == 0 {
+                            exhausted.push(e);
+                        }
                     }
                     capacity_consumed += send * route.edges.len();
                     remaining[i] -= send;
@@ -148,6 +159,9 @@ impl GreedyScheduler {
                         path: route.nodes.to_vec(),
                         pairs: send,
                     });
+                    for e in exhausted.drain(..) {
+                        topology.block(e);
+                    }
                     progressed = true;
                 }
                 if !progressed {

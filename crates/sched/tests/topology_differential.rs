@@ -3,7 +3,9 @@
 //! keeps per-edge capacity in a `HashMap<Edge, usize>` and searches with a
 //! `HashMap` BFS over [`Mesh::neighbours`] (the scheduler's original
 //! formulation); its routes must agree with a naive BFS for every node
-//! pair; and its edge ids must be positions in [`Mesh::edges`].
+//! pair; and its edge ids must be positions in [`Mesh::edges`]. Widths of
+//! 63, 64, 65 and 129 columns put a mesh row across one, two and three
+//! words of the topology's bitsets.
 
 use proptest::prelude::*;
 use qla_sched::Topology;
@@ -210,11 +212,13 @@ fn outcome(
 
 /// Check [`Topology::route`] against a naive exhaustive BFS tree from every
 /// `stride`-th source of `mesh` to every target, with edge id `k` usable
-/// when `usable[k]`; returns
-/// how many `from ≠ to` pairs fell under each [`Outcome`], in declaration
-/// order.
+/// when `usable[k]`; returns how many `from ≠ to` pairs fell under each
+/// [`Outcome`], in declaration order.
 fn check_every_pair(mesh: &Mesh, usable: &[bool], stride: usize) -> [usize; 4] {
     let mut topology = Topology::new(mesh);
+    for id in (0..usable.len()).filter(|&id| !usable[id]) {
+        topology.block(id);
+    }
     // The reference looks edges up by position in the mesh's own listing:
     // each node's right edge and down edge.
     let mut right = vec![0; mesh.node_count()];
@@ -234,8 +238,7 @@ fn check_every_pair(mesh: &Mesh, usable: &[bool], stride: usize) -> [usize; 4] {
     for from in (0..mesh.node_count()).step_by(stride) {
         let tree = naive_tree(mesh, from, &usable_edge);
         for to in 0..mesh.node_count() {
-            let route = topology.route(from, to, |id| usable[id]);
-            let route = route.map(|r| r.nodes.to_vec());
+            let route = topology.route(from, to).map(|r| r.nodes.to_vec());
             let expected = if from == to {
                 mesh.neighbours(from)
                     .into_iter()
@@ -267,13 +270,22 @@ fn mask(mesh: &Mesh, seed: u64, blocked_percent: u64) -> Vec<bool> {
         .collect()
 }
 
-/// Mesh dimensions for a shape selector: 1×1, 1×N, N×1, or general.
+/// Widths whose rows fill one bitset word less one bit, exactly one word,
+/// one word and a bit, and two words and a bit.
+const WIDE: [usize; 4] = [63, 64, 65, 129];
+
+/// Mesh dimensions for a shape selector: 1×1, 1×N, N×1, general, a thin
+/// mesh of one of the [`WIDE`] widths, or a line of such a length.
 fn dimensions(shape: usize, columns: usize, rows: usize) -> (usize, usize) {
+    let wide = WIDE[columns % WIDE.len()];
     match shape {
         0 => (1, 1),
         1 => (1, rows),
         2 => (columns, 1),
-        _ => (columns, rows),
+        3 => (columns, rows),
+        4 => (wide, 1 + rows % 3),
+        _ if rows.is_multiple_of(2) => (1, wide),
+        _ => (wide, 1),
     }
 }
 
@@ -296,14 +308,18 @@ fn assert_same_schedule(mesh: &Mesh, max_windows: usize, requests: &[CommRequest
 
 proptest! {
     // Mixed demand — co-located, small, saturating and unsatisfiable —
-    // on meshes from a single tile up to 12×12.
+    // on meshes from a single tile up to 12×12, and on thin meshes of 70
+    // to 136 columns, whose rows span two or three bitset words.
     #[test]
     fn the_scheduler_matches_the_hash_map_reference(
-        shape in (0usize..4, 1usize..=12, 1usize..=12),
+        shape in (0usize..5, 1usize..=12, 1usize..=12),
         capacity in (1usize..=4, 1usize..=80, 1usize..=8),
         demands in prop::collection::vec((0usize..10_000, 0usize..10_000, 0usize..4, 0usize..64), 0..16),
     ) {
-        let (columns, rows) = dimensions(shape.0, shape.1, shape.2);
+        let (columns, rows) = match shape.0 {
+            4 => (64 + 6 * shape.1, 1 + shape.2 % 3),
+            _ => dimensions(shape.0, shape.1, shape.2),
+        };
         let (bandwidth, pairs_per_window, max_windows) = capacity;
         let mesh = Mesh::new(columns, rows, bandwidth).with_pairs_per_window(pairs_per_window);
         let nodes = mesh.node_count();
@@ -325,16 +341,18 @@ proptest! {
 
     // A random set of blocked edges, each blocked with probability 0–60 %:
     // the topology's route and a naive exhaustive BFS agree on
-    // reachability and on the exact path.
+    // reachability and on the exact path. On the wide shapes every 11th
+    // source is checked (11 is prime to every width, so every column is).
     #[test]
     fn routes_match_a_naive_bfs_under_blocked_edges(
-        shape in (0usize..4, 1usize..=12, 1usize..=12),
+        shape in (0usize..6, 1usize..=12, 1usize..=12),
         blocked_percent in 0u64..=60,
         seed in 0u64..u64::MAX,
     ) {
         let (columns, rows) = dimensions(shape.0, shape.1, shape.2);
         let mesh = Mesh::new(columns, rows, 1);
-        check_every_pair(&mesh, &mask(&mesh, seed, blocked_percent), 1);
+        let stride = if shape.0 < 4 { 1 } else { 11 };
+        check_every_pair(&mesh, &mask(&mesh, seed, blocked_percent), stride);
     }
 }
 
@@ -359,12 +377,23 @@ fn blocked_edge_routes_cover_every_outcome() {
 
 #[test]
 fn routes_match_a_naive_bfs_for_every_node_pair() {
-    for (columns, rows) in [(1, 1), (1, 6), (6, 1), (2, 2), (3, 4), (5, 5), (7, 3)] {
+    let shapes = [
+        (0, 3),
+        (1, 1),
+        (1, 6),
+        (6, 1),
+        (2, 2),
+        (3, 4),
+        (5, 5),
+        (7, 3),
+    ];
+    let wide = WIDE.iter().flat_map(|&n| [(n, 2), (1, n), (n, 1)]);
+    for (columns, rows) in shapes.into_iter().chain(wide) {
         let mesh = Mesh::new(columns, rows, 1);
         let outcomes = check_every_pair(&mesh, &vec![true; mesh.edge_count()], 1);
         // With every edge usable, every route is a monotone path found
         // without backtracking.
-        let pairs = mesh.node_count() * (mesh.node_count() - 1);
+        let pairs = mesh.node_count() * mesh.node_count().saturating_sub(1);
         assert_eq!(outcomes, [pairs, 0, 0, 0], "{columns}x{rows} mesh");
     }
 }
@@ -398,7 +427,7 @@ fn route_edges_join_consecutive_route_nodes() {
     let mesh = Mesh::new(6, 4, 1);
     let mut topology = Topology::new(&mesh);
     for (from, to) in [(0, 23), (23, 0), (5, 18), (9, 9), (12, 14)] {
-        let route = topology.route(from, to, |_| true).unwrap();
+        let route = topology.route(from, to).unwrap();
         let (nodes, edges) = (route.nodes.to_vec(), route.edges.to_vec());
         assert_eq!(edges.len() + 1, nodes.len());
         for (k, &id) in edges.iter().enumerate() {
@@ -409,21 +438,24 @@ fn route_edges_join_consecutive_route_nodes() {
 
 #[test]
 fn edge_ids_are_positions_in_the_mesh_edge_listing() {
-    for (columns, rows) in [(0, 3), (1, 1), (1, 5), (5, 1), (4, 4), (59, 18)] {
+    let shapes = [(0, 3), (1, 1), (1, 5), (5, 1), (4, 4), (59, 18)];
+    let wide = WIDE.iter().flat_map(|&n| [(n, 3), (1, n), (n, 1)]);
+    for (columns, rows) in shapes.into_iter().chain(wide) {
         let mesh = Mesh::new(columns, rows, 1);
-        let topology = Topology::new(&mesh);
+        let mut topology = Topology::new(&mesh);
         let edges = mesh.edges();
         assert_eq!(topology.edge_count(), edges.len());
         for (k, &edge) in edges.iter().enumerate() {
-            assert_eq!(topology.edge_id(edge), Some(k));
+            assert_eq!(topology.edge_id(edge), Some(k), "{columns}x{rows} mesh");
         }
-        // Adjacency lists the mesh's neighbours in order, each with the id
-        // of the edge that joins them.
+        // A co-located route leaves through the mesh's first neighbour, over
+        // the edge that joins them.
         for n in 0..mesh.node_count() {
-            let listed: Vec<Node> = topology.neighbours(n).iter().map(|&(m, _)| m).collect();
-            assert_eq!(listed, mesh.neighbours(n));
-            for &(m, id) in topology.neighbours(n) {
-                assert_eq!(edges[id], Edge::new(n, m));
+            let route = topology.route(n, n);
+            let first = mesh.neighbours(n).first().copied();
+            assert_eq!(route.map(|r| r.nodes.to_vec()), first.map(|m| vec![n, m]));
+            if let Some(route) = topology.route(n, n) {
+                assert_eq!(edges[route.edges[0]], Edge::new(n, route.nodes[1]));
             }
         }
     }

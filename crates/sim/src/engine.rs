@@ -798,7 +798,7 @@ impl Simulator<'_> {
             // Co-located endpoints on a single-tile mesh have no edge to
             // leave through: a zero-hop route that completes at release.
             route.clear();
-            if let Some(r) = self.topology.route(request.from, request.to, |_| true) {
+            if let Some(r) = self.topology.route(request.from, request.to) {
                 route.extend_from_slice(r.edges);
             }
             let hops = route.len();
